@@ -4,10 +4,8 @@ from .feasibility import (FeasibilityReport, Polarity, Question, SurveyChain,
                           chain_feasibility, classical_consistency_check,
                           contraction_check, majorization_check,
                           order_effect_check)
-from .framefit import (FitOptions, FitResult, fit_chain, fit_transition,
-                       replay)
-from .hilbert import (FrameParameters, frame_from_parameters,
-                      frame_projectors, kron, partial_trace)
+from .framefit import FitResult, fit_chain, fit_transition, replay
+from .hilbert import frame_projectors, kron, partial_trace
 from .ingest import fixture_path, load_order_pair, load_survey
 from .nosignal import (LocalSeries, apply_series, embed_local, fifth_marginal,
                        no_signalling_check)

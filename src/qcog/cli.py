@@ -1,8 +1,10 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 error, 2 analysis ran and found a violation (so
-scripts can branch on findings).  The ``QCOG_SEED`` environment variable
-overrides ``--seed`` everywhere.
+Exit codes: 0 success, 1 error (bad input, usage or a failed post-check),
+2 analysis ran and found a violation (so scripts can branch on findings).
+``nosignal-demo`` is the only subcommand that draws random numbers; the
+``QCOG_SEED`` environment variable overrides its ``--seed``.  Every other
+subcommand depends on its input files alone.
 """
 from __future__ import annotations
 
@@ -39,7 +41,8 @@ def _jsonable(obj):
 
 
 def _emit_json(payload) -> None:
-    print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
+    print(json.dumps(_jsonable(payload), indent=2, sort_keys=True,
+                     allow_nan=False))
 
 
 def _resolve_seed(args) -> int:
@@ -126,14 +129,11 @@ def cmd_check_feasibility(args) -> int:
 
 def cmd_fit_chain(args) -> int:
     chain = ingest.load_survey(args.survey)
-    options = framefit.FitOptions(seed=_resolve_seed(args),
-                                  n_starts=args.starts)
-    fit = framefit.fit_chain(chain, args.isolate_first, args.tol, options)
+    fit = framefit.fit_chain(chain, args.isolate_first, args.tol)
     if args.json:
         _emit_json(framefit.fit_result_to_dict(fit))
     else:
-        print(f"fitted {len(fit.frames)} frames for {chain.label!r} "
-              f"(seed {options.seed}, {options.n_starts} starts)")
+        print(f"fitted {len(fit.frames)} frames for {chain.label!r}")
         for i, p in enumerate(fit.achieved):
             print(f"  Q{i + 1} achieved: {np.round(p.probs, 9).tolist()}")
         print(f"  residuals: {[f'{r:.3g}' for r in fit.residuals]}")
@@ -235,12 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_feasibility)
 
     p = sub.add_parser("fit-chain",
-                       help="fit orthonormal frames reproducing the chain")
+                       help="construct orthonormal frames reproducing the "
+                            "chain")
     p.add_argument("survey")
     p.add_argument("--tol", type=float, required=True)
     p.add_argument("--isolate-first", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--starts", type=int, default=32)
     add_json(p)
     p.set_defaults(func=cmd_fit_chain)
 
@@ -268,11 +267,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 for --help and 2 for usage errors; 2 means
+        # "violation found" here, so a usage error becomes 1
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)
     except (ingest.IngestError, feasibility.PolarityError,
-            framefit.InfeasibleTargetError, framefit.ConvergenceError,
+            framefit.InfeasibleTargetError, framefit.FitError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -1,27 +1,30 @@
-"""Fit explicit orthonormal frames reproducing a question chain's statistics.
+"""Construct explicit orthonormal frames reproducing a question chain's statistics.
 
 Implements the isolated-first-question scheme: the first question sits on
 its own tensor factor of a product state, the second question's basis is
 taken as the reference frame, and every later question is an orthonormal
-frame fitted so the frame expectations of the current density matrix equal
-the observed answer distribution.
+frame whose expectations on the current density matrix equal the observed
+answer distribution.  Majorization says when such a frame exists; the
+Schur-Horn construction of Chan & Li (1983) and Dhillon et al. (2005)
+builds it from n-1 plane rotations, with no search.  A target slightly out
+of reach is first moved to the nearest reachable distribution by the
+permutohedron projection of Negrinho & Martins (2014) and Lim & Wright
+(2016).
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
-import itertools
-
 import numpy as np
-from scipy.optimize import least_squares
 
 from .feasibility import SurveyChain, chain_feasibility, majorization_check
-from .hilbert import FrameParameters, frame_from_parameters, frame_projectors
+from .hilbert import frame_projectors
 from .states import (DensityMatrix, ProbabilityVector, lueders_update,
                      outcome_probabilities, square_root_embed)
 
-TWO_PI = 2.0 * np.pi
+# Largest accepted sum of squared differences between a constructed frame's
+# expectations and its target; the construction reaches ~1e-31.
+RESIDUAL_LIMIT = 1e-18
 
 
 class InfeasibleTargetError(ValueError):
@@ -33,25 +36,14 @@ class InfeasibleTargetError(ValueError):
         self.transition = transition
 
 
-class ConvergenceError(RuntimeError):
-    """No multi-start reached the residual threshold."""
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    seed: int = 0
-    n_starts: int = 32
-    residual_threshold: float = 1e-18
-    tol: float = 0.0
-    max_nfev: int = 2000
+class FitError(RuntimeError):
+    """A constructed frame or projection failed its post-check."""
 
 
 @dataclass(frozen=True)
 class TransitionFit:
     frame: np.ndarray
     residual: float
-    iterations: int
-    parameters: FrameParameters
 
 
 def _eigenbasis(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -63,139 +55,100 @@ def _eigenbasis(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, v
 
 
-def _expectation_residuals(x: np.ndarray, lam: np.ndarray,
-                           target: np.ndarray) -> np.ndarray:
-    w = frame_from_parameters(FrameParameters.from_vector(x))
-    achieved = (lam[:, None] * (np.abs(w) ** 2)).sum(axis=0)
-    return achieved - target
+def _schur_horn_frame(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Real orthogonal W with sum_i lam_i W_ij^2 = t_j, for t majorized by lam.
 
-
-def fit_transition(rho: DensityMatrix, target: ProbabilityVector,
-                   options: FitOptions | None = None) -> TransitionFit:
-    """Find a frame whose expectations on ``rho`` match ``target``.
-
-    Multi-start derivative-based least squares over the six frame
-    parameters, evaluated in the eigenbasis of ``rho`` (where the two
-    redundant phases drop out of the objective).  Among converged starts
-    the lexicographically smallest parameter vector wins.
+    Targets are placed largest first.  Each one is matched by rotating the
+    two pending vectors whose Rayleigh quotients bracket it and sit next to
+    each other in sorted order; the rotated partner stays pending with the
+    leftover quotient, which keeps the remaining problem majorized.
     """
-    options = options or FitOptions()
-    if rho.dim != 3 or target.dim != 3:
-        raise ValueError("frame fitting works on 3-dimensional questions")
+    n = t.size
+    order = np.argsort(-lam, kind="stable")
+    mu = list(lam[order])
+    vecs = list(np.eye(n)[order])
+    w = np.empty((n, n))
+    targets = np.argsort(-t, kind="stable")
+    for j in targets[:-1]:
+        i = min(max(sum(m > t[j] for m in mu) - 1, 0), len(mu) - 2)
+        mu_a, mu_b = mu[i], mu[i + 1]
+        c2 = 1.0 if mu_a == mu_b else min(max(
+            (t[j] - mu_b) / (mu_a - mu_b), 0.0), 1.0)
+        c, s = np.sqrt(c2), np.sqrt(1.0 - c2)
+        u_a, u_b = vecs[i], vecs[i + 1]
+        w[:, j] = c * u_a + s * u_b
+        # convex form, not mu_a + mu_b - t: exact when c is 0 or 1, and the
+        # quotient stays between its neighbours so mu stays sorted
+        vecs[i:i + 2] = [-s * u_a + c * u_b]
+        mu[i:i + 2] = [(1.0 - c2) * mu_a + c2 * mu_b]
+    w[:, targets[-1]] = vecs[0]
+    return w
+
+
+def fit_transition(rho: DensityMatrix, target: ProbabilityVector) -> TransitionFit:
+    """Construct a frame whose expectations on ``rho`` equal ``target``.
+
+    Works in the eigenbasis of ``rho``.  Raises
+    :class:`InfeasibleTargetError` when the target is not majorized by the
+    spectrum and :class:`FitError` when the constructed frame misses the
+    target by more than ``RESIDUAL_LIMIT``.
+    """
     lam, v = _eigenbasis(np.asarray(rho.matrix))
     t = target.probs
 
-    feasible, slack = majorization_check(lam, t, options.tol)
+    feasible, slack = majorization_check(lam, t, 0.0)
     if not feasible:
         raise InfeasibleTargetError(
             f"target {t.tolist()} not majorized by spectrum "
             f"{np.sort(lam)[::-1].tolist()} (slack {slack:.6g})", slack)
 
-    rng = np.random.default_rng(options.seed)
-    starts = [np.zeros(6)]
-    starts += [rng.uniform(0.0, TWO_PI, size=6)
-               for _ in range(max(0, options.n_starts - 1))]
-
-    converged: list[tuple[np.ndarray, float, int]] = []
-    for k, x0 in enumerate(starts):
-        r0 = _expectation_residuals(x0, lam, t)
-        sse0 = float(r0 @ r0)
-        if sse0 <= options.residual_threshold:
-            converged.append((np.mod(x0, TWO_PI), sse0, 0))
-            if k == 0:
-                break
-            continue
-        sol = least_squares(
-            _expectation_residuals, x0, args=(lam, t), method="trf",
-            xtol=5e-16, ftol=5e-16, gtol=1e-14, max_nfev=options.max_nfev)
-        sse = float(sol.fun @ sol.fun)
-        if sse <= options.residual_threshold:
-            converged.append((np.mod(sol.x, TWO_PI), sse, int(sol.nfev)))
-
-    if not converged:
-        raise ConvergenceError(
-            f"no solution below {options.residual_threshold} after "
-            f"{len(starts)} starts")
-
-    params, sse, nfev = min(converged, key=lambda c: tuple(c[0]))
-    fp = FrameParameters.from_vector(params)
-    frame = v @ frame_from_parameters(fp)
-    return TransitionFit(frame=frame, residual=sse, iterations=nfev,
-                         parameters=fp)
+    w = _schur_horn_frame(lam, t)
+    r = (lam[:, None] * w ** 2).sum(axis=0) - t
+    sse = float(r @ r)
+    if not sse <= RESIDUAL_LIMIT:  # also rejects NaN
+        raise FitError(f"constructed frame misses the target: squared "
+                       f"residual {sse:.3g} exceeds {RESIDUAL_LIMIT}")
+    return TransitionFit(frame=v @ w, residual=sse)
 
 
-def _nearest_point_qp(t: np.ndarray, g: np.ndarray, h: np.ndarray,
-                      a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # min 1/2 ||y - t||^2  s.t.  a y = b,  g y <= h; exact active-set
-    # enumeration (the problem is tiny: dim 3, a handful of constraints)
-    n = t.size
-    n_ineq = g.shape[0]
-    best = None
-    best_obj = np.inf
-    for r in range(n_ineq + 1):
-        for active in itertools.combinations(range(n_ineq), r):
-            rows = np.vstack([a, g[list(active)]]) if active else a
-            rhs = np.concatenate([b, h[list(active)]]) if active else b
-            m = rows.shape[0]
-            kkt = np.block([[np.eye(n), rows.T],
-                            [rows, np.zeros((m, m))]])
-            try:
-                sol = np.linalg.solve(kkt, np.concatenate([t, rhs]))
-            except np.linalg.LinAlgError:
-                continue
-            y, mult = sol[:n], sol[n:]
-            if np.any(g @ y - h > 1e-12):
-                continue
-            if np.any(mult[a.shape[0]:] < -1e-12):
-                continue
-            obj = float(((y - t) ** 2).sum())
-            if obj < best_obj - 1e-15:
-                best, best_obj = y, obj
-    if best is None:
-        raise RuntimeError("projection QP found no feasible point")
-    return best
+def _pava_nonincreasing(x: np.ndarray) -> np.ndarray:
+    """Least-squares nonincreasing fit to ``x`` (pool adjacent violators)."""
+    sums: list[float] = []
+    counts: list[int] = []
+    for value in x:
+        sums.append(float(value))
+        counts.append(1)
+        while len(sums) > 1 and sums[-2] * counts[-1] < sums[-1] * counts[-2]:
+            k, s = counts.pop(), sums.pop()
+            counts[-1] += k
+            sums[-1] += s
+    return np.repeat([s / k for s, k in zip(sums, counts)], counts)
 
 
 def project_to_majorized(target: ProbabilityVector, current,
                          ) -> tuple[ProbabilityVector, float, float]:
     """Nearest (Euclidean) distribution to ``target`` that is majorized by
     ``current``.  Returns (adjusted, max componentwise adjustment,
-    Euclidean adjustment norm)."""
+    Euclidean adjustment norm).
+
+    The distributions majorized by ``current`` form its permutohedron; the
+    projection onto it keeps the target's order and, in sorted coordinates,
+    is the target minus an isotonic regression.
+    """
     t = np.asarray(target.probs, dtype=float)
     c = np.sort(np.asarray(getattr(current, "probs", current), dtype=float))[::-1]
     order = np.argsort(-t, kind="stable")
     ts = t[order]
-    n = t.size
-    bounds_cum = np.cumsum(c)
+    ys = ts - _pava_nonincreasing(ts - c)
 
-    # in sorted (descending) coordinates: partial sums bounded by those of
-    # the current spectrum, entries ordered and nonnegative, total fixed
-    g_rows, h_vals = [], []
-    for k in range(n - 1):
-        row = np.zeros(n)
-        row[:k + 1] = 1.0
-        g_rows.append(row)
-        h_vals.append(bounds_cum[k])
-    for k in range(n - 1):
-        row = np.zeros(n)
-        row[k], row[k + 1] = -1.0, 1.0
-        g_rows.append(row)
-        h_vals.append(0.0)
-    row = np.zeros(n)
-    row[-1] = -1.0
-    g_rows.append(row)
-    h_vals.append(0.0)
-
-    ys = _nearest_point_qp(ts, np.array(g_rows), np.array(h_vals),
-                           np.ones((1, n)), np.array([1.0]))
     adjusted = np.empty_like(t)
     adjusted[order] = ys
     adjusted = np.clip(adjusted, 0.0, None)
     adjusted /= adjusted.sum()
     _, slack = majorization_check(c, adjusted, 0.0)
     if slack > 1e-12:
-        raise RuntimeError(f"projection failed to reach the feasible set "
-                           f"(slack {slack:.3g})")
+        raise FitError(f"projection failed to reach the feasible set "
+                       f"(slack {slack:.3g})")
     delta = adjusted - t
     return (ProbabilityVector(adjusted),
             float(np.max(np.abs(delta))),
@@ -207,8 +160,8 @@ class FitResult:
     """Frames and diagnostics for one fitted chain.
 
     ``frames[0]`` models the base question (standard basis); later entries
-    are fitted.  ``achieved`` covers every question of the chain, including
-    the isolated first one when present.
+    are constructed.  ``achieved`` covers every question of the chain,
+    including the isolated first one when present.
     """
 
     label: str
@@ -217,32 +170,27 @@ class FitResult:
     isolated_distribution: ProbabilityVector | None
     frames: tuple
     residuals: tuple
-    iterations: tuple
     achieved: tuple
     projection_distances: tuple
-    seed: int
 
     @property
     def max_residual(self) -> float:
         return max(self.residuals) if self.residuals else 0.0
 
 
-def fit_chain(chain: SurveyChain, isolate_first: bool, tol: float,
-              options: FitOptions | None = None) -> FitResult:
-    """Fit frames for every question after the base one.
+def fit_chain(chain: SurveyChain, isolate_first: bool, tol: float) -> FitResult:
+    """Construct frames for every question after the base one.
 
     With ``isolate_first`` the first question is carried exactly on its own
     tensor factor and the second question's basis becomes the reference;
     otherwise the first question itself is the reference.  Targets whose
     majorization slack is positive but within ``tol`` are first projected
-    to the feasible set and the adjustment distance recorded.
+    to the feasible set and the adjustment distance recorded.  The result
+    depends on the chain alone, so reruns are bit-identical.
     """
-    options = options or FitOptions()
     base_index = 1 if isolate_first else 0
     if len(chain.questions) <= base_index:
         raise ValueError("chain too short for this fitting mode")
-    if chain.dim != 3:
-        raise ValueError("frame fitting works on 3-dimensional questions")
 
     report = chain_feasibility(chain, isolate_first, tol)
     for tr in report.transitions:
@@ -258,29 +206,25 @@ def fit_chain(chain: SurveyChain, isolate_first: bool, tol: float,
     isolated = questions[0].probs if isolate_first else None
 
     rho = DensityMatrix.from_pure(square_root_embed(base.probs))
-    frames = [np.eye(3, dtype=np.complex128)]
+    frames = [np.eye(chain.dim, dtype=np.complex128)]
     achieved = list([isolated] if isolated is not None else [])
     residuals: list[float] = []
-    iterations: list[int] = []
     projections = [0.0]
 
     ach_base = outcome_probabilities(rho, frames[0])
     achieved.append(ach_base)
     rho = lueders_update(rho, frame_projectors(frames[0]))
 
-    for step, q in enumerate(questions[base_index + 1:], start=1):
+    for q in questions[base_index + 1:]:
         spectrum = np.linalg.eigvalsh(rho.matrix)
         _, slack = majorization_check(spectrum, q.probs.probs, 0.0)
         target = q.probs
         proj_dist = 0.0
         if slack > 0.0:
             target, proj_dist, _ = project_to_majorized(q.probs, spectrum)
-        sub_options = dataclasses.replace(
-            options, seed=[options.seed, step], tol=0.0)
-        tf = fit_transition(rho, target, sub_options)
+        tf = fit_transition(rho, target)
         frames.append(tf.frame)
         residuals.append(tf.residual)
-        iterations.append(tf.iterations)
         projections.append(proj_dist)
         achieved.append(outcome_probabilities(rho, tf.frame))
         rho = lueders_update(rho, frame_projectors(tf.frame))
@@ -292,10 +236,8 @@ def fit_chain(chain: SurveyChain, isolate_first: bool, tol: float,
         isolated_distribution=isolated,
         frames=tuple(frames),
         residuals=tuple(residuals),
-        iterations=tuple(iterations),
         achieved=tuple(achieved),
         projection_distances=tuple(projections),
-        seed=options.seed,
     )
 
 
@@ -325,12 +267,10 @@ def fit_result_to_dict(fit: FitResult) -> dict:
     return {
         "label": fit.label,
         "isolate_first": fit.isolate_first,
-        "seed": fit.seed,
         "isolated_distribution": (None if fit.isolated_distribution is None
                                   else fit.isolated_distribution.probs.tolist()),
         "frames": [frame_json(u) for u in fit.frames],
         "residuals": list(fit.residuals),
-        "iterations": list(fit.iterations),
         "achieved": [p.probs.tolist() for p in fit.achieved],
         "projection_distances": list(fit.projection_distances),
     }

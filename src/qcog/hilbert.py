@@ -6,8 +6,6 @@ frame vectors.  Everything here is a pure function over immutable inputs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 DEFAULT_TOL = 1e-10
@@ -73,69 +71,6 @@ def partial_trace(rho, dims, keep: int) -> np.ndarray:
     col[keep] = "z"
     sub = "".join(row) + "".join(col) + "->yz"
     return np.einsum(sub, t)
-
-
-@dataclass(frozen=True)
-class FrameParameters:
-    """Three angles and three phases specifying an orthonormal frame in C^3."""
-
-    angles: tuple[float, float, float]
-    phases: tuple[float, float, float]
-
-    def __post_init__(self):
-        object.__setattr__(self, "angles", tuple(float(x) for x in self.angles))
-        object.__setattr__(self, "phases", tuple(float(x) for x in self.phases))
-        if len(self.angles) != 3 or len(self.phases) != 3:
-            raise ValueError("FrameParameters needs 3 angles and 3 phases")
-
-    @classmethod
-    def from_vector(cls, x) -> "FrameParameters":
-        x = np.asarray(x, dtype=float)
-        if x.shape != (6,):
-            raise ValueError("parameter vector must have 6 entries")
-        return cls(tuple(x[:3]), tuple(x[3:]))
-
-    def to_vector(self) -> np.ndarray:
-        return np.array(self.angles + self.phases, dtype=float)
-
-
-def _plane_rotation(theta: float, i: int, j: int) -> np.ndarray:
-    r = np.eye(3, dtype=np.complex128)
-    c, s = np.cos(theta), np.sin(theta)
-    r[i, i] = c
-    r[j, j] = c
-    r[i, j] = -s
-    r[j, i] = s
-    return r
-
-
-def frame_from_parameters(params: FrameParameters, dim: int = 3) -> np.ndarray:
-    """Orthonormal frame in C^3 from three plane rotations with phases.
-
-    The factors act on planes (1,2), (1,3) and (2,3) in that order.  The
-    phase of the (1,2) factor enters as a left diagonal phase and the phase
-    of the (2,3) factor as a right diagonal phase, so those two phases never
-    change the moduli of the frame components: they are the two redundant
-    phase parameters for diagonal-state statistics.  All-zero parameters
-    give the standard basis.
-    """
-    if dim != 3:
-        raise ValueError("only 3-dimensional frames are supported")
-    t1, t2, t3 = params.angles
-    p1, p2, p3 = params.phases
-
-    f12 = np.diag([np.exp(1j * p1), np.exp(-1j * p1), 1.0]) @ _plane_rotation(t1, 0, 1)
-
-    c2, s2 = np.cos(t2), np.sin(t2)
-    f13 = np.eye(3, dtype=np.complex128)
-    f13[0, 0] = c2
-    f13[2, 2] = c2
-    f13[0, 2] = -np.exp(1j * p2) * s2
-    f13[2, 0] = np.exp(-1j * p2) * s2
-
-    f23 = _plane_rotation(t3, 1, 2) @ np.diag([1.0, np.exp(1j * p3), np.exp(-1j * p3)])
-
-    return f12 @ f13 @ f23
 
 
 def frame_projectors(frame) -> list[np.ndarray]:

@@ -33,6 +33,8 @@ class ProbabilityVector:
         p = np.asarray(self.probs, dtype=float).copy()
         if p.ndim != 1 or p.size == 0:
             raise StateError("probabilities must form a nonempty 1-d vector")
+        if not np.all(np.isfinite(p)):
+            raise StateError(f"non-finite probability in {p.tolist()}")
         if np.min(p) < -1e-12:
             raise StateError(f"negative probability {np.min(p)}")
         p = np.clip(p, 0.0, None)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 
 from qcog.cli import main
-from qcog.framefit import FitOptions, fit_chain, replay
+from qcog.framefit import fit_chain, replay
 from qcog.ingest import fixture_path, load_survey
 from qcog.nosignal import (LocalSeries, no_signalling_check,
                            random_entangled_state, random_local_series)
@@ -114,7 +114,7 @@ def test_criterion_6_spin_demo(capsys):
 
 def test_criterion_7_fit_reproduction(capsys):
     table1 = load_survey(T1)
-    fit1 = fit_chain(table1, isolate_first=True, tol=0.0, options=FitOptions())
+    fit1 = fit_chain(table1, isolate_first=True, tol=0.0)
     played = replay(fit1, table1)
     for k in range(1, 5):  # rows 2-5
         want = table1.questions[k].probs.probs
@@ -122,8 +122,7 @@ def test_criterion_7_fit_reproduction(capsys):
     assert np.max(np.abs(played[4].probs - [0.45, 0.17, 0.38])) < 1e-6
 
     table2 = load_survey(T2)
-    fit2 = fit_chain(table2, isolate_first=True, tol=0.07,
-                     options=FitOptions())
+    fit2 = fit_chain(table2, isolate_first=True, tol=0.07)
     assert fit2.projection_distances[1] <= 0.06 + 1e-9
     with capsys.disabled():
         report(7, "Table 1 replay matches rows 2-5 to 1e-6; Table 2 Q3 "
@@ -140,8 +139,8 @@ def test_criterion_8_no_signalling(capsys):
         worst = max(worst, no_signalling_check(state, a, b))
     assert worst < 1e-10
 
-    fit1 = fit_chain(load_survey(T1), True, 0.0, FitOptions())
-    fit2 = fit_chain(load_survey(T2), True, 0.07, FitOptions())
+    fit1 = fit_chain(load_survey(T1), True, 0.0)
+    fit2 = fit_chain(load_survey(T2), True, 0.07)
     series_a = LocalSeries(tuple(enumerate(fit1.frames)))
     series_b = LocalSeries(tuple(enumerate(fit2.frames)))
     state = random_entangled_state(rng)

@@ -103,15 +103,55 @@ class TestExitCodes:
         assert "error" in capsys.readouterr().err
 
     def test_fit_chain_infeasible(self, t1, capsys):
-        code = main(["fit-chain", t1, "--tol", "0", "--seed", "0"])
+        code = main(["fit-chain", t1, "--tol", "0"])
         assert code == 1
         assert "Q1->Q2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["check-feasibility", "--isolate-first", "--tol", "0.07"],
+        ["check-contraction", "--json"],
+        ["fit-chain", "--isolate-first", "--tol", "0.07", "--json"],
+    ])
+    def test_nan_survey_rejected(self, tmp_path, capsys, argv):
+        doc = {"sample_label": "nan", "questions": [
+            {"text": "base", "yes": 50, "unsure": 30, "no": 20},
+            {"text": "broken", "yes": float("nan"), "unsure": 30, "no": 20},
+            {"text": "last", "yes": 40, "unsure": 30, "no": 30}]}
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))  # writes a bare NaN, as json.load reads
+        code = main([argv[0], str(path), *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "non-finite" in captured.err
+        assert captured.out == ""
+
+    def test_failed_post_check(self, t1, capsys, monkeypatch):
+        import qcog.framefit as framefit
+        monkeypatch.setattr(framefit, "_schur_horn_frame",
+                            lambda lam, t: np.eye(t.size))
+        code = main(["fit-chain", t1, "--isolate-first", "--tol", "0"])
+        assert code == 1
+        assert "misses the target" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["check-feasibility", "table1.json"],                # missing --tol
+        ["fit-chain", "table1.json", "--tol", "0", "--seed", "0"],
+        ["fit-chain", "table1.json", "--tol", "0", "--starts", "32"],
+        ["no-such-command"],
+    ])
+    def test_usage_error_exit(self, capsys, argv):
+        assert main(argv) == 1
+        assert "usage" in capsys.readouterr().err
+
+    def test_help_exit(self, capsys):
+        assert main(["fit-chain", "--help"]) == 0
+        assert "--isolate-first" in capsys.readouterr().out
 
 
 class TestJsonOutputs:
     def test_fit_chain_json(self, t1, capsys):
         code = main(["fit-chain", t1, "--isolate-first", "--tol", "0",
-                     "--seed", "0", "--json"])
+                     "--json"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert all(r < 1e-9 for r in doc["residuals"])
@@ -153,18 +193,31 @@ class TestScanCsv:
 
 
 class TestSeedHandling:
-    def test_env_seed_override(self, t1, capsys, monkeypatch):
-        monkeypatch.setenv("QCOG_SEED", "7")
-        main(["fit-chain", t1, "--isolate-first", "--tol", "0",
-              "--seed", "0", "--json"])
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["seed"] == 7
+    NOSIGNAL = ["nosignal-demo", "--trials", "3", "--steps", "2", "--json"]
 
-    def test_fixed_seed_byte_identical(self, t1, capsys, monkeypatch):
+    def test_env_seed_override(self, capsys, monkeypatch):
         monkeypatch.delenv("QCOG_SEED", raising=False)
-        args = ["fit-chain", t1, "--isolate-first", "--tol", "0",
-                "--seed", "3", "--json"]
+        main(self.NOSIGNAL + ["--seed", "7"])
+        plain = capsys.readouterr().out
+        main(self.NOSIGNAL + ["--seed", "0"])
+        other = capsys.readouterr().out
+        monkeypatch.setenv("QCOG_SEED", "7")
+        main(self.NOSIGNAL + ["--seed", "0"])
+        assert capsys.readouterr().out == plain != other
+
+    def test_fixed_seed_byte_identical(self, capsys, monkeypatch):
+        monkeypatch.delenv("QCOG_SEED", raising=False)
+        args = self.NOSIGNAL + ["--seed", "3"]
         main(args)
         first = capsys.readouterr().out
+        main(args)
+        assert capsys.readouterr().out == first
+
+    def test_fit_chain_byte_identical(self, t1, capsys, monkeypatch):
+        # fitting draws nothing at random, so QCOG_SEED cannot change it
+        args = ["fit-chain", t1, "--isolate-first", "--tol", "0", "--json"]
+        main(args)
+        first = capsys.readouterr().out
+        monkeypatch.setenv("QCOG_SEED", "7")
         main(args)
         assert capsys.readouterr().out == first

@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from qcog.hilbert import (FrameParameters, frame_from_parameters,
-                          frame_projectors, is_hermitian, is_psd, is_unitary,
+from qcog.hilbert import (frame_projectors, is_hermitian, is_psd, is_unitary,
                           kron, partial_trace)
 
 from .conftest import haar_unitary, random_density
@@ -102,45 +99,8 @@ class TestPartialTrace:
             partial_trace(np.eye(5), [2, 3], keep=0)
 
 
-class TestFrameFromParameters:
-    def test_zero_parameters_standard_basis(self):
-        u = frame_from_parameters(FrameParameters((0, 0, 0), (0, 0, 0)))
-        assert np.array_equal(u, np.eye(3))
-
-    def test_orthonormal_for_1000_random_draws(self):
-        rng = np.random.default_rng(17)
-        worst = 0.0
-        for _ in range(1000):
-            fp = FrameParameters(rng.uniform(0, 2 * np.pi, 3),
-                                 rng.uniform(0, 2 * np.pi, 3))
-            u = frame_from_parameters(fp)
-            worst = max(worst, np.max(np.abs(u.conj().T @ u - np.eye(3))))
-        assert worst < 1e-12
-
-    def test_redundant_phases_leave_diagonal_expectations(self):
-        rng = np.random.default_rng(19)
-        angles = tuple(rng.uniform(0, 2 * np.pi, 3))
-        mid = rng.uniform(0, 2 * np.pi)
-        rho = np.diag(rng.uniform(0, 1, 3))
-        rho /= np.trace(rho)
-        expectations = []
-        for _ in range(4):
-            fp = FrameParameters(angles, (rng.uniform(0, 2 * np.pi), mid,
-                                          rng.uniform(0, 2 * np.pi)))
-            u = frame_from_parameters(fp)
-            expectations.append(np.einsum("ij,ik,kj->j", u.conj(), rho, u).real)
-        for e in expectations[1:]:
-            assert np.allclose(e, expectations[0], atol=1e-12)
-
-    @given(st.lists(st.floats(-10, 10), min_size=6, max_size=6))
-    @settings(max_examples=200, deadline=None)
-    def test_gram_matrix_property(self, xs):
-        fp = FrameParameters(tuple(xs[:3]), tuple(xs[3:]))
-        u = frame_from_parameters(fp)
-        gram = u.conj().T @ u
-        assert np.max(np.abs(gram - np.eye(3))) < 1e-12
-
+class TestFrameProjectors:
     def test_projectors_complete(self):
-        fp = FrameParameters((0.3, 1.2, 2.5), (0.7, 0.1, 1.9))
-        projs = frame_projectors(frame_from_parameters(fp))
+        rng = np.random.default_rng(23)
+        projs = frame_projectors(haar_unitary(rng, 3))
         assert np.allclose(sum(projs), np.eye(3), atol=1e-12)

@@ -18,6 +18,13 @@ class TestProbabilityVector:
         with pytest.raises(StateError):
             ProbabilityVector(np.array([-0.1, 1.1]))
 
+    def test_rejects_non_finite(self):
+        for values in ([np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0]):
+            with pytest.raises(StateError, match="non-finite"):
+                ProbabilityVector(np.array(values))
+        with pytest.raises(StateError):
+            ProbabilityVector.from_percents([np.nan, 50, 50])
+
     def test_from_percents_rejects_bad_sum(self):
         with pytest.raises(StateError):
             ProbabilityVector.from_percents([50, 30, 17])  # sums to 97
