@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -190,6 +191,14 @@ class TestScanCsv:
         main(["conjunction-scan", "--grid", "7", "--out", str(a)])
         main(["conjunction-scan", "--grid", "7", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_golden_digest_grid_101(self, tmp_path, capsys):
+        # SHA-256 of the CSV written by the original per-cell implementation
+        out = tmp_path / "fig1.csv"
+        assert main(["conjunction-scan", "--grid", "101",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "aed858875f42f2d60957f35b091432d416ba3a9f44c69fa68bf865849a4ffc14")
 
 
 class TestSeedHandling:
