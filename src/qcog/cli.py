@@ -9,7 +9,6 @@ subcommand depends on its input files alone.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -143,22 +142,32 @@ def cmd_fit_chain(args) -> int:
     return EXIT_OK
 
 
+def _scan_csv_lines(scan, grid_n: int):
+    # repr gives the shortest round-trip form; .tolist() keeps numpy 2 from
+    # printing np.float64(...).  The q centers of the first row are every
+    # row's q field and, in turn, each row's p field.
+    centers = [repr(c) for c in scan.q[:grid_n].tolist()]
+    cells = zip(map(repr, scan.alpha.tolist()), map(repr, scan.p_f_b.tolist()),
+                map(repr, scan.delta.tolist()), scan.in_region.tolist())
+    yield "p,q,alpha,p_f_b,delta,in_region\n"
+    for p in centers:
+        # centers first, so zip stops before taking a cell of the next row
+        for q, (alpha, pfb, delta, flag) in zip(centers, cells):
+            yield f"{p},{q},{alpha},{pfb},{delta},{flag:d}\n"
+
+
 def cmd_conjunction_scan(args) -> int:
-    results = sequential.interference_region_scan(args.grid)
+    scan = sequential.interference_region_scan(args.grid)
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["p", "q", "alpha", "p_f_b", "delta", "in_region"])
-            for r in results:
-                writer.writerow([repr(r.p), repr(r.q), repr(r.alpha),
-                                 repr(r.p_f_b), repr(r.delta),
-                                 int(r.in_region)])
-    n_in = sum(r.in_region for r in results)
+            fh.writelines(_scan_csv_lines(scan, args.grid))
+    n_cells = scan.in_region.size
+    n_in = int(scan.in_region.sum())
     if args.json:
-        _emit_json({"grid": args.grid, "cells": len(results),
+        _emit_json({"grid": args.grid, "cells": n_cells,
                     "cells_in_region": n_in, "out": args.out})
     else:
-        print(f"{args.grid}x{args.grid} scan: {n_in}/{len(results)} cells "
+        print(f"{args.grid}x{args.grid} scan: {n_in}/{n_cells} cells "
               f"with P(F) > P^F(B) > P(B)")
         if args.out:
             print(f"wrote {args.out}")

@@ -18,25 +18,36 @@ FIVE_QUESTIONS = (3, 3, 3, 3, 3)
 MAX_TOTAL_DIM = 1024
 
 
+def _check_steps(steps, dims) -> None:
+    for k, u in steps:
+        if not 0 <= k < len(dims) - 1:
+            raise ValueError(f"factor index {k} must lie in 0..{len(dims) - 2}")
+        if u.shape != (dims[k], dims[k]):
+            raise ValueError(f"frame of shape {u.shape} does not fit factor {k} "
+                             f"of dimension {dims[k]}")
+
+
 @dataclass(frozen=True)
 class LocalSeries:
     """Ordered local measurements: (factor index, frame) pairs.
 
-    Factor indices are 0-based and must stay below the last factor, which
-    plays the isolated fifth particle.
+    Factor indices are 0-based and must stay below the last factor of
+    ``dims``, which plays the isolated particle; each frame is a unitary
+    of its factor's dimension.
     """
 
     steps: tuple
+    dims: tuple = FIVE_QUESTIONS
 
     def __post_init__(self):
+        dims = tuple(int(d) for d in self.dims)
         steps = tuple((int(k), as_matrix(u)) for k, u in self.steps)
-        for k, u in steps:
-            if not 0 <= k < len(FIVE_QUESTIONS) - 1:
-                raise ValueError(
-                    f"factor index {k} must lie in 0..{len(FIVE_QUESTIONS) - 2}")
+        _check_steps(steps, dims)
+        for _, u in steps:
             if not is_unitary(u, 1e-10):
                 raise ValueError("series frames must be unitary")
         object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "dims", dims)
 
 
 def embed_local(frame, factor_index: int, dims=FIVE_QUESTIONS) -> list[np.ndarray]:
@@ -78,12 +89,14 @@ def apply_series(state: DensityMatrix, series: LocalSeries,
 
     Each step acts as the projective update with the embedded local
     projectors; the implementation contracts the affected factor directly
-    instead of materializing full-space projectors.
+    instead of materializing full-space projectors.  A step whose factor
+    index or frame shape does not fit ``dims`` raises ValueError.
     """
     dims = tuple(int(d) for d in dims)
     total = int(np.prod(dims))
     if state.dim != total:
         raise ValueError(f"state dim {state.dim} does not match {dims}")
+    _check_steps(series.steps, dims)
     if not series.steps:
         return state
     m = np.asarray(state.matrix)
@@ -122,12 +135,12 @@ def random_entangled_state(rng: np.random.Generator,
 def random_local_series(rng: np.random.Generator, n_steps: int = 4,
                         dims=FIVE_QUESTIONS) -> LocalSeries:
     """Random frames on randomly chosen factors 1..(n-1), via Haar-ish QR."""
-    d = dims[0]
     steps = []
     for _ in range(n_steps):
         k = int(rng.integers(0, len(dims) - 1))
+        d = dims[k]
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         q, r = np.linalg.qr(g)
         q = q * (np.diag(r) / np.abs(np.diag(r)))
         steps.append((k, q))
-    return LocalSeries(tuple(steps))
+    return LocalSeries(tuple(steps), dims)

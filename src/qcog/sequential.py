@@ -16,32 +16,43 @@ from .states import (DensityMatrix, ProbabilityVector, lueders_update,
                      outcome_probabilities, square_root_embed)
 
 
-def _check_unit_interval(name: str, x: float) -> float:
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"{name}={x} outside [0, 1]")
+def _check_unit_interval(name: str, x):
+    x = np.asarray(x, dtype=float)
+    inside = (0.0 <= x) & (x <= 1.0)  # False for NaN
+    if not np.all(inside):
+        raise ValueError(f"{name}={x[~inside].flat[0]} outside [0, 1]")
     return x
 
 
-def overlap_alpha(p: float, q: float) -> float:
-    """Squared overlap of the two yes-states for yes-probabilities p and q."""
-    p = _check_unit_interval("p", p)
-    q = _check_unit_interval("q", q)
-    root = np.sqrt(p * q) + np.sqrt((1.0 - p) * (1.0 - q))
-    return float(root * root)
+def _as_output(value: np.ndarray, *inputs):
+    # a Python float for scalar inputs, the broadcast array otherwise
+    return float(value) if all(np.ndim(x) == 0 for x in inputs) else value
 
 
-def sequential_probability(p: float, q: float) -> float:
+def overlap_alpha(p, q):
+    """Squared overlap of the two yes-states for yes-probabilities p and q.
+
+    Broadcasts over arrays; scalar inputs give a float.
+    """
+    pa = _check_unit_interval("p", p)
+    qa = _check_unit_interval("q", q)
+    root = np.sqrt(pa * qa) + np.sqrt((1.0 - pa) * (1.0 - qa))
+    return _as_output(root * root, p, q)
+
+
+def sequential_probability(p, q):
     """Yes-probability of the second question after the first one is asked.
 
     The first question has yes-probability p on the initial state, the
     second would have had q; the returned value is the second question's
     yes-probability after the first measurement has taken place.
+    Broadcasts over arrays; scalar inputs give a float.
     """
-    p = _check_unit_interval("p", p)
-    q = _check_unit_interval("q", q)
-    return float(2 * p * (p - 1) * (2 * q - 1) + q
-                 + 2 * (2 * p - 1) * np.sqrt(p * q * (1 - p) * (1 - q)))
+    pa = _check_unit_interval("p", p)
+    qa = _check_unit_interval("q", q)
+    return _as_output(2 * pa * (pa - 1) * (2 * qa - 1) + qa
+                      + 2 * (2 * pa - 1) * np.sqrt(pa * qa * (1 - pa) * (1 - qa)),
+                      p, q)
 
 
 def _second_question_frame(p: float, q: float) -> np.ndarray:
@@ -60,8 +71,8 @@ def sequential_probability_via_states(p: float, q: float) -> float:
     measurement update of the first question, and reads off the second
     question's statistics from the updated density matrix.
     """
-    p = _check_unit_interval("p", p)
-    q = _check_unit_interval("q", q)
+    p = float(_check_unit_interval("p", p))
+    q = float(_check_unit_interval("q", q))
     psi = square_root_embed(ProbabilityVector(np.array([p, 1.0 - p])))
     rho = DensityMatrix.from_pure(psi)
     rho = lueders_update(rho, frame_projectors(np.eye(2)))
@@ -71,36 +82,38 @@ def sequential_probability_via_states(p: float, q: float) -> float:
 
 @dataclass(frozen=True)
 class InterferenceResult:
-    """One (p, q) evaluation of the leading-question effect."""
+    """Leading-question effect at (p, q): one cell with float fields, or a
+    whole scan with one 1-d array per field."""
 
-    p: float
-    q: float
-    alpha: float
-    p_f_b: float
-    delta: float
-    in_region: bool
+    p: float | np.ndarray
+    q: float | np.ndarray
+    alpha: float | np.ndarray
+    p_f_b: float | np.ndarray
+    delta: float | np.ndarray
+    in_region: bool | np.ndarray
 
 
-def interference_point(p: float, q: float) -> InterferenceResult:
+def interference_point(p, q) -> InterferenceResult:
+    """The effect at (p, q); array inputs give array fields."""
     alpha = overlap_alpha(p, q)
     pfb = sequential_probability(p, q)
     return InterferenceResult(
         p=p, q=q, alpha=alpha, p_f_b=pfb, delta=pfb - q,
-        in_region=bool(p > pfb > q))
+        in_region=(p > pfb) & (pfb > q))
 
 
-def interference_region_scan(grid_n: int) -> list[InterferenceResult]:
+def interference_region_scan(grid_n: int) -> InterferenceResult:
     """Uniform grid_n x grid_n scan of cell centers over (0, 1) x (0, 1).
 
-    Row-major: p varies in the outer loop, q in the inner one.  Cells are
-    independent; the boundary values p, q in {0, 1} are excluded by the
-    cell-center sampling.
+    Returns columns: each field is a 1-d array of grid_n**2 cells in
+    row-major order (p outer, q inner).  The boundary values p, q in
+    {0, 1} are excluded by the cell-center sampling.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
     centers = (np.arange(grid_n) + 0.5) / grid_n
-    return [interference_point(float(p), float(q))
-            for p in centers for q in centers]
+    return interference_point(np.repeat(centers, grid_n),
+                              np.tile(centers, grid_n))
 
 
 def spin_order_demo() -> tuple[float, float]:

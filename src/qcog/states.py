@@ -73,6 +73,8 @@ class PureState:
         a = np.asarray(self.amplitudes, dtype=np.complex128).copy()
         if a.ndim != 1 or a.size == 0:
             raise StateError("amplitudes must form a nonempty 1-d vector")
+        if not np.all(np.isfinite(a)):
+            raise StateError(f"non-finite amplitude in {a.tolist()}")
         norm = np.linalg.norm(a)
         if abs(norm - 1.0) > 1e-6:
             raise StateError(f"amplitude norm {norm} too far from 1")

@@ -93,12 +93,11 @@ def test_criterion_4_closed_form_vs_oracle(capsys):
 
 
 def test_criterion_5_figure_region(capsys):
-    results = interference_region_scan(101)
-    for r in results:
-        if r.q < r.p:
-            assert r.p_f_b > r.q
-        if r.p == r.q:
-            assert abs(r.delta) < 1e-12
+    scan = interference_region_scan(101)
+    below = scan.q < scan.p
+    assert np.all(scan.p_f_b[below] > scan.q[below])
+    diagonal = scan.p == scan.q
+    assert np.all(np.abs(scan.delta[diagonal]) < 1e-12)
     with capsys.disabled():
         report(5, "101x101 grid: P^F(B) > q below the diagonal, "
                   "delta = 0 on it")

@@ -23,6 +23,18 @@ class TestLocalSeries:
             LocalSeries(((0, np.ones((3, 3))),))
 
 
+    def test_index_bound_follows_dims(self):
+        LocalSeries(((5, np.eye(2)),), dims=(2,) * 7)
+        with pytest.raises(ValueError):
+            LocalSeries(((6, np.eye(2)),), dims=(2,) * 7)
+
+    def test_rejects_frame_of_wrong_size(self):
+        with pytest.raises(ValueError):
+            LocalSeries(((0, np.eye(3)),), dims=(2, 3, 3))
+        with pytest.raises(ValueError):
+            LocalSeries(((1, np.eye(2)),))
+
+
 class TestEmbedLocal:
     def test_block_structure(self):
         projs = embed_local(np.eye(3), 0, dims=(3, 3))
@@ -66,6 +78,29 @@ class TestApplySeries:
                                 dims=(3, 3, 3))
             dense = lueders_update(state, embed_local(u, factor, (3, 3, 3)))
             assert np.max(np.abs(fast.matrix - dense.matrix)) < 1e-12
+
+    def test_mixed_dims_match_embedded_projector_route(self):
+        rng = np.random.default_rng(109)
+        dims = (2, 3, 3)
+        state = random_entangled_state(rng, dims=dims)
+        for factor in (0, 1):
+            u = haar_unitary(rng, dims[factor])
+            fast = apply_series(state, LocalSeries(((factor, u),), dims), dims)
+            dense = lueders_update(state, embed_local(u, factor, dims))
+            assert np.max(np.abs(fast.matrix - dense.matrix)) < 1e-12
+
+    def test_rejects_index_outside_dims(self):
+        # factor 3 is valid for five factors but not for three
+        rng = np.random.default_rng(113)
+        state = random_entangled_state(rng, dims=(3, 3, 3))
+        with pytest.raises(ValueError, match="factor index"):
+            apply_series(state, LocalSeries(((3, np.eye(3)),)), dims=(3, 3, 3))
+
+    def test_rejects_frame_shape_outside_dims(self):
+        rng = np.random.default_rng(127)
+        state = random_entangled_state(rng, dims=(2, 3, 3))
+        with pytest.raises(ValueError, match="does not fit"):
+            apply_series(state, LocalSeries(((0, np.eye(3)),)), dims=(2, 3, 3))
 
     def test_product_state_marginal_untouched(self):
         rng = np.random.default_rng(107)
@@ -142,3 +177,21 @@ class TestNoSignalling:
             b = random_local_series(rng, 4)
             worst = max(worst, no_signalling_check(state, a, b))
         assert worst < 1e-10
+
+
+class TestMixedDims:
+    DIMS = (2, 3, 3)
+
+    def test_random_series_frames_fit_their_factors(self):
+        rng = np.random.default_rng(131)
+        series = random_local_series(rng, 12, dims=self.DIMS)
+        assert {k for k, _ in series.steps} == {0, 1}
+        for k, u in series.steps:
+            assert u.shape == (self.DIMS[k], self.DIMS[k])
+
+    def test_no_signalling(self):
+        rng = np.random.default_rng(137)
+        state = random_entangled_state(rng, dims=self.DIMS)
+        a = random_local_series(rng, 4, dims=self.DIMS)
+        b = random_local_series(rng, 4, dims=self.DIMS)
+        assert no_signalling_check(state, a, b, dims=self.DIMS) < 1e-12

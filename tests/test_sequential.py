@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,12 +81,39 @@ class TestSequentialProbability:
                    - (1 - sequential_probability(p, q))) < 1e-12
 
     def test_complement_symmetry_on_scan_grid(self):
-        # cell centers map onto cell centers under (p, q) -> (1-p, 1-q)
-        results = {(round(r.p, 12), round(r.q, 12)): r.p_f_b
-                   for r in interference_region_scan(21)}
-        for (p, q), val in results.items():
-            mirror = results[(round(1 - p, 12), round(1 - q, 12))]
-            assert abs(mirror - (1 - val)) < 1e-12
+        # cell centers map onto cell centers under (p, q) -> (1-p, 1-q),
+        # which reverses the row-major cell order
+        scan = interference_region_scan(21)
+        assert np.allclose(scan.p[::-1], 1 - scan.p, rtol=0, atol=1e-12)
+        assert np.allclose(scan.q[::-1], 1 - scan.q, rtol=0, atol=1e-12)
+        assert np.max(np.abs(scan.p_f_b[::-1] - (1 - scan.p_f_b))) < 1e-12
+
+
+class TestBroadcast:
+    def test_arrays_match_scalar_calls_bitwise(self):
+        rng = np.random.default_rng(67)
+        p, q = rng.uniform(0, 1, (2, 50, 50))
+        for f in (overlap_alpha, sequential_probability):
+            out = f(p, q)
+            assert out.shape == (50, 50)
+            scalar = np.array([[f(a, b) for a, b in zip(pr, qr)]
+                               for pr, qr in zip(p.tolist(), q.tolist())])
+            assert np.array_equal(out, scalar)
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.2])
+    def test_rejects_array_entry_outside_unit_interval(self, bad):
+        p = np.full(5, 0.5)
+        p[3] = bad
+        for f in (overlap_alpha, sequential_probability):
+            with pytest.raises(ValueError):
+                f(p, 0.5)
+            with pytest.raises(ValueError):
+                f(0.5, p)
+
+    def test_scalar_input_returns_float(self):
+        for f in (overlap_alpha, sequential_probability):
+            assert type(f(0.8, 0.3)) is float
+            assert type(f(np.float64(0.8), 0.3)) is float
 
 
 class TestRegionScan:
@@ -93,25 +122,40 @@ class TestRegionScan:
             interference_region_scan(1)
 
     def test_leading_question_inflates_below_diagonal(self):
-        for r in interference_region_scan(31):
-            if r.q < r.p:
-                assert r.p_f_b > r.q
+        scan = interference_region_scan(31)
+        below = scan.q < scan.p
+        assert np.all(scan.p_f_b[below] > scan.q[below])
 
     def test_diagonal_delta_vanishes(self):
-        for r in interference_region_scan(31):
-            if abs(r.p - r.q) < 1e-12:
-                assert abs(r.delta) < 1e-12
+        scan = interference_region_scan(31)
+        diagonal = np.abs(scan.p - scan.q) < 1e-12
+        assert np.all(np.abs(scan.delta[diagonal]) < 1e-12)
 
     def test_region_count_matches_matrix_oracle(self):
-        results = interference_region_scan(41)
-        count = sum(r.in_region for r in results)
+        scan = interference_region_scan(41)
+        count = int(scan.in_region.sum())
         oracle = 0
-        for r in results:
-            pfb = sequential_probability_via_states(r.p, r.q)
-            if r.p > pfb > r.q:
+        for p, q in zip(scan.p.tolist(), scan.q.tolist()):
+            pfb = sequential_probability_via_states(p, q)
+            if p > pfb > q:
                 oracle += 1
         assert count == oracle
         assert count > 0
+
+    def test_columns_row_major(self):
+        scan = interference_region_scan(5)
+        centers = (np.arange(5) + 0.5) / 5
+        for field in dataclasses.fields(scan):
+            assert getattr(scan, field.name).shape == (25,)
+        assert np.array_equal(scan.p.reshape(5, 5),
+                              np.broadcast_to(centers[:, None], (5, 5)))
+        assert np.array_equal(scan.q.reshape(5, 5),
+                              np.broadcast_to(centers, (5, 5)))
+        # each column is the scalar evaluation of its cell
+        k = 2 * 5 + 3
+        cell = interference_point(float(scan.p[k]), float(scan.q[k]))
+        for field in dataclasses.fields(scan):
+            assert getattr(scan, field.name)[k] == getattr(cell, field.name)
 
     def test_point_fields_consistent(self):
         r = interference_point(0.8, 0.3)

@@ -34,6 +34,13 @@ class TestProbabilityVector:
         assert abs(p.probs.sum() - 1.0) < 1e-15
 
 
+class TestPureState:
+    def test_rejects_non_finite(self):
+        for values in ([np.nan, 1.0], [1.0, np.inf], [complex(0, np.nan), 1.0]):
+            with pytest.raises(StateError, match="non-finite"):
+                PureState(np.array(values))
+
+
 class TestSquareRootEmbed:
     def test_componentwise(self):
         psi = square_root_embed(ProbabilityVector(np.array([0.25, 0.75])))
