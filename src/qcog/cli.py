@@ -13,6 +13,7 @@ import dataclasses
 import json
 import os
 import sys
+from itertools import islice
 
 import numpy as np
 
@@ -144,15 +145,14 @@ def cmd_fit_chain(args) -> int:
 
 def _scan_csv_lines(scan, grid_n: int):
     # repr gives the shortest round-trip form; .tolist() keeps numpy 2 from
-    # printing np.float64(...).  The q centers of the first row are every
-    # row's q field and, in turn, each row's p field.
-    centers = [repr(c) for c in scan.q[:grid_n].tolist()]
+    # printing np.float64(...).  The scan is row-major (p outer, q inner), so
+    # each p takes the next grid_n cells and the centers serve as both p and q.
+    centers = [repr(c) for c in sequential.grid_centers(grid_n).tolist()]
     cells = zip(map(repr, scan.alpha.tolist()), map(repr, scan.p_f_b.tolist()),
                 map(repr, scan.delta.tolist()), scan.in_region.tolist())
     yield "p,q,alpha,p_f_b,delta,in_region\n"
     for p in centers:
-        # centers first, so zip stops before taking a cell of the next row
-        for q, (alpha, pfb, delta, flag) in zip(centers, cells):
+        for q, (alpha, pfb, delta, flag) in zip(centers, islice(cells, grid_n)):
             yield f"{p},{q},{alpha},{pfb},{delta},{flag:d}\n"
 
 

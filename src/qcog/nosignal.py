@@ -18,36 +18,25 @@ FIVE_QUESTIONS = (3, 3, 3, 3, 3)
 MAX_TOTAL_DIM = 1024
 
 
-def _check_steps(steps, dims) -> None:
-    for k, u in steps:
-        if not 0 <= k < len(dims) - 1:
-            raise ValueError(f"factor index {k} must lie in 0..{len(dims) - 2}")
-        if u.shape != (dims[k], dims[k]):
-            raise ValueError(f"frame of shape {u.shape} does not fit factor {k} "
-                             f"of dimension {dims[k]}")
-
-
 @dataclass(frozen=True)
 class LocalSeries:
     """Ordered local measurements: (factor index, frame) pairs.
 
-    Factor indices are 0-based and must stay below the last factor of
-    ``dims``, which plays the isolated particle; each frame is a unitary
-    of its factor's dimension.
+    Factor indices are 0-based and must stay below the last factor, which
+    plays the isolated fifth particle.
     """
 
     steps: tuple
-    dims: tuple = FIVE_QUESTIONS
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
         steps = tuple((int(k), as_matrix(u)) for k, u in self.steps)
-        _check_steps(steps, dims)
-        for _, u in steps:
+        for k, u in steps:
+            if not 0 <= k < len(FIVE_QUESTIONS) - 1:
+                raise ValueError(
+                    f"factor index {k} must lie in 0..{len(FIVE_QUESTIONS) - 2}")
             if not is_unitary(u, 1e-10):
                 raise ValueError("series frames must be unitary")
         object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "dims", dims)
 
 
 def embed_local(frame, factor_index: int, dims=FIVE_QUESTIONS) -> list[np.ndarray]:
@@ -96,7 +85,12 @@ def apply_series(state: DensityMatrix, series: LocalSeries,
     total = int(np.prod(dims))
     if state.dim != total:
         raise ValueError(f"state dim {state.dim} does not match {dims}")
-    _check_steps(series.steps, dims)
+    for k, u in series.steps:
+        if not 0 <= k < len(dims) - 1:
+            raise ValueError(f"factor index {k} must lie in 0..{len(dims) - 2}")
+        if u.shape != (dims[k], dims[k]):
+            raise ValueError(f"frame of shape {u.shape} does not fit factor {k} "
+                             f"of dimension {dims[k]}")
     if not series.steps:
         return state
     m = np.asarray(state.matrix)
@@ -143,4 +137,4 @@ def random_local_series(rng: np.random.Generator, n_steps: int = 4,
         q, r = np.linalg.qr(g)
         q = q * (np.diag(r) / np.abs(np.diag(r)))
         steps.append((k, q))
-    return LocalSeries(tuple(steps), dims)
+    return LocalSeries(tuple(steps))

@@ -102,6 +102,13 @@ def interference_point(p, q) -> InterferenceResult:
         in_region=(p > pfb) & (pfb > q))
 
 
+def grid_centers(grid_n: int) -> np.ndarray:
+    """The grid_n cell centers (i + 1/2) / grid_n of the scan along p and q."""
+    if grid_n < 2:
+        raise ValueError("grid_n must be at least 2")
+    return (np.arange(grid_n) + 0.5) / grid_n
+
+
 def interference_region_scan(grid_n: int) -> InterferenceResult:
     """Uniform grid_n x grid_n scan of cell centers over (0, 1) x (0, 1).
 
@@ -109,9 +116,7 @@ def interference_region_scan(grid_n: int) -> InterferenceResult:
     row-major order (p outer, q inner).  The boundary values p, q in
     {0, 1} are excluded by the cell-center sampling.
     """
-    if grid_n < 2:
-        raise ValueError("grid_n must be at least 2")
-    centers = (np.arange(grid_n) + 0.5) / grid_n
+    centers = grid_centers(grid_n)
     return interference_point(np.repeat(centers, grid_n),
                               np.tile(centers, grid_n))
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcog.sequential import (interference_point, interference_region_scan,
-                             overlap_alpha, sequential_probability,
+from qcog.sequential import (grid_centers, interference_point,
+                             interference_region_scan, overlap_alpha,
+                             sequential_probability,
                              sequential_probability_via_states,
                              spin_order_demo)
 
@@ -145,6 +146,7 @@ class TestRegionScan:
     def test_columns_row_major(self):
         scan = interference_region_scan(5)
         centers = (np.arange(5) + 0.5) / 5
+        assert np.array_equal(grid_centers(5), centers)
         for field in dataclasses.fields(scan):
             assert getattr(scan, field.name).shape == (25,)
         assert np.array_equal(scan.p.reshape(5, 5),
