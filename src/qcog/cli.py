@@ -202,6 +202,18 @@ def cmd_nosignal_demo(args) -> int:
     return EXIT_OK if worst < 1e-10 else EXIT_FINDING
 
 
+def _tolerance(text: str) -> float:
+    if not 0.0 <= float(text) < np.inf:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0: {text!r}")
+    return float(text)
+
+
+def _trial_count(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcog",
@@ -217,28 +229,28 @@ def build_parser() -> argparse.ArgumentParser:
                             "final question")
     p.add_argument("sample_a")
     p.add_argument("sample_b")
-    p.add_argument("--tol", type=float, required=True)
+    p.add_argument("--tol", type=_tolerance, required=True)
     add_json(p)
     p.set_defaults(func=cmd_check_classical)
 
     p = sub.add_parser("check-order",
                        help="flag marginals that depend on question order")
     p.add_argument("pair_file")
-    p.add_argument("--tol", type=float, required=True)
+    p.add_argument("--tol", type=_tolerance, required=True)
     add_json(p)
     p.set_defaults(func=cmd_check_order)
 
     p = sub.add_parser("check-contraction",
                        help="max/min contraction report for a question chain")
     p.add_argument("survey")
-    p.add_argument("--tol", type=float, default=0.0)
+    p.add_argument("--tol", type=_tolerance, default=0.0)
     add_json(p)
     p.set_defaults(func=cmd_check_contraction)
 
     p = sub.add_parser("check-feasibility",
                        help="majorization feasibility of a question chain")
     p.add_argument("survey")
-    p.add_argument("--tol", type=float, required=True)
+    p.add_argument("--tol", type=_tolerance, required=True)
     p.add_argument("--isolate-first", action="store_true")
     add_json(p)
     p.set_defaults(func=cmd_check_feasibility)
@@ -247,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="construct orthonormal frames reproducing the "
                             "chain")
     p.add_argument("survey")
-    p.add_argument("--tol", type=float, required=True)
+    p.add_argument("--tol", type=_tolerance, required=True)
     p.add_argument("--isolate-first", action="store_true")
     add_json(p)
     p.set_defaults(func=cmd_fit_chain)
@@ -266,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nosignal-demo",
                        help="random-state no-signalling deviation statistics")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_trial_count, default=100)
     p.add_argument("--steps", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     add_json(p)

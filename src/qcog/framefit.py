@@ -10,6 +10,10 @@ builds it from n-1 plane rotations, with no search.  A target slightly out
 of reach is first moved to the nearest reachable distribution by the
 permutohedron projection of Negrinho & Martins (2014) and Lim & Wright
 (2016).
+
+Measuring a non-degenerate question in a frame leaves the state diagonal in
+that frame, with the answers as its spectrum (Lueders rule), so a chain is
+fitted from its data alone; :func:`replay` checks it on the full state.
 """
 from __future__ import annotations
 
@@ -85,6 +89,25 @@ def _schur_horn_frame(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
     return w
 
 
+def _checked_frame(lam: np.ndarray, t: np.ndarray):
+    """(W, achieved, squared residual) for :func:`_schur_horn_frame`, with
+    the majorization check before it and the residual check after it."""
+    feasible, slack = majorization_check(lam, t, 0.0)
+    if not feasible:
+        raise InfeasibleTargetError(
+            f"target {t.tolist()} not majorized by spectrum "
+            f"{np.sort(lam)[::-1].tolist()} (slack {slack:.6g})", slack)
+
+    w = _schur_horn_frame(lam, t)
+    achieved = (lam[:, None] * w ** 2).sum(axis=0)
+    r = achieved - t
+    sse = float(r @ r)
+    if not sse <= RESIDUAL_LIMIT:  # also rejects NaN
+        raise FitError(f"constructed frame misses the target: squared "
+                       f"residual {sse:.3g} exceeds {RESIDUAL_LIMIT}")
+    return w, achieved, sse
+
+
 def fit_transition(rho: DensityMatrix, target: ProbabilityVector) -> TransitionFit:
     """Construct a frame whose expectations on ``rho`` equal ``target``.
 
@@ -94,20 +117,7 @@ def fit_transition(rho: DensityMatrix, target: ProbabilityVector) -> TransitionF
     target by more than ``RESIDUAL_LIMIT``.
     """
     lam, v = _eigenbasis(np.asarray(rho.matrix))
-    t = target.probs
-
-    feasible, slack = majorization_check(lam, t, 0.0)
-    if not feasible:
-        raise InfeasibleTargetError(
-            f"target {t.tolist()} not majorized by spectrum "
-            f"{np.sort(lam)[::-1].tolist()} (slack {slack:.6g})", slack)
-
-    w = _schur_horn_frame(lam, t)
-    r = (lam[:, None] * w ** 2).sum(axis=0) - t
-    sse = float(r @ r)
-    if not sse <= RESIDUAL_LIMIT:  # also rejects NaN
-        raise FitError(f"constructed frame misses the target: squared "
-                       f"residual {sse:.3g} exceeds {RESIDUAL_LIMIT}")
+    w, _, sse = _checked_frame(lam, target.probs)
     return TransitionFit(frame=v @ w, residual=sse)
 
 
@@ -145,8 +155,8 @@ def project_to_majorized(target: ProbabilityVector, current,
     adjusted[order] = ys
     adjusted = np.clip(adjusted, 0.0, None)
     adjusted /= adjusted.sum()
-    _, slack = majorization_check(c, adjusted, 0.0)
-    if slack > 1e-12:
+    feasible, slack = majorization_check(c, adjusted, 0.0)
+    if not feasible:
         raise FitError(f"projection failed to reach the feasible set "
                        f"(slack {slack:.3g})")
     delta = adjusted - t
@@ -166,16 +176,10 @@ class FitResult:
 
     label: str
     isolate_first: bool
-    base_index: int
-    isolated_distribution: ProbabilityVector | None
     frames: tuple
     residuals: tuple
     achieved: tuple
     projection_distances: tuple
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals) if self.residuals else 0.0
 
 
 def fit_chain(chain: SurveyChain, isolate_first: bool, tol: float) -> FitResult:
@@ -185,8 +189,12 @@ def fit_chain(chain: SurveyChain, isolate_first: bool, tol: float) -> FitResult:
     tensor factor and the second question's basis becomes the reference;
     otherwise the first question itself is the reference.  Targets whose
     majorization slack is positive but within ``tol`` are first projected
-    to the feasible set and the adjustment distance recorded.  The result
-    depends on the chain alone, so reruns are bit-identical.
+    to the feasible set and the adjustment distance recorded.
+
+    Each answered question leaves the state diagonal in its frame with the
+    achieved row as its spectrum, so the fit carries only (spectrum, frame),
+    from (base row, identity); no eigensolver runs, the frames depend on the
+    chain alone and reruns are bit-identical.
     """
     base_index = 1 if isolate_first else 0
     if len(chain.questions) <= base_index:
@@ -202,38 +210,26 @@ def fit_chain(chain: SurveyChain, isolate_first: bool, tol: float) -> FitResult:
                 tr.majorization_slack, transition=tr)
 
     questions = chain.questions
-    base = questions[base_index]
-    isolated = questions[0].probs if isolate_first else None
-
-    rho = DensityMatrix.from_pure(square_root_embed(base.probs))
+    lam = questions[base_index].probs.probs
     frames = [np.eye(chain.dim, dtype=np.complex128)]
-    achieved = list([isolated] if isolated is not None else [])
+    achieved = [q.probs for q in questions[:base_index + 1]]
     residuals: list[float] = []
     projections = [0.0]
 
-    ach_base = outcome_probabilities(rho, frames[0])
-    achieved.append(ach_base)
-    rho = lueders_update(rho, frame_projectors(frames[0]))
-
     for q in questions[base_index + 1:]:
-        spectrum = np.linalg.eigvalsh(rho.matrix)
-        _, slack = majorization_check(spectrum, q.probs.probs, 0.0)
         target = q.probs
         proj_dist = 0.0
-        if slack > 0.0:
-            target, proj_dist, _ = project_to_majorized(q.probs, spectrum)
-        tf = fit_transition(rho, target)
-        frames.append(tf.frame)
-        residuals.append(tf.residual)
+        if not majorization_check(lam, target.probs, 0.0)[0]:
+            target, proj_dist, _ = project_to_majorized(q.probs, lam)
+        w, lam, sse = _checked_frame(lam, target.probs)
+        frames.append(frames[-1] @ w)
+        residuals.append(sse)
         projections.append(proj_dist)
-        achieved.append(outcome_probabilities(rho, tf.frame))
-        rho = lueders_update(rho, frame_projectors(tf.frame))
+        achieved.append(ProbabilityVector(lam))
 
     return FitResult(
         label=chain.label,
         isolate_first=isolate_first,
-        base_index=base_index,
-        isolated_distribution=isolated,
         frames=tuple(frames),
         residuals=tuple(residuals),
         achieved=tuple(achieved),
@@ -248,11 +244,9 @@ def replay(fit: FitResult, chain: SurveyChain) -> list[ProbabilityVector]:
     each frame read off the outcome probabilities and apply the measurement
     update.  The isolated first question, if any, is reproduced verbatim.
     """
-    base = chain.questions[fit.base_index]
+    base = chain.questions[int(fit.isolate_first)]
     rho = DensityMatrix.from_pure(square_root_embed(base.probs))
-    out: list[ProbabilityVector] = []
-    if fit.isolated_distribution is not None:
-        out.append(fit.isolated_distribution)
+    out = [chain.questions[0].probs] if fit.isolate_first else []
     for frame in fit.frames:
         out.append(outcome_probabilities(rho, frame))
         rho = lueders_update(rho, frame_projectors(frame))
@@ -267,8 +261,8 @@ def fit_result_to_dict(fit: FitResult) -> dict:
     return {
         "label": fit.label,
         "isolate_first": fit.isolate_first,
-        "isolated_distribution": (None if fit.isolated_distribution is None
-                                  else fit.isolated_distribution.probs.tolist()),
+        "isolated_distribution": (fit.achieved[0].probs.tolist()
+                                  if fit.isolate_first else None),
         "frames": [frame_json(u) for u in fit.frames],
         "residuals": list(fit.residuals),
         "achieved": [p.probs.tolist() for p in fit.achieved],

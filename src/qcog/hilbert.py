@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_TOL = 1e-10
+# the one tolerance of structural checks on states, frames and measurements
+STRUCTURAL_TOL = 1e-10
 
 
 def as_matrix(m) -> np.ndarray:
@@ -19,14 +20,14 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
+def is_hermitian(m, tol: float = STRUCTURAL_TOL) -> bool:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         return False
     return bool(np.max(np.abs(a - a.conj().T)) <= tol)
 
 
-def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
+def is_unitary(m, tol: float = STRUCTURAL_TOL) -> bool:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         return False
@@ -34,7 +35,7 @@ def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.max(np.abs(a.conj().T @ a - eye)) <= tol)
 
 
-def is_psd(m, tol: float = DEFAULT_TOL) -> bool:
+def is_psd(m, tol: float = STRUCTURAL_TOL) -> bool:
     a = as_matrix(m)
     if not is_hermitian(a, tol):
         return False

@@ -6,13 +6,12 @@ outcome statistics.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import as_matrix, frame_projectors, is_hermitian, is_psd
-
-STRUCTURAL_TOL = 1e-10
+from .hilbert import (STRUCTURAL_TOL, as_matrix, frame_projectors,
+                      is_hermitian, is_psd)
 
 
 class StateError(ValueError):
@@ -64,10 +63,9 @@ class ProbabilityVector:
 
 @dataclass(frozen=True)
 class PureState:
-    """Unit-norm complex amplitude vector with a label naming its basis."""
+    """Unit-norm complex amplitude vector."""
 
     amplitudes: np.ndarray
-    basis_label: str = "standard"
 
     def __post_init__(self):
         a = np.asarray(self.amplitudes, dtype=np.complex128).copy()
@@ -92,17 +90,16 @@ class DensityMatrix:
     """Hermitian, PSD, trace-1 matrix; the post-measurement state of mind."""
 
     matrix: np.ndarray
-    tol: float = field(default=STRUCTURAL_TOL, compare=False)
 
     def __post_init__(self):
         m = as_matrix(self.matrix).copy()
         if m.shape[0] != m.shape[1]:
             raise StateError("density matrix must be square")
-        if not is_hermitian(m, self.tol):
+        if not is_hermitian(m):
             raise StateError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > self.tol:
+        if abs(np.trace(m).real - 1.0) > STRUCTURAL_TOL:
             raise StateError(f"trace is {np.trace(m).real}, not 1")
-        if not is_psd(m, self.tol):
+        if not is_psd(m):
             raise StateError("density matrix is not positive semidefinite")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -139,7 +136,7 @@ class Povm:
         for e in effects:
             if e.shape != (dim, dim):
                 raise MeasurementError("POVM effects have mismatched shapes")
-            if not is_psd(e, STRUCTURAL_TOL):
+            if not is_psd(e):
                 raise MeasurementError("POVM effect is not PSD")
             total += e
         if np.max(np.abs(total - np.eye(dim))) > STRUCTURAL_TOL:
@@ -151,9 +148,9 @@ class Povm:
         return self.effects[0].shape[0]
 
 
-def square_root_embed(p: ProbabilityVector, basis_label: str = "standard") -> PureState:
+def square_root_embed(p: ProbabilityVector) -> PureState:
     """Embed a distribution as the vector of its nonnegative square roots."""
-    return PureState(np.sqrt(p.probs).astype(np.complex128), basis_label)
+    return PureState(np.sqrt(p.probs).astype(np.complex128))
 
 
 def outcome_probabilities(state: DensityMatrix, frame) -> ProbabilityVector:
@@ -166,29 +163,28 @@ def outcome_probabilities(state: DensityMatrix, frame) -> ProbabilityVector:
     return ProbabilityVector(p)
 
 
-def _check_projective(projectors, dim: int, tol: float) -> None:
+def _check_projective(projectors, dim: int) -> None:
     total = np.zeros((dim, dim), dtype=np.complex128)
     for i, p in enumerate(projectors):
         if p.shape != (dim, dim):
             raise MeasurementError("projector dimension mismatch")
         for j, q in enumerate(projectors):
             expect = p if i == j else 0.0
-            if np.max(np.abs(p @ q - expect)) > tol:
+            if np.max(np.abs(p @ q - expect)) > STRUCTURAL_TOL:
                 raise MeasurementError(
                     f"projectors {i},{j} are not orthogonal idempotents")
         total += p
-    if np.max(np.abs(total - np.eye(dim))) > tol:
+    if np.max(np.abs(total - np.eye(dim))) > STRUCTURAL_TOL:
         raise MeasurementError("projectors do not sum to the identity")
 
 
-def lueders_update(state: DensityMatrix, projectors,
-                   tol: float = STRUCTURAL_TOL) -> DensityMatrix:
+def lueders_update(state: DensityMatrix, projectors) -> DensityMatrix:
     """Post-measurement state sum_i P_i rho P_i for a complete orthogonal set.
 
     Projectors may have rank > 1 (degenerate questions).
     """
     projs = [as_matrix(p) for p in projectors]
-    _check_projective(projs, state.dim, tol)
+    _check_projective(projs, state.dim)
     out = sum(p @ state.matrix @ p for p in projs)
     out = (out + out.conj().T) / 2
     return DensityMatrix(out)
@@ -208,15 +204,14 @@ def povm_probabilities(state: DensityMatrix, povm: Povm) -> ProbabilityVector:
     return ProbabilityVector(p)
 
 
-def degenerate_yes_probability(state: DensityMatrix, subspace_basis,
-                               tol: float = STRUCTURAL_TOL) -> float:
+def degenerate_yes_probability(state: DensityMatrix, subspace_basis) -> float:
     """Probability of the pooled 'yes' answer of a degenerate binary question.
 
     ``subspace_basis`` spans the subspace whose projector defines 'yes'.
     """
     vecs = [np.asarray(v, dtype=np.complex128) for v in subspace_basis]
     gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
-    if np.max(np.abs(gram - np.eye(len(vecs)))) > tol:
+    if np.max(np.abs(gram - np.eye(len(vecs)))) > STRUCTURAL_TOL:
         raise MeasurementError("subspace basis is not orthonormal")
     proj = sum(np.outer(v, v.conj()) for v in vecs)
     value = float(np.trace(state.matrix @ proj).real)

@@ -139,6 +139,13 @@ class TestExitCodes:
         ["fit-chain", "table1.json", "--tol", "0", "--seed", "0"],
         ["fit-chain", "table1.json", "--tol", "0", "--starts", "32"],
         ["no-such-command"],
+        ["check-classical", "table1.json", "table2.json", "--tol", "nan"],
+        ["check-order", "moore.json", "--tol", "nan"],
+        ["check-feasibility", "table1.json", "--tol", "nan"],
+        ["check-contraction", "table1.json", "--tol", "inf"],
+        ["fit-chain", "table1.json", "--tol", "-0.1"],
+        ["nosignal-demo", "--trials", "-3"],
+        ["nosignal-demo", "--trials", "0"],
     ])
     def test_usage_error_exit(self, capsys, argv):
         assert main(argv) == 1

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import qcog.framefit as framefit
+import qcog.states as states
 from qcog.feasibility import majorization_check
-from qcog.framefit import (InfeasibleTargetError, fit_chain,
+from qcog.framefit import (RESIDUAL_LIMIT, InfeasibleTargetError, fit_chain,
                            fit_result_to_dict, fit_transition,
                            project_to_majorized, replay)
 from qcog.hilbert import frame_projectors
@@ -18,6 +20,29 @@ def pv(*values):
 
 def diag_state(*values):
     return DensityMatrix(np.diag(values).astype(complex))
+
+
+def five_answer_rows():
+    # rows read off a square-root-embedded state, first in the standard
+    # basis and then through Haar-random frames, with the measurement
+    # update after each
+    rng = np.random.default_rng(101)
+    rows = [rng.dirichlet(np.ones(5)), rng.dirichlet(np.ones(5))]
+    rho = DensityMatrix.from_pure(square_root_embed(pv(*rows[1])))
+    rho = lueders_update(rho, frame_projectors(np.eye(5)))
+    for _ in range(3):
+        u = haar_unitary(rng, 5)
+        rows.append(outcome_probabilities(rho, u).probs)
+        rho = lueders_update(rho, frame_projectors(u))
+    return rows
+
+
+@pytest.fixture
+def chains(table1, table2):
+    """The fitted chains with their tolerances: both poll tables (Table 2
+    needs projection) and a 5-answer chain."""
+    return [(table1, 0.0), (table2, 0.07),
+            (make_chain(five_answer_rows()), 0.0)]
 
 
 class TestFitTransition:
@@ -147,15 +172,36 @@ class TestFitChain:
 
     def test_table2_projection_distance(self, table2):
         fit = fit_chain(table2, isolate_first=True, tol=0.07)
-        assert fit.projection_distances[1] <= 0.06 + 1e-9
+        assert np.max(np.abs(np.subtract(fit.projection_distances,
+                                         [0.0, 0.06, 0.06, 0.0]))) < 1e-12
         assert all(r < 1e-9 for r in fit.residuals)
 
-    def test_replay_matches_achieved(self, table1):
-        fit = fit_chain(table1, isolate_first=True, tol=0.0)
-        played = replay(fit, table1)
-        assert len(played) == len(fit.achieved)
-        for got, want in zip(played, fit.achieved):
-            assert np.max(np.abs(got.probs - want.probs)) < 1e-12
+    def test_replay_matches_achieved(self, chains):
+        for chain, tol in chains:
+            fit = fit_chain(chain, isolate_first=True, tol=tol)
+            played = replay(fit, chain)
+            assert len(played) == len(fit.achieved)
+            for got, want in zip(played, fit.achieved):
+                assert np.max(np.abs(got.probs - want.probs)) < 1e-12
+
+    def test_fitted_from_rows_alone(self, chains, monkeypatch):
+        # the state after each question is diagonal in its frame, so the
+        # fit needs no eigensolver, density matrix or measurement update
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fit_chain used the state pipeline")
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", forbidden)
+            m.setattr(np.linalg, "eigvalsh", forbidden)
+            m.setattr(states, "lueders_update", forbidden)
+            m.setattr(framefit, "lueders_update", forbidden)
+            m.setattr(DensityMatrix, "__post_init__", forbidden)
+            fits = [fit_chain(chain, isolate_first=True, tol=tol)
+                    for chain, tol in chains]
+        for fit in fits:
+            assert all(r <= RESIDUAL_LIMIT for r in fit.residuals)
+            for u in fit.frames:
+                assert np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) < 1e-12
 
     def test_replay_final_row(self, table1):
         fit = fit_chain(table1, isolate_first=True, tol=0.0)
@@ -188,17 +234,7 @@ class TestFitChain:
             assert np.array_equal(fa, fb)
 
     def test_five_answer_chain(self):
-        # rows read off a square-root-embedded state, first in the standard
-        # basis and then through Haar-random frames, with the measurement
-        # update after each
-        rng = np.random.default_rng(101)
-        rows = [rng.dirichlet(np.ones(5)), rng.dirichlet(np.ones(5))]
-        rho = DensityMatrix.from_pure(square_root_embed(pv(*rows[1])))
-        rho = lueders_update(rho, frame_projectors(np.eye(5)))
-        for _ in range(3):
-            u = haar_unitary(rng, 5)
-            rows.append(outcome_probabilities(rho, u).probs)
-            rho = lueders_update(rho, frame_projectors(u))
+        rows = five_answer_rows()
         chain = make_chain(rows)
         fit = fit_chain(chain, isolate_first=True, tol=0.0)
         assert len(fit.frames) == 4

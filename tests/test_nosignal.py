@@ -15,8 +15,11 @@ DIMS = (3, 3, 3, 3, 3)
 
 class TestLocalSeries:
     def test_rejects_fifth_factor(self):
-        with pytest.raises(ValueError):
-            LocalSeries(((4, np.eye(3)),))
+        # the series itself accepts any index; applying it checks the index
+        # against the space, whose last factor stays untouched
+        state = random_entangled_state(np.random.default_rng(139))
+        with pytest.raises(ValueError, match="factor index"):
+            apply_series(state, LocalSeries(((4, np.eye(3)),)), DIMS)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
@@ -182,4 +185,17 @@ class TestMixedDims:
         state = random_entangled_state(rng, dims=self.DIMS)
         a = random_local_series(rng, 4, dims=self.DIMS)
         b = random_local_series(rng, 4, dims=self.DIMS)
+        assert no_signalling_check(state, a, b, dims=self.DIMS) < 1e-12
+
+
+class TestManyFactors:
+    DIMS = (2,) * 7
+
+    def test_no_signalling(self):
+        # series may address every factor but the last, past the fourth too
+        rng = np.random.default_rng(149)
+        state = random_entangled_state(rng, dims=self.DIMS)
+        a = random_local_series(rng, 8, dims=self.DIMS)
+        b = random_local_series(rng, 8, dims=self.DIMS)
+        assert max(k for k, _ in a.steps + b.steps) >= 4
         assert no_signalling_check(state, a, b, dims=self.DIMS) < 1e-12
