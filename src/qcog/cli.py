@@ -208,7 +208,7 @@ def _tolerance(text: str) -> float:
     return float(text)
 
 
-def _trial_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
     return int(text)
@@ -278,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nosignal-demo",
                        help="random-state no-signalling deviation statistics")
-    p.add_argument("--trials", type=_trial_count, default=100)
-    p.add_argument("--steps", type=int, default=4)
+    p.add_argument("--trials", type=_positive_int, default=100)
+    p.add_argument("--steps", type=_positive_int, default=4)
     p.add_argument("--seed", type=int, default=0)
     add_json(p)
     p.set_defaults(func=cmd_nosignal_demo)

@@ -161,6 +161,8 @@ def majorization_check(current, target, tol: float = 0.0) -> tuple[bool, float]:
     t = np.sort(np.asarray(getattr(target, "probs", target), dtype=float))[::-1]
     if c.shape != t.shape:
         raise ValueError("distributions have different dimensions")
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(t))):
+        raise ValueError("non-finite probability in a majorization check")
     slack = float(max(0.0, np.max(np.cumsum(t) - np.cumsum(c))))
     if slack < 1e-12:  # partial-sum rounding noise, not a real excess
         slack = 0.0
@@ -181,7 +183,6 @@ class TransitionCheck:
 @dataclass(frozen=True)
 class FeasibilityReport:
     transitions: tuple
-    classical_violation: float | None = None
 
     @property
     def all_feasible(self) -> bool:
@@ -204,13 +205,7 @@ def _transition(prev: np.ndarray, nxt: np.ndarray, i: int,
 
 def contraction_check(chain: SurveyChain, tol: float = 0.0) -> FeasibilityReport:
     """Per-transition contraction and majorization report for a chain."""
-    dists = chain.distributions()
-    if len(dists) < 2:
-        raise ValueError("need at least two questions for a contraction check")
-    transitions = tuple(
-        _transition(dists[i], dists[i + 1], i, tol, exempt=False)
-        for i in range(len(dists) - 1))
-    return FeasibilityReport(transitions)
+    return chain_feasibility(chain, False, tol)
 
 
 def chain_feasibility(chain: SurveyChain, isolate_first: bool,
@@ -222,6 +217,8 @@ def chain_feasibility(chain: SurveyChain, isolate_first: bool,
     outcome constrains nothing downstream.
     """
     dists = chain.distributions()
+    if len(dists) < 2:
+        raise ValueError("need at least two questions to check a transition")
     transitions = tuple(
         _transition(dists[i], dists[i + 1], i, tol,
                     exempt=isolate_first and i == 0)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feasibility import SurveyChain, chain_feasibility, majorization_check
+from .feasibility import SurveyChain, majorization_check
 from .hilbert import frame_projectors
 from .states import (DensityMatrix, ProbabilityVector, lueders_update,
                      outcome_probabilities, square_root_embed)
@@ -34,10 +34,9 @@ RESIDUAL_LIMIT = 1e-18
 class InfeasibleTargetError(ValueError):
     """Target distribution is not majorized by the current spectrum."""
 
-    def __init__(self, message: str, slack: float, transition=None):
+    def __init__(self, message: str, slack: float):
         super().__init__(message)
         self.slack = slack
-        self.transition = transition
 
 
 class FitError(RuntimeError):
@@ -91,13 +90,7 @@ def _schur_horn_frame(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _checked_frame(lam: np.ndarray, t: np.ndarray):
     """(W, achieved, squared residual) for :func:`_schur_horn_frame`, with
-    the majorization check before it and the residual check after it."""
-    feasible, slack = majorization_check(lam, t, 0.0)
-    if not feasible:
-        raise InfeasibleTargetError(
-            f"target {t.tolist()} not majorized by spectrum "
-            f"{np.sort(lam)[::-1].tolist()} (slack {slack:.6g})", slack)
-
+    the residual check after it; ``t`` must be majorized by ``lam``."""
     w = _schur_horn_frame(lam, t)
     achieved = (lam[:, None] * w ** 2).sum(axis=0)
     r = achieved - t
@@ -117,6 +110,11 @@ def fit_transition(rho: DensityMatrix, target: ProbabilityVector) -> TransitionF
     target by more than ``RESIDUAL_LIMIT``.
     """
     lam, v = _eigenbasis(np.asarray(rho.matrix))
+    feasible, slack = majorization_check(lam, target.probs, 0.0)
+    if not feasible:
+        raise InfeasibleTargetError(
+            f"target {target.probs.tolist()} not majorized by spectrum "
+            f"{np.sort(lam)[::-1].tolist()} (slack {slack:.6g})", slack)
     w, _, sse = _checked_frame(lam, target.probs)
     return TransitionFit(frame=v @ w, residual=sse)
 
@@ -187,27 +185,22 @@ def fit_chain(chain: SurveyChain, isolate_first: bool, tol: float) -> FitResult:
 
     With ``isolate_first`` the first question is carried exactly on its own
     tensor factor and the second question's basis becomes the reference;
-    otherwise the first question itself is the reference.  Targets whose
-    majorization slack is positive but within ``tol`` are first projected
-    to the feasible set and the adjustment distance recorded.
+    otherwise the first question itself is the reference.
 
     Each answered question leaves the state diagonal in its frame with the
     achieved row as its spectrum, so the fit carries only (spectrum, frame),
     from (base row, identity); no eigensolver runs, the frames depend on the
     chain alone and reruns are bit-identical.
+
+    ``tol`` bounds each row's majorization slack against that spectrum: a
+    row beyond it raises :class:`InfeasibleTargetError`, one within it is
+    first projected to the feasible set and the distance recorded.  A
+    projected row is the next spectrum, so a chain can fail here although
+    each pair of input rows is within ``tol`` in ``chain_feasibility``.
     """
     base_index = 1 if isolate_first else 0
     if len(chain.questions) <= base_index:
         raise ValueError("chain too short for this fitting mode")
-
-    report = chain_feasibility(chain, isolate_first, tol)
-    for tr in report.transitions:
-        if not tr.feasible_at_tol:
-            raise InfeasibleTargetError(
-                f"transition Q{tr.from_index + 1}->Q{tr.to_index + 1} of "
-                f"{chain.label!r} is infeasible: majorization slack "
-                f"{tr.majorization_slack:.4g} exceeds tol {tol}",
-                tr.majorization_slack, transition=tr)
 
     questions = chain.questions
     lam = questions[base_index].probs.probs
@@ -216,10 +209,14 @@ def fit_chain(chain: SurveyChain, isolate_first: bool, tol: float) -> FitResult:
     residuals: list[float] = []
     projections = [0.0]
 
-    for q in questions[base_index + 1:]:
-        target = q.probs
-        proj_dist = 0.0
-        if not majorization_check(lam, target.probs, 0.0)[0]:
+    for j, q in enumerate(questions[base_index + 1:], start=base_index + 1):
+        feasible, slack = majorization_check(lam, q.probs.probs, tol)
+        if not feasible:
+            raise InfeasibleTargetError(
+                f"transition Q{j}->Q{j + 1} of {chain.label!r} is infeasible: "
+                f"majorization slack {slack:.4g} exceeds tol {tol}", slack)
+        target, proj_dist = q.probs, 0.0
+        if slack > 0:
             target, proj_dist, _ = project_to_majorized(q.probs, lam)
         w, lam, sse = _checked_frame(lam, target.probs)
         frames.append(frames[-1] @ w)

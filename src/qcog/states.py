@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import (STRUCTURAL_TOL, as_matrix, frame_projectors,
-                      is_hermitian, is_psd)
+                      is_hermitian, is_psd, is_unitary)
 
 
 class StateError(ValueError):
@@ -159,6 +159,8 @@ def outcome_probabilities(state: DensityMatrix, frame) -> ProbabilityVector:
     if u.shape != (state.dim, state.dim):
         raise MeasurementError(
             f"frame shape {u.shape} does not match state dim {state.dim}")
+    if not is_unitary(u):
+        raise MeasurementError("frame is not orthonormal")
     p = np.einsum("ij,ik,kj->j", u.conj(), state.matrix, u).real
     return ProbabilityVector(p)
 

@@ -9,6 +9,13 @@ from qcog.ingest import (IngestError, fixture_path, load_order_pair,
                          load_survey, survey_to_dict)
 
 
+def write_survey(path, rows):
+    path.write_text(json.dumps({"sample_label": path.stem, "questions": [
+        {"text": f"q{i + 1}", "yes": r[0], "unsure": r[1], "no": r[2]}
+        for i, r in enumerate(rows)]}))
+    return str(path)
+
+
 @pytest.fixture
 def t1():
     return str(fixture_path("table1.json"))
@@ -108,6 +115,22 @@ class TestExitCodes:
         assert code == 1
         assert "Q1->Q2" in capsys.readouterr().err
 
+    def test_fit_chain_cascade(self, tmp_path, capsys):
+        # every pair of input rows is within tol, but Q3 is 0.1 beyond the
+        # projected Q2 the fit has reached
+        path = write_survey(tmp_path / "cascade.json",
+                            [[50, 30, 20], [55, 25, 20], [60, 20, 20]])
+        assert main(["check-feasibility", path, "--tol", "0.07"]) == 0
+        capsys.readouterr()
+        assert main(["fit-chain", path, "--tol", "0.07"]) == 1
+        captured = capsys.readouterr()
+        assert "Q2->Q3" in captured.err and captured.out == ""
+
+    def test_check_feasibility_one_question(self, tmp_path, capsys):
+        path = write_survey(tmp_path / "single.json", [[50, 30, 20]])
+        assert main(["check-feasibility", path, "--tol", "0"]) == 1
+        assert "at least two questions" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["check-feasibility", "--isolate-first", "--tol", "0.07"],
         ["check-contraction", "--json"],
@@ -146,6 +169,8 @@ class TestExitCodes:
         ["fit-chain", "table1.json", "--tol", "-0.1"],
         ["nosignal-demo", "--trials", "-3"],
         ["nosignal-demo", "--trials", "0"],
+        ["nosignal-demo", "--steps", "0"],
+        ["nosignal-demo", "--steps", "-3"],
     ])
     def test_usage_error_exit(self, capsys, argv):
         assert main(argv) == 1

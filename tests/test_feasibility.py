@@ -116,6 +116,15 @@ class TestMajorization:
         assert abs(got_slack - slack) < 1e-12
         assert abs(got_slack - max(0.0, partial_sum_oracle(current, target))) < 1e-12
 
+    @pytest.mark.parametrize("current,target", [
+        ((0.5, 0.5), (np.nan, 0.5)),
+        ((0.9, 0.1), (0.5, np.nan)),
+    ])
+    def test_rejects_non_finite(self, current, target):
+        # max(0.0, nan) is 0.0, so a NaN excess used to read as feasible
+        with pytest.raises(ValueError, match="non-finite"):
+            majorization_check(np.array(current), np.array(target), 0.0)
+
     def test_tolerance(self):
         feasible, _ = majorization_check(
             np.array([0.73, 0.05, 0.22]), np.array([0.79, 0.06, 0.15]),

@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcog.framefit as framefit
 import qcog.states as states
-from qcog.feasibility import majorization_check
+from qcog.feasibility import chain_feasibility, majorization_check
 from qcog.framefit import (RESIDUAL_LIMIT, InfeasibleTargetError, fit_chain,
                            fit_result_to_dict, fit_transition,
                            project_to_majorized, replay)
@@ -169,6 +173,52 @@ class TestFitChain:
         with pytest.raises(InfeasibleTargetError) as err:
             fit_chain(table1, isolate_first=False, tol=0.0)
         assert "Q1->Q2" in str(err.value)
+
+    def test_slack_against_achieved_row(self):
+        # each input step has slack 0.05, within tol; Q2 is projected to
+        # [0.5, 0.275, 0.225], the state Q3 is asked on, and Q3 is 0.1
+        # beyond that
+        chain = make_chain([[0.5, 0.3, 0.2], [0.55, 0.25, 0.2],
+                            [0.6, 0.2, 0.2]])
+        with pytest.raises(InfeasibleTargetError, match="Q2->Q3") as err:
+            fit_chain(chain, isolate_first=False, tol=0.07)
+        assert abs(err.value.slack - 0.1) < 1e-12
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fits_exactly_when_majorized(self, data):
+        # small integer weights give ties and zeros
+        n = data.draw(st.integers(2, 6))
+        weights = st.lists(st.integers(0, 12), min_size=n, max_size=n)
+        rows = [data.draw(weights.filter(any)) for _ in range(2)]
+        chain = make_chain([np.divide(w, sum(w)) for w in rows])
+        c, t = (q.probs.probs for q in chain.questions)
+        feasible, slack = majorization_check(c, t, 0.0)
+        try:
+            fit = fit_chain(chain, isolate_first=False, tol=0.0)
+        except InfeasibleTargetError as exc:
+            assert not feasible
+            assert exc.slack == slack
+        else:
+            assert feasible
+            assert fit.residuals[0] <= RESIDUAL_LIMIT
+            assert np.max(np.abs(fit.achieved[1].probs - t)) < 1e-12
+
+    @pytest.mark.parametrize("perm", itertools.permutations(range(3)))
+    def test_relabelled_answers(self, table1, table2, perm):
+        # relabelling the answers leaves every slack as it was and permutes
+        # every fitted row the same way
+        perm = list(perm)
+        for chain, tol in ((table1, 0.0), (table2, 0.07)):
+            relabelled = make_chain([q.probs.probs[perm]
+                                     for q in chain.questions])
+            for a, b in zip(chain_feasibility(chain, True, tol).transitions,
+                            chain_feasibility(relabelled, True, tol).transitions):
+                assert abs(a.majorization_slack - b.majorization_slack) < 1e-12
+            fit = fit_chain(chain, isolate_first=True, tol=tol)
+            refit = fit_chain(relabelled, isolate_first=True, tol=tol)
+            for a, b in zip(fit.achieved, refit.achieved):
+                assert np.max(np.abs(a.probs[perm] - b.probs)) < 1e-12
 
     def test_table2_projection_distance(self, table2):
         fit = fit_chain(table2, isolate_first=True, tol=0.07)

@@ -90,6 +90,11 @@ class TestOutcomeProbabilities:
         with pytest.raises(MeasurementError):
             outcome_probabilities(rho, np.eye(2))
 
+    def test_rejects_non_orthonormal_frame(self):
+        rho = DensityMatrix(np.eye(2) / 2)
+        with pytest.raises(MeasurementError, match="orthonormal"):
+            outcome_probabilities(rho, [[1, 1], [0, 0]])
+
 
 class TestLuedersUpdate:
     def test_pure_state_becomes_mixture(self):
