@@ -2,8 +2,11 @@
 
 Measurement series built from local observables on factors 1-4 cannot move
 the fifth factor's marginal, whatever the (possibly entangled) initial
-state.  This module embeds local frames into the 243-dimensional space,
-applies measurement series, and checks the invariance numerically.
+state.  This module applies measurement series factor by factor, each local
+measurement as one superoperator on its factor's (row, column) index pair,
+and checks the invariance numerically.  ``embed_local`` builds the same
+measurement as dense projectors on the full 243-dimensional space, the
+reference that the contraction is tested against.
 """
 from __future__ import annotations
 
@@ -53,20 +56,12 @@ def embed_local(frame, factor_index: int, dims=FIVE_QUESTIONS) -> list[np.ndarra
     return [kron(kron(pre, p), post) for p in frame_projectors(u)]
 
 
-def _local_lueders(rho: np.ndarray, frame: np.ndarray, factor_index: int,
-                   dims) -> np.ndarray:
-    # rotate the factor into the frame basis, drop inter-outcome coherences,
-    # rotate back; equivalent to the full-space projector update
-    d = dims[factor_index]
-    pre = int(np.prod(dims[:factor_index]))
-    post = int(np.prod(dims[factor_index + 1:]))
-    t = rho.reshape(pre, d, post, pre, d, post)
-    u = frame
-    s = np.einsum("ip,aibcje,jq->apbcqe", u.conj(), t, u, optimize=True)
-    s *= np.eye(d)[None, :, None, None, :, None]
-    t = np.einsum("ip,apbcqe,jq->aibcje", u, s, u.conj(), optimize=True)
-    total = pre * d * post
-    return t.reshape(total, total)
+def _superoperator(u: np.ndarray) -> np.ndarray:
+    # rho -> sum_p P_p rho P_p on one factor, as a matrix on its (row, column)
+    # index pair: M = W W^H with W[(i, j), p] = U[i, p] conj(U[j, p])
+    d = u.shape[0]
+    w = (u[:, None, :] * u.conj()[None, :, :]).reshape(d * d, d)
+    return w @ w.conj().T
 
 
 def apply_series(state: DensityMatrix, series: LocalSeries,
@@ -74,13 +69,20 @@ def apply_series(state: DensityMatrix, series: LocalSeries,
     """Sequential measurement updates of the series' local observables.
 
     Each step acts as the projective update with the embedded local
-    projectors; the implementation contracts the affected factor directly
-    instead of materializing full-space projectors.  A step whose factor
-    index or frame shape does not fit ``dims`` raises ValueError.
+    projectors.  The measurement in frame ``U`` on factor k is the d²×d²
+    superoperator ``M = W Wᴴ``, ``W[(i, j), p] = U[i, p]·conj(U[j, p])``,
+    acting on that factor's (row, column) index pair: the state is
+    transposed once into pair-major layout, each step is one matrix
+    product on its pair axis, and the result is transposed back once and
+    Hermitian-symmetrised.  A step whose factor index or frame shape does
+    not fit ``dims`` raises ValueError.
+
+    The input was validated when it was built, and a series of projective
+    measurements maps density matrices to density matrices, so the output
+    is not validated again.
     """
     dims = tuple(int(d) for d in dims)
-    total = int(np.prod(dims))
-    if state.dim != total:
+    if state.dim != int(np.prod(dims)):
         raise ValueError(f"state dim {state.dim} does not match {dims}")
     for k, u in series.steps:
         if not 0 <= k < len(dims) - 1:
@@ -90,11 +92,18 @@ def apply_series(state: DensityMatrix, series: LocalSeries,
                              f"of dimension {dims[k]}")
     if not series.steps:
         return state
-    m = np.asarray(state.matrix)
+    n = len(dims)
+    pairs = [d * d for d in dims]
+    # pair-major layout i0 j0 i1 j1 ...: axis k is factor k's index pair
+    t = state.matrix.reshape(dims + dims)
+    t = t.transpose([a for k in range(n) for a in (k, n + k)]).reshape(pairs)
     for k, u in series.steps:
-        m = _local_lueders(m, u, k, dims)
-    m = (m + m.conj().T) / 2
-    return DensityMatrix(m)
+        pre, post = int(np.prod(pairs[:k])), int(np.prod(pairs[k + 1:]))
+        t = np.matmul(_superoperator(u), t.reshape(pre, pairs[k], post))
+    t = t.reshape([d for d in dims for _ in range(2)])
+    m = t.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
+    m = m.reshape(state.dim, state.dim)
+    return DensityMatrix._unchecked((m + m.conj().T) / 2)
 
 
 def fifth_marginal(state: DensityMatrix, dims=FIVE_QUESTIONS) -> ProbabilityVector:
@@ -116,11 +125,12 @@ def no_signalling_check(state: DensityMatrix, series_a: LocalSeries,
 def random_entangled_state(rng: np.random.Generator,
                            dims=FIVE_QUESTIONS) -> DensityMatrix:
     """Pure state from a normalized complex Gaussian vector; generically
-    entangled across every factor cut."""
+    entangled across every factor cut.  The outer product of a unit vector
+    is a density matrix by construction, so it is not validated again."""
     total = int(np.prod(dims))
     psi = rng.standard_normal(total) + 1j * rng.standard_normal(total)
     psi /= np.linalg.norm(psi)
-    return DensityMatrix(np.outer(psi, psi.conj()))
+    return DensityMatrix._unchecked(np.outer(psi, psi.conj()))
 
 
 def random_local_series(rng: np.random.Generator, n_steps: int = 4,

@@ -99,10 +99,21 @@ class DensityMatrix:
             raise StateError("density matrix is not Hermitian")
         if abs(np.trace(m).real - 1.0) > STRUCTURAL_TOL:
             raise StateError(f"trace is {np.trace(m).real}, not 1")
-        if not is_psd(m):
+        # is_psd would check Hermiticity a second time
+        if not np.min(np.linalg.eigvalsh(m)) >= -STRUCTURAL_TOL:
             raise StateError("density matrix is not positive semidefinite")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _unchecked(cls, m: np.ndarray) -> "DensityMatrix":
+        # for outputs that are density matrices by construction (a CPTP map
+        # of a validated state, a normalised outer product); takes ownership
+        # of the complex128 array m, freezes it and checks nothing
+        m.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "matrix", m)
+        return state
 
     @classmethod
     def from_pure(cls, state: PureState) -> "DensityMatrix":

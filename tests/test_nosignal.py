@@ -13,6 +13,25 @@ from .conftest import haar_unitary
 DIMS = (3, 3, 3, 3, 3)
 
 
+def assert_matches_dense_route(state, series, dims):
+    # the superoperator contraction against the step-by-step Lueders update
+    # with explicit full-space projectors
+    fast = apply_series(state, series, dims)
+    dense = state
+    for k, u in series.steps:
+        dense = lueders_update(dense, embed_local(u, k, dims))
+    assert np.max(np.abs(fast.matrix - dense.matrix)) < 1e-12
+
+
+def multi_step_series(rng, dims):
+    # random 2-, 4- and 8-step series, and one that measures the same factor
+    # twice in a row
+    yield from (random_local_series(rng, n, dims) for n in (2, 4, 8))
+    yield LocalSeries(((0, haar_unitary(rng, dims[0])),
+                       (0, haar_unitary(rng, dims[0])),
+                       (1, haar_unitary(rng, dims[1]))))
+
+
 class TestLocalSeries:
     def test_rejects_fifth_factor(self):
         # the series itself accepts any index; applying it checks the index
@@ -69,6 +88,10 @@ class TestApplySeries:
                                 dims=(3, 3, 3))
             dense = lueders_update(state, embed_local(u, factor, (3, 3, 3)))
             assert np.max(np.abs(fast.matrix - dense.matrix)) < 1e-12
+        for dims in ((3, 3, 3), (2,) * 7):
+            state = random_entangled_state(rng, dims=dims)
+            for series in multi_step_series(rng, dims):
+                assert_matches_dense_route(state, series, dims)
 
     def test_mixed_dims_match_embedded_projector_route(self):
         rng = np.random.default_rng(109)
@@ -79,6 +102,8 @@ class TestApplySeries:
             fast = apply_series(state, LocalSeries(((factor, u),)), dims)
             dense = lueders_update(state, embed_local(u, factor, dims))
             assert np.max(np.abs(fast.matrix - dense.matrix)) < 1e-12
+        for series in multi_step_series(rng, dims):
+            assert_matches_dense_route(state, series, dims)
 
     def test_rejects_index_outside_dims(self):
         # factor 3 is valid for five factors but not for three
@@ -119,6 +144,29 @@ class TestApplySeries:
         state = random_entangled_state(rng)
         out = apply_series(state, random_local_series(rng, 3))
         assert abs(np.trace(out.matrix).real - 1.0) < 1e-12
+        # the output skips validation; the public constructor accepts it
+        DensityMatrix(np.array(out.matrix))
+        assert not out.matrix.flags.writeable
+
+    def test_validates_only_at_boundary(self, monkeypatch):
+        # outputs of apply_series and random_entangled_state are density
+        # matrices by construction, so only the public constructor validates
+        class Validated(Exception):
+            pass
+
+        def forbidden(*args, **kwargs):
+            raise Validated
+
+        rng = np.random.default_rng(151)
+        state = random_entangled_state(rng)
+        series = random_local_series(rng, 4)
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", forbidden)
+            m.setattr(np.linalg, "eigvalsh", forbidden)
+            apply_series(state, series)
+            random_entangled_state(rng)
+            with pytest.raises(Validated):
+                DensityMatrix(np.array(state.matrix))
 
 
 class TestFifthMarginal:

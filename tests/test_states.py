@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qcog.hilbert import frame_projectors
+from qcog import hilbert, states
+from qcog.hilbert import STRUCTURAL_TOL, frame_projectors
 from qcog.states import (DensityMatrix, MeasurementError, Povm,
                          ProbabilityVector, PureState, StateError,
                          degenerate_yes_probability, lueders_update,
@@ -39,6 +40,42 @@ class TestPureState:
         for values in ([np.nan, 1.0], [1.0, np.inf], [complex(0, np.nan), 1.0]):
             with pytest.raises(StateError, match="non-finite"):
                 PureState(np.array(values))
+
+
+class TestDensityMatrix:
+    @staticmethod
+    def drifted(drift):
+        # (message, matrix) pairs that each break one check by ``drift``
+        return (("not Hermitian", np.array([[0.5, drift], [0.0, 0.5]])),
+                ("trace", np.diag([0.5, 0.5 + drift])),
+                ("positive semidefinite", np.diag([1.0 + drift, -drift])))
+
+    def test_verdicts_at_structural_tol(self):
+        # each check accepts a drift of half the tolerance and rejects twice it
+        for _, m in self.drifted(STRUCTURAL_TOL / 2):
+            DensityMatrix(m)
+        for message, m in self.drifted(2 * STRUCTURAL_TOL):
+            with pytest.raises(StateError, match=message):
+                DensityMatrix(m)
+
+    def test_rejects_malformed(self):
+        with pytest.raises(StateError, match="square"):
+            DensityMatrix(np.ones((2, 3)) / 2)
+        with pytest.raises(StateError, match="not Hermitian"):
+            DensityMatrix(np.diag([np.nan, 1.0]))
+
+    def test_hermiticity_checked_once(self, monkeypatch):
+        calls = []
+        original = hilbert.is_hermitian
+
+        def counted(m, tol=STRUCTURAL_TOL):
+            calls.append(1)
+            return original(m, tol)
+
+        monkeypatch.setattr(hilbert, "is_hermitian", counted)
+        monkeypatch.setattr(states, "is_hermitian", counted)
+        DensityMatrix(np.eye(4) / 4)
+        assert len(calls) == 1
 
 
 class TestSquareRootEmbed:
