@@ -5,16 +5,15 @@ from .feasibility import (FeasibilityReport, Polarity, Question, SurveyChain,
                           contraction_check, majorization_check,
                           order_effect_check)
 from .framefit import FitResult, fit_chain, fit_transition, replay
-from .hilbert import frame_projectors, kron, partial_trace
+from .hilbert import frame_projectors, partial_trace
 from .ingest import fixture_path, load_order_pair, load_survey
-from .nosignal import (LocalSeries, apply_series, embed_local, fifth_marginal,
+from .nosignal import (LocalSeries, apply_series, fifth_marginal,
                        no_signalling_check)
 from .sequential import (InterferenceResult, interference_region_scan,
                          overlap_alpha, sequential_probability,
                          sequential_probability_via_states, spin_order_demo)
-from .states import (DensityMatrix, Povm, ProbabilityVector, PureState,
+from .states import (DensityMatrix, ProbabilityVector, PureState,
                      degenerate_yes_probability, lueders_update,
-                     outcome_probabilities, povm_probabilities,
-                     square_root_embed)
+                     outcome_probabilities, square_root_embed)
 
 __version__ = "0.1.0"

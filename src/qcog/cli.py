@@ -18,6 +18,7 @@ from itertools import islice
 import numpy as np
 
 from . import feasibility, framefit, ingest, nosignal, sequential
+from .hilbert import _NO_SIGNALLING_TOL
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -199,7 +200,7 @@ def cmd_nosignal_demo(args) -> int:
         print(f"{args.trials} random entangled states, {args.steps}-step "
               f"local series pairs")
         print(f"max fifth-marginal deviation: {worst:.3g}")
-    return EXIT_OK if worst < 1e-10 else EXIT_FINDING
+    return EXIT_OK if worst < _NO_SIGNALLING_TOL else EXIT_FINDING
 
 
 def _tolerance(text: str) -> float:

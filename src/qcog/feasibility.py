@@ -13,6 +13,7 @@ from enum import Enum
 
 import numpy as np
 
+from .hilbert import _MAJORIZATION_NOISE
 from .states import ProbabilityVector
 
 
@@ -164,7 +165,7 @@ def majorization_check(current, target, tol: float = 0.0) -> tuple[bool, float]:
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(t))):
         raise ValueError("non-finite probability in a majorization check")
     slack = float(max(0.0, np.max(np.cumsum(t) - np.cumsum(c))))
-    if slack < 1e-12:  # partial-sum rounding noise, not a real excess
+    if slack < _MAJORIZATION_NOISE:
         slack = 0.0
     return slack <= tol, slack
 

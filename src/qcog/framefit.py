@@ -22,13 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feasibility import SurveyChain, majorization_check
-from .hilbert import frame_projectors
+from .hilbert import _DIAGONAL_TOL, RESIDUAL_LIMIT, frame_projectors
 from .states import (DensityMatrix, ProbabilityVector, lueders_update,
                      outcome_probabilities, square_root_embed)
-
-# Largest accepted sum of squared differences between a constructed frame's
-# expectations and its target; the construction reaches ~1e-31.
-RESIDUAL_LIMIT = 1e-18
 
 
 class InfeasibleTargetError(ValueError):
@@ -52,7 +48,7 @@ class TransitionFit:
 def _eigenbasis(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # diagonal states keep their own ordering; otherwise fall back to eigh
     off = m - np.diag(np.diag(m))
-    if np.max(np.abs(off)) < 1e-13:
+    if np.max(np.abs(off)) < _DIAGONAL_TOL:
         return np.diag(m).real.copy(), np.eye(m.shape[0], dtype=np.complex128)
     lam, v = np.linalg.eigh(m)
     return lam, v

@@ -8,8 +8,23 @@ from __future__ import annotations
 
 import numpy as np
 
-# the one tolerance of structural checks on states, frames and measurements
+# Tolerances, in one table.  Each value is fixed; changing one moves verdicts.
+# structural checks on states, frames and measurements: Hermiticity, trace,
+# positivity, unitarity, projectors
 STRUCTURAL_TOL = 1e-10
+# largest accepted squared residual of a constructed frame (it reaches ~1e-31)
+RESIDUAL_LIMIT = 1e-18
+# a probability vector: most negative entry clipped to 0, and |sum - 1|
+_NEGATIVE_PROB_TOL = 1e-12
+_PROB_SUM_TOL = 1e-9
+# a pure state: |norm - 1| accepted before renormalising
+_AMPLITUDE_NORM_TOL = 1e-6
+# largest off-diagonal entry of a state still treated as diagonal
+_DIAGONAL_TOL = 1e-13
+# majorization slack below this is partial-sum rounding noise, read as 0
+_MAJORIZATION_NOISE = 1e-12
+# largest fifth-marginal deviation nosignal-demo reports as no signalling
+_NO_SIGNALLING_TOL = 1e-10
 
 
 def as_matrix(m) -> np.ndarray:
@@ -40,11 +55,6 @@ def is_psd(m, tol: float = STRUCTURAL_TOL) -> bool:
     if not is_hermitian(a, tol):
         return False
     return bool(np.min(np.linalg.eigvalsh(a)) >= -tol)
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; the left factor indexes the blocks."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def partial_trace(rho, dims, keep: int) -> np.ndarray:

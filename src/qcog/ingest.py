@@ -1,4 +1,4 @@
-"""Survey file ingestion and serialization.
+"""Survey file ingestion.
 
 Survey schema (JSON)::
 
@@ -6,8 +6,8 @@ Survey schema (JSON)::
      "questions": [{"text": str, "yes": number, "unsure": number,
                     "no": number, "polarity": "favour"|"oppose"|"neutral"}]}
 
-Percentages are divided by 100 and renormalized; a question whose
-percentages sum outside [99, 101] is rejected with the offending row.
+Percentages are JSON numbers, divided by 100 and renormalized; a question
+whose percentages sum outside [99, 101] is rejected with the offending row.
 
 Order-effect pair schema (JSON)::
 
@@ -21,10 +21,8 @@ import json
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from .feasibility import Polarity, Question, SurveyChain
-from .states import ProbabilityVector, StateError
+from .states import ProbabilityVector
 
 
 class IngestError(ValueError):
@@ -47,6 +45,19 @@ def _load_json(path) -> dict:
         raise IngestError(f"{path}: not valid JSON ({exc})") from exc
 
 
+def _percentages(path, values, where: str) -> ProbabilityVector:
+    if not (isinstance(values, list) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in values)):
+        raise IngestError(f"{path}: {where}: expected a list of numbers, "
+                          f"got {values!r}")
+    try:
+        return ProbabilityVector.from_percents(values)
+    except (ValueError, OverflowError) as exc:
+        # a StateError, an empty row, or an integer beyond float range
+        raise IngestError(f"{path}: {where}: {exc}") from exc
+
+
 def load_survey(path) -> SurveyChain:
     """Read a survey sample file into a question chain."""
     doc = _load_json(path)
@@ -55,6 +66,8 @@ def load_survey(path) -> SurveyChain:
         rows = doc["questions"]
     except (KeyError, TypeError) as exc:
         raise IngestError(f"{path}: missing sample_label/questions") from exc
+    if not isinstance(rows, list):
+        raise IngestError(f"{path}: questions must be a list, got {rows!r}")
     if not rows:
         raise IngestError(f"{path}: empty question list")
 
@@ -66,22 +79,9 @@ def load_survey(path) -> SurveyChain:
             text = str(row["text"])
         except (KeyError, TypeError, ValueError) as exc:
             raise IngestError(f"{path}: bad question row {i}: {row!r}") from exc
-        try:
-            probs = ProbabilityVector.from_percents(percents)
-        except StateError as exc:
-            raise IngestError(f"{path}: question {i} ({text!r}): {exc}") from exc
+        probs = _percentages(path, percents, f"question {i} ({text!r})")
         questions.append(Question(text=text, probs=probs, polarity=polarity))
     return SurveyChain(label=str(label), questions=tuple(questions))
-
-
-def survey_to_dict(chain: SurveyChain) -> dict:
-    """Inverse of load_survey up to renormalization (round-trip stable)."""
-    rows = []
-    for q in chain.questions:
-        yes, unsure, no = (q.probs.probs * 100.0).tolist()
-        rows.append({"text": q.text, "yes": yes, "unsure": unsure, "no": no,
-                     "polarity": q.polarity.value})
-    return {"sample_label": chain.label, "questions": rows}
 
 
 def load_order_pair(path) -> dict:
@@ -92,23 +92,20 @@ def load_order_pair(path) -> dict:
     """
     doc = _load_json(path)
     try:
-        names = list(doc["question_names"])
+        names = doc["question_names"]
         o1 = doc["ordering_1"]
         o2 = doc["ordering_2"]
     except (KeyError, TypeError) as exc:
         raise IngestError(f"{path}: missing order-pair fields") from exc
-    if len(names) != 2 or len(o1) != 2 or len(o2) != 2:
-        raise IngestError(f"{path}: order-pair files describe exactly 2 questions")
-
-    def to_pv(row):
-        try:
-            return ProbabilityVector.from_percents(np.asarray(row, dtype=float))
-        except (StateError, ValueError) as exc:
-            raise IngestError(f"{path}: bad marginal row {row!r}: {exc}") from exc
+    if not all(isinstance(v, list) and len(v) == 2 for v in (names, o1, o2)):
+        raise IngestError(f"{path}: question_names, ordering_1 and ordering_2 "
+                          f"must each be a list of 2 entries")
 
     return {
         "label": str(doc.get("label", "")),
         "question_names": names,
-        "ordering_1": [to_pv(r) for r in o1],
-        "ordering_2": [to_pv(r) for r in o2],
+        "ordering_1": [_percentages(path, r, f"marginal row {r!r}")
+                       for r in o1],
+        "ordering_2": [_percentages(path, r, f"marginal row {r!r}")
+                       for r in o2],
     }

@@ -4,9 +4,8 @@ Measurement series built from local observables on factors 1-4 cannot move
 the fifth factor's marginal, whatever the (possibly entangled) initial
 state.  This module applies measurement series factor by factor, each local
 measurement as one superoperator on its factor's (row, column) index pair,
-and checks the invariance numerically.  ``embed_local`` builds the same
-measurement as dense projectors on the full 243-dimensional space, the
-reference that the contraction is tested against.
+and checks the invariance numerically.  The tests check the contraction
+against the same measurements built as dense projectors on the full space.
 """
 from __future__ import annotations
 
@@ -14,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import as_matrix, frame_projectors, is_unitary, kron, partial_trace
+from .hilbert import as_matrix, is_unitary, partial_trace
 from .states import DensityMatrix, ProbabilityVector
 
 FIVE_QUESTIONS = (3, 3, 3, 3, 3)
-MAX_TOTAL_DIM = 1024
 
 
 @dataclass(frozen=True)
@@ -37,23 +35,6 @@ class LocalSeries:
             if not is_unitary(u):
                 raise ValueError("series frames must be unitary")
         object.__setattr__(self, "steps", steps)
-
-
-def embed_local(frame, factor_index: int, dims=FIVE_QUESTIONS) -> list[np.ndarray]:
-    """Projectors I x ... x |q_i><q_i| x ... x I on the full space."""
-    dims = tuple(int(d) for d in dims)
-    total = int(np.prod(dims))
-    if total > MAX_TOTAL_DIM:
-        raise ValueError(f"total dimension {total} exceeds {MAX_TOTAL_DIM}")
-    if not 0 <= factor_index < len(dims):
-        raise ValueError(f"factor index {factor_index} out of range")
-    u = as_matrix(frame)
-    if u.shape != (dims[factor_index], dims[factor_index]):
-        raise ValueError("frame dimension does not match its factor")
-
-    pre = np.eye(int(np.prod(dims[:factor_index])))
-    post = np.eye(int(np.prod(dims[factor_index + 1:])))
-    return [kron(kron(pre, p), post) for p in frame_projectors(u)]
 
 
 def _superoperator(u: np.ndarray) -> np.ndarray:

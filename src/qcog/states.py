@@ -1,8 +1,8 @@
 """States of mind as probability vectors, pure states and density matrices.
 
-Implements the square-root embedding of answer distributions, projective and
-degenerate measurement updates of the von Neumann-Lueders type, and POVM
-outcome statistics.
+Implements the square-root embedding of answer distributions and the
+projective, possibly degenerate, measurement update of the von
+Neumann-Lueders type.
 """
 from __future__ import annotations
 
@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (STRUCTURAL_TOL, as_matrix, frame_projectors,
-                      is_hermitian, is_psd, is_unitary)
+from .hilbert import (_AMPLITUDE_NORM_TOL, _NEGATIVE_PROB_TOL, _PROB_SUM_TOL,
+                      STRUCTURAL_TOL, as_matrix, is_hermitian, is_unitary)
 
 
 class StateError(ValueError):
@@ -34,10 +34,10 @@ class ProbabilityVector:
             raise StateError("probabilities must form a nonempty 1-d vector")
         if not np.all(np.isfinite(p)):
             raise StateError(f"non-finite probability in {p.tolist()}")
-        if np.min(p) < -1e-12:
+        if np.min(p) < -_NEGATIVE_PROB_TOL:
             raise StateError(f"negative probability {np.min(p)}")
         p = np.clip(p, 0.0, None)
-        if abs(p.sum() - 1.0) > 1e-9:
+        if abs(p.sum() - 1.0) > _PROB_SUM_TOL:
             raise StateError(f"probabilities sum to {p.sum()}, not 1")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
@@ -74,7 +74,7 @@ class PureState:
         if not np.all(np.isfinite(a)):
             raise StateError(f"non-finite amplitude in {a.tolist()}")
         norm = np.linalg.norm(a)
-        if abs(norm - 1.0) > 1e-6:
+        if abs(norm - 1.0) > _AMPLITUDE_NORM_TOL:
             raise StateError(f"amplitude norm {norm} too far from 1")
         a /= norm
         a.setflags(write=False)
@@ -132,33 +132,6 @@ class DensityMatrix:
         return float(np.trace(self.matrix @ self.matrix).real)
 
 
-@dataclass(frozen=True)
-class Povm:
-    """Positive effects summing to the identity."""
-
-    effects: tuple
-
-    def __post_init__(self):
-        effects = tuple(as_matrix(e) for e in self.effects)
-        if not effects:
-            raise MeasurementError("POVM needs at least one effect")
-        dim = effects[0].shape[0]
-        total = np.zeros((dim, dim), dtype=np.complex128)
-        for e in effects:
-            if e.shape != (dim, dim):
-                raise MeasurementError("POVM effects have mismatched shapes")
-            if not is_psd(e):
-                raise MeasurementError("POVM effect is not PSD")
-            total += e
-        if np.max(np.abs(total - np.eye(dim))) > STRUCTURAL_TOL:
-            raise MeasurementError("POVM effects do not sum to the identity")
-        object.__setattr__(self, "effects", effects)
-
-    @property
-    def dim(self) -> int:
-        return self.effects[0].shape[0]
-
-
 def square_root_embed(p: ProbabilityVector) -> PureState:
     """Embed a distribution as the vector of its nonnegative square roots."""
     return PureState(np.sqrt(p.probs).astype(np.complex128))
@@ -177,15 +150,15 @@ def outcome_probabilities(state: DensityMatrix, frame) -> ProbabilityVector:
 
 
 def _check_projective(projectors, dim: int) -> None:
+    # Hermitian idempotents that sum to the identity are pairwise orthogonal:
+    # P_j = sum_i P_j P_i P_j = P_j + sum_{i != j} (P_i P_j)^H (P_i P_j)
     total = np.zeros((dim, dim), dtype=np.complex128)
     for i, p in enumerate(projectors):
         if p.shape != (dim, dim):
             raise MeasurementError("projector dimension mismatch")
-        for j, q in enumerate(projectors):
-            expect = p if i == j else 0.0
-            if np.max(np.abs(p @ q - expect)) > STRUCTURAL_TOL:
-                raise MeasurementError(
-                    f"projectors {i},{j} are not orthogonal idempotents")
+        if not is_hermitian(p) or np.max(np.abs(p @ p - p)) > STRUCTURAL_TOL:
+            raise MeasurementError(
+                f"projector {i} is not a Hermitian idempotent")
         total += p
     if np.max(np.abs(total - np.eye(dim))) > STRUCTURAL_TOL:
         raise MeasurementError("projectors do not sum to the identity")
@@ -201,20 +174,6 @@ def lueders_update(state: DensityMatrix, projectors) -> DensityMatrix:
     out = sum(p @ state.matrix @ p for p in projs)
     out = (out + out.conj().T) / 2
     return DensityMatrix(out)
-
-
-def measure_frame(state: DensityMatrix, frame) -> DensityMatrix:
-    """Lueders update for a non-degenerate question given as a frame."""
-    return lueders_update(state, frame_projectors(frame))
-
-
-def povm_probabilities(state: DensityMatrix, povm: Povm) -> ProbabilityVector:
-    """Outcome distribution trace(rho E_i) of a generalized measurement."""
-    if povm.dim != state.dim:
-        raise MeasurementError(
-            f"POVM dim {povm.dim} does not match state dim {state.dim}")
-    p = np.array([np.trace(state.matrix @ e).real for e in povm.effects])
-    return ProbabilityVector(p)
 
 
 def degenerate_yes_probability(state: DensityMatrix, subspace_basis) -> float:

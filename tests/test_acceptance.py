@@ -11,10 +11,10 @@ from qcog.nosignal import (LocalSeries, no_signalling_check,
 from qcog.sequential import (interference_region_scan, sequential_probability,
                              sequential_probability_via_states,
                              spin_order_demo)
-from qcog.states import (DensityMatrix, PureState, degenerate_yes_probability,
-                         measure_frame)
+from qcog.states import DensityMatrix, PureState, degenerate_yes_probability
 
 from .conftest import haar_unitary
+from .oracles import measure_frame
 
 T1 = str(fixture_path("table1.json"))
 T2 = str(fixture_path("table2.json"))

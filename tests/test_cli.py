@@ -1,12 +1,18 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcog.cli import main
-from qcog.ingest import (IngestError, fixture_path, load_order_pair,
-                         load_survey, survey_to_dict)
+from qcog.ingest import IngestError, fixture_path, load_order_pair, load_survey
+
+from .oracles import survey_to_dict
 
 
 def write_survey(path, rows):
@@ -74,6 +80,20 @@ class TestIngest:
             assert a.text == b.text
             assert a.polarity == b.polarity
             assert np.array_equal(a.probs.probs, b.probs.probs)
+
+    def test_rejects_questions_not_a_list(self, tmp_path):
+        path = tmp_path / "five.json"
+        path.write_text(json.dumps({"sample_label": "x", "questions": 5}))
+        with pytest.raises(IngestError, match="questions must be a list"):
+            load_survey(path)
+
+    def test_rejects_ordering_not_a_list(self, tmp_path):
+        doc = json.loads(fixture_path("moore.json").read_text())
+        doc["ordering_1"] = 5
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(IngestError, match="list of 2 entries"):
+            load_order_pair(path)
 
     def test_moore_pair(self, moore):
         pair = load_order_pair(moore)
@@ -179,6 +199,111 @@ class TestExitCodes:
     def test_help_exit(self, capsys):
         assert main(["fit-chain", "--help"]) == 0
         assert "--isolate-first" in capsys.readouterr().out
+
+
+SURVEY = json.loads(fixture_path("table1.json").read_text())
+PAIR = json.loads(fixture_path("moore.json").read_text())
+NOT_A_LIST = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=5),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+NOT_A_NUMBER = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=5),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+# added to one percentage, moves its row's sum outside [99, 101]; an integer
+# past float range too
+OFF_SUM = st.one_of(st.floats(1.5, 1e300), st.floats(-1e300, -1.5),
+                    st.integers(2, 10 ** 400))
+
+
+@st.composite
+def malformed_survey(draw):
+    doc = copy.deepcopy(SURVEY)
+    rows = doc["questions"]
+    i = draw(st.integers(0, len(rows) - 1))
+    row = rows[i]
+    key = draw(st.sampled_from(["yes", "unsure", "no"]))
+    defect = draw(st.sampled_from([
+        "questions", "no questions", "row", "missing key", "type",
+        "non-finite", "sum", "polarity", "label"]))
+    if defect == "questions":
+        doc["questions"] = draw(NOT_A_LIST)
+    elif defect == "no questions":
+        doc["questions"] = []
+    elif defect == "row":
+        rows[i] = draw(st.one_of(
+            NOT_A_LIST, st.lists(st.integers(), max_size=3)))
+    elif defect == "missing key":
+        del row[draw(st.sampled_from(["text", "yes", "unsure", "no"]))]
+    elif defect == "type":
+        row[key] = draw(NOT_A_NUMBER)
+    elif defect == "non-finite":
+        row[key] = draw(NON_FINITE)
+    elif defect == "sum":
+        row[key] += draw(OFF_SUM)
+    elif defect == "polarity":
+        row["polarity"] = draw(st.one_of(
+            st.none(), st.integers(),
+            st.text(max_size=5).filter(
+                lambda t: t not in ("favour", "oppose", "neutral"))))
+    else:
+        del doc["sample_label"]
+    return doc
+
+
+@st.composite
+def malformed_pair(draw):
+    doc = copy.deepcopy(PAIR)
+    field = draw(st.sampled_from(
+        ["question_names", "ordering_1", "ordering_2"]))
+    ordering = doc[draw(st.sampled_from(["ordering_1", "ordering_2"]))]
+    i, j = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    defect = draw(st.sampled_from([
+        "field", "length", "missing", "row", "type", "non-finite", "sum",
+        "empty row", "mismatch"]))
+    if defect == "field":
+        doc[field] = draw(NOT_A_LIST)
+    elif defect == "length":
+        doc[field] = (doc[field] * 2)[:draw(st.sampled_from([0, 1, 3, 4]))]
+    elif defect == "missing":
+        del doc[field]
+    elif defect == "row":
+        ordering[i] = draw(NOT_A_LIST)
+    elif defect == "type":
+        ordering[i][j] = draw(NOT_A_NUMBER)
+    elif defect == "non-finite":
+        ordering[i][j] = draw(NON_FINITE)
+    elif defect == "sum":
+        ordering[i][j] += draw(OFF_SUM)
+    elif defect == "empty row":
+        ordering[i] = []
+    else:
+        # the other ordering still asks this question with two answers
+        doc["ordering_1"][i] = [20, 30, 50]
+    return doc
+
+
+class TestMalformedInput:
+    @settings(max_examples=100, deadline=None)
+    @given(doc=st.one_of(malformed_survey(), malformed_pair()))
+    def test_every_file_subcommand_exits_1(self, doc, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("doc") / "doc.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)  # non-finite numbers as bare NaN/Infinity
+        t1 = str(fixture_path("table1.json"))
+        for argv in (["check-classical", path, t1, "--tol", "0.01"],
+                     ["check-classical", t1, path, "--tol", "0.01"],
+                     ["check-order", path, "--tol", "0.05"],
+                     ["check-contraction", path],
+                     ["check-feasibility", path, "--tol", "0"],
+                     ["fit-chain", path, "--tol", "0.07"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert (code, out.getvalue()) == (1, ""), (argv, doc)
+            assert err.getvalue().startswith("error:"), (argv, doc)
 
 
 class TestJsonOutputs:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qcog.hilbert import (frame_projectors, is_hermitian, is_psd, is_unitary,
-                          kron, partial_trace)
+                          partial_trace)
 
 from .conftest import haar_unitary, random_density
 
@@ -23,17 +23,21 @@ class TestPredicates:
 
 
 class TestKron:
+    """np.kron's layout, the left factor indexing the blocks, is the factor
+    order that ``partial_trace``, ``apply_series`` and the dense oracles in
+    ``tests/oracles.py`` take ``dims`` in."""
+
     def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(3)), np.eye(6))
+        assert np.array_equal(np.kron(np.eye(2), np.eye(3)), np.eye(6))
 
     def test_diagonal_blocks(self):
-        out = kron(np.diag([1.0, 2.0]), np.eye(2))
+        out = np.kron(np.diag([1.0, 2.0]), np.eye(2))
         assert np.array_equal(out, np.diag([1.0, 1.0, 2.0, 2.0]))
 
     def test_kron_of_unitaries_is_unitary(self):
         # oracle: check U^dagger U = I on the product directly
         rng = np.random.default_rng(7)
-        u = kron(haar_unitary(rng, 3), haar_unitary(rng, 3))
+        u = np.kron(haar_unitary(rng, 3), haar_unitary(rng, 3))
         assert np.max(np.abs(u.conj().T @ u - np.eye(9))) < 1e-12
 
     def test_associative(self):
@@ -41,8 +45,8 @@ class TestKron:
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        assert np.allclose(kron(kron(a, b), c), kron(a, kron(b, c)),
-                           atol=1e-12)
+        assert np.allclose(np.kron(np.kron(a, b), c),
+                           np.kron(a, np.kron(b, c)), atol=1e-12)
 
 
 def _contract_oracle(rho, dims, keep):
@@ -70,7 +74,7 @@ class TestPartialTrace:
         rng = np.random.default_rng(5)
         ra = random_density(rng, 2)
         rb = random_density(rng, 3)
-        got = partial_trace(kron(ra, rb), [2, 3], keep=0)
+        got = partial_trace(np.kron(ra, rb), [2, 3], keep=0)
         assert np.allclose(got, ra, atol=1e-12)
 
     def test_maximally_mixed(self):

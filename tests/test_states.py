@@ -3,13 +3,13 @@ import pytest
 
 from qcog import hilbert, states
 from qcog.hilbert import STRUCTURAL_TOL, frame_projectors
-from qcog.states import (DensityMatrix, MeasurementError, Povm,
-                         ProbabilityVector, PureState, StateError,
-                         degenerate_yes_probability, lueders_update,
-                         measure_frame, outcome_probabilities,
-                         povm_probabilities, square_root_embed)
+from qcog.states import (DensityMatrix, MeasurementError, ProbabilityVector,
+                         PureState, StateError, degenerate_yes_probability,
+                         lueders_update, outcome_probabilities,
+                         square_root_embed)
 
 from .conftest import haar_unitary, random_probs
+from .oracles import measure_frame
 
 
 class TestProbabilityVector:
@@ -169,6 +169,13 @@ class TestLuedersUpdate:
         with pytest.raises(MeasurementError):
             lueders_update(rho, [p1, np.diag([1.0, 0.0]).astype(complex)])
 
+    def test_rejects_oblique_projectors(self):
+        # idempotent, mutually annihilating and complete, but not Hermitian
+        rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
+        p = np.array([[1.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(MeasurementError, match="Hermitian"):
+            lueders_update(rho, [p, np.eye(2) - p])
+
     def test_purity_never_increases(self):
         rng = np.random.default_rng(37)
         for _ in range(200):
@@ -201,50 +208,6 @@ class TestLuedersUpdate:
             assert np.allclose(sp.probs, sm.probs, atol=1e-12)
             pure = measure_frame(pure, frame)
             mixed = measure_frame(mixed, frame)
-
-
-class TestPovm:
-    def test_projective_special_case(self):
-        rng = np.random.default_rng(47)
-        u = haar_unitary(rng, 3)
-        rho = DensityMatrix(np.diag(random_probs(rng, 3)).astype(complex))
-        povm = Povm(tuple(frame_projectors(u)))
-        assert np.allclose(povm_probabilities(rho, povm).probs,
-                           outcome_probabilities(rho, u).probs, atol=1e-12)
-
-    def test_trivial_effects(self):
-        rho = DensityMatrix(np.diag([0.6, 0.4]).astype(complex))
-        povm = Povm((np.eye(2) / 3, np.eye(2) / 3, np.eye(2) / 3))
-        assert np.allclose(povm_probabilities(rho, povm).probs,
-                           [1 / 3] * 3, atol=1e-14)
-
-    def test_random_povm_against_trace_oracle(self):
-        rng = np.random.default_rng(53)
-        p = 0.85
-        rho = DensityMatrix(np.diag([p, 1 - p]).astype(complex))
-        for _ in range(20):
-            # two random PSD effects plus the completing third
-            effects = []
-            remaining = np.eye(2, dtype=complex)
-            for _ in range(2):
-                g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                e = g @ g.conj().T
-                lam = np.linalg.eigvalsh(remaining - 1e-3 * np.eye(2))
-                e *= (0.4 * min(lam) / max(np.linalg.eigvalsh(e)))
-                effects.append(e)
-                remaining = remaining - e
-            effects.append(remaining)
-            povm = Povm(tuple(effects))
-            got = povm_probabilities(rho, povm).probs
-            oracle = np.array([np.trace(rho.matrix @ e).real for e in effects])
-            assert np.allclose(got, oracle, atol=1e-12)
-            for prob, e in zip(got, effects):
-                tr = np.trace(e).real
-                assert (1 - p) * tr - 1e-12 <= prob <= p * tr + 1e-12
-
-    def test_invalid_povm(self):
-        with pytest.raises(MeasurementError):
-            Povm((np.eye(2) / 2,))
 
 
 class TestDegenerateQuestion:
