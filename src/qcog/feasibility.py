@@ -204,6 +204,15 @@ def _transition(prev: np.ndarray, nxt: np.ndarray, i: int,
     )
 
 
+def _require_transition(chain: SurveyChain, isolate_first: bool) -> None:
+    # the one chain-length rule of checking and fitting: at least one
+    # transition, not counting the exempt one from an isolated first question
+    if len(chain.questions) < 2 + isolate_first:
+        after = " after the isolated first one" if isolate_first else ""
+        raise ValueError(
+            f"need at least two questions{after} to check a transition")
+
+
 def contraction_check(chain: SurveyChain, tol: float = 0.0) -> FeasibilityReport:
     """Per-transition contraction and majorization report for a chain."""
     return chain_feasibility(chain, False, tol)
@@ -217,9 +226,8 @@ def chain_feasibility(chain: SurveyChain, isolate_first: bool,
     question lives on its own tensor factor of a product state, so its
     outcome constrains nothing downstream.
     """
+    _require_transition(chain, isolate_first)
     dists = chain.distributions()
-    if len(dists) < 2:
-        raise ValueError("need at least two questions to check a transition")
     transitions = tuple(
         _transition(dists[i], dists[i + 1], i, tol,
                     exempt=isolate_first and i == 0)

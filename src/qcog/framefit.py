@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feasibility import SurveyChain, majorization_check
+from .feasibility import SurveyChain, _require_transition, majorization_check
 from .hilbert import _DIAGONAL_TOL, RESIDUAL_LIMIT, frame_projectors
 from .states import (DensityMatrix, ProbabilityVector, lueders_update,
                      outcome_probabilities, square_root_embed)
@@ -194,10 +194,8 @@ def fit_chain(chain: SurveyChain, isolate_first: bool, tol: float) -> FitResult:
     projected row is the next spectrum, so a chain can fail here although
     each pair of input rows is within ``tol`` in ``chain_feasibility``.
     """
+    _require_transition(chain, isolate_first)
     base_index = 1 if isolate_first else 0
-    if len(chain.questions) <= base_index:
-        raise ValueError("chain too short for this fitting mode")
-
     questions = chain.questions
     lam = questions[base_index].probs.probs
     frames = [np.eye(chain.dim, dtype=np.complex128)]

@@ -35,26 +35,26 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def is_hermitian(m, tol: float = STRUCTURAL_TOL) -> bool:
+def is_hermitian(m) -> bool:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         return False
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
+    return bool(np.max(np.abs(a - a.conj().T)) <= STRUCTURAL_TOL)
 
 
-def is_unitary(m, tol: float = STRUCTURAL_TOL) -> bool:
+def is_unitary(m) -> bool:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         return False
     eye = np.eye(a.shape[0])
-    return bool(np.max(np.abs(a.conj().T @ a - eye)) <= tol)
+    return bool(np.max(np.abs(a.conj().T @ a - eye)) <= STRUCTURAL_TOL)
 
 
-def is_psd(m, tol: float = STRUCTURAL_TOL) -> bool:
+def is_psd(m) -> bool:
     a = as_matrix(m)
-    if not is_hermitian(a, tol):
+    if not is_hermitian(a):
         return False
-    return bool(np.min(np.linalg.eigvalsh(a)) >= -tol)
+    return bool(np.min(np.linalg.eigvalsh(a)) >= -STRUCTURAL_TOL)
 
 
 def partial_trace(rho, dims, keep: int) -> np.ndarray:
@@ -73,15 +73,10 @@ def partial_trace(rho, dims, keep: int) -> np.ndarray:
     if not 0 <= keep < n:
         raise ValueError(f"keep index {keep} out of range for {n} factors")
 
-    t = a.reshape(dims + dims)
-    # shared letter on traced factors, distinct row/col letters on the kept one
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    row = list(letters[:n])
-    col = list(letters[:n])
-    row[keep] = "y"
-    col[keep] = "z"
-    sub = "".join(row) + "".join(col) + "->yz"
-    return np.einsum(sub, t)
+    # the factors before and after the kept one, each group as one index
+    d = dims[keep]
+    pre, post = int(np.prod(dims[:keep])), int(np.prod(dims[keep + 1:]))
+    return np.einsum("aibajb->ij", a.reshape(pre, d, post, pre, d, post))
 
 
 def frame_projectors(frame) -> list[np.ndarray]:

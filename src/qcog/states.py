@@ -46,7 +46,7 @@ class ProbabilityVector:
     def from_percents(cls, values) -> "ProbabilityVector":
         """Divide by 100 and renormalize; reject if the sum is off by > 1%."""
         v = np.asarray(values, dtype=float)
-        if np.min(v) < 0:
+        if np.any(v < 0):  # an empty list fails the sum check below
             raise StateError(f"negative percentage in {list(v)}")
         s = v.sum()
         if abs(s - 100.0) > 1.0:
@@ -55,9 +55,6 @@ class ProbabilityVector:
 
     @property
     def dim(self) -> int:
-        return self.probs.size
-
-    def __len__(self) -> int:
         return self.probs.size
 
 
@@ -182,6 +179,8 @@ def degenerate_yes_probability(state: DensityMatrix, subspace_basis) -> float:
     ``subspace_basis`` spans the subspace whose projector defines 'yes'.
     """
     vecs = [np.asarray(v, dtype=np.complex128) for v in subspace_basis]
+    if not vecs:
+        raise MeasurementError("subspace basis is empty")
     gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
     if np.max(np.abs(gram - np.eye(len(vecs)))) > STRUCTURAL_TOL:
         raise MeasurementError("subspace basis is not orthonormal")

@@ -151,6 +151,20 @@ class TestExitCodes:
         assert main(["check-feasibility", path, "--tol", "0"]) == 1
         assert "at least two questions" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows,argv", [
+        ([[50, 30, 20]], ["fit-chain", "--tol", "0"]),
+        ([[50, 30, 20], [45, 30, 25]],
+         ["fit-chain", "--isolate-first", "--tol", "0"]),
+        ([[50, 30, 20], [45, 30, 25]],
+         ["check-feasibility", "--isolate-first", "--tol", "0"]),
+    ])
+    def test_chain_without_transition(self, tmp_path, capsys, rows, argv):
+        # nothing to fit or check: an isolated first question is exempt
+        path = write_survey(tmp_path / "short.json", rows)
+        assert main([argv[0], path, *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+
     @pytest.mark.parametrize("argv", [
         ["check-feasibility", "--isolate-first", "--tol", "0.07"],
         ["check-contraction", "--json"],
@@ -361,29 +375,27 @@ class TestScanCsv:
 class TestSeedHandling:
     NOSIGNAL = ["nosignal-demo", "--trials", "3", "--steps", "2", "--json"]
 
-    def test_env_seed_override(self, capsys, monkeypatch):
+    def test_seed_flag_is_the_only_seed(self, capsys, monkeypatch):
+        # the seed changes the output; an environment variable does not
         monkeypatch.delenv("QCOG_SEED", raising=False)
         main(self.NOSIGNAL + ["--seed", "7"])
-        plain = capsys.readouterr().out
+        seven = capsys.readouterr().out
         main(self.NOSIGNAL + ["--seed", "0"])
-        other = capsys.readouterr().out
+        zero = capsys.readouterr().out
         monkeypatch.setenv("QCOG_SEED", "7")
         main(self.NOSIGNAL + ["--seed", "0"])
-        assert capsys.readouterr().out == plain != other
+        assert seven != zero == capsys.readouterr().out
 
-    def test_fixed_seed_byte_identical(self, capsys, monkeypatch):
-        monkeypatch.delenv("QCOG_SEED", raising=False)
+    def test_fixed_seed_byte_identical(self, capsys):
         args = self.NOSIGNAL + ["--seed", "3"]
         main(args)
         first = capsys.readouterr().out
         main(args)
         assert capsys.readouterr().out == first
 
-    def test_fit_chain_byte_identical(self, t1, capsys, monkeypatch):
-        # fitting draws nothing at random, so QCOG_SEED cannot change it
+    def test_fit_chain_byte_identical(self, t1, capsys):
         args = ["fit-chain", t1, "--isolate-first", "--tol", "0", "--json"]
         main(args)
         first = capsys.readouterr().out
-        monkeypatch.setenv("QCOG_SEED", "7")
         main(args)
         assert capsys.readouterr().out == first

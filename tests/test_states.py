@@ -30,6 +30,10 @@ class TestProbabilityVector:
         with pytest.raises(StateError):
             ProbabilityVector.from_percents([50, 30, 17])  # sums to 97
 
+    def test_from_percents_rejects_empty(self):
+        with pytest.raises(StateError):
+            ProbabilityVector.from_percents([])
+
     def test_from_percents_renormalizes(self):
         p = ProbabilityVector.from_percents([50, 30, 20.5])
         assert abs(p.probs.sum() - 1.0) < 1e-15
@@ -68,9 +72,9 @@ class TestDensityMatrix:
         calls = []
         original = hilbert.is_hermitian
 
-        def counted(m, tol=STRUCTURAL_TOL):
+        def counted(m):
             calls.append(1)
-            return original(m, tol)
+            return original(m)
 
         monkeypatch.setattr(hilbert, "is_hermitian", counted)
         monkeypatch.setattr(states, "is_hermitian", counted)
@@ -234,6 +238,11 @@ class TestDegenerateQuestion:
         v = np.array([1.0, 1.0], dtype=complex)
         with pytest.raises(MeasurementError):
             degenerate_yes_probability(rho, [v])
+
+    def test_rejects_empty_basis(self):
+        rho = DensityMatrix(np.eye(2) / 2)
+        with pytest.raises(MeasurementError, match="empty"):
+            degenerate_yes_probability(rho, [])
 
     def test_degenerate_lueders_same_code_path(self):
         # rank-2 + rank-1 projectors form a valid degenerate measurement
