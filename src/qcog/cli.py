@@ -1,7 +1,9 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 error (bad input, usage or a failed post-check),
-2 analysis ran and found a violation (so scripts can branch on findings).
+The parser is built once, at import, from the ``_SUBCOMMANDS`` table.
+Exit codes: 0 success, 1 error (bad input or usage, an unreadable input
+or unwritable output path, or a failed post-check), 2 analysis ran and
+found a violation (so scripts can branch on findings).
 ``nosignal-demo`` alone draws random numbers, seeded by ``--seed`` only;
 every other subcommand depends on its input files alone.  ``--json``
 output is strict JSON.
@@ -87,7 +89,7 @@ def _print_feasibility(report: feasibility.FeasibilityReport) -> None:
 
 def cmd_check_contraction(args) -> int:
     chain = ingest.load_survey(args.survey)
-    report = feasibility.contraction_check(chain, tol=args.tol)
+    report = feasibility.contraction_check(chain)
     if args.json:
         _emit_json(report)
     else:
@@ -197,89 +199,65 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_TOL = ("--tol", {"type": _tolerance, "required": True})
+_CHAIN = (("survey", {}), _TOL, ("--isolate-first", {"action": "store_true"}))
+
+# (name, handler, help, arguments); every subcommand also takes --json
+_SUBCOMMANDS = (
+    ("check-classical", cmd_check_classical,
+     "total-probability check of the two samples' final question",
+     (("sample_a", {}), ("sample_b", {}), _TOL)),
+    ("check-order", cmd_check_order,
+     "flag marginals that depend on question order",
+     (("pair_file", {}), _TOL)),
+    ("check-contraction", cmd_check_contraction,
+     "max/min contraction report for a question chain", (("survey", {}),)),
+    ("check-feasibility", cmd_check_feasibility,
+     "majorization feasibility of a question chain", _CHAIN),
+    ("fit-chain", cmd_fit_chain,
+     "construct orthonormal frames reproducing the chain", _CHAIN),
+    ("conjunction-scan", cmd_conjunction_scan,
+     "scan the (p, q) square for the interference region",
+     (("--grid", {"type": int, "default": 101}),
+      ("--out", {"help": "write the grid as CSV"}))),
+    ("spin-demo", cmd_spin_demo, "spin-1/2 question-order demonstration", ()),
+    ("nosignal-demo", cmd_nosignal_demo,
+     "random-state no-signalling deviation statistics",
+     (("--trials", {"type": _positive_int, "default": 100}),
+      ("--steps", {"type": _positive_int, "default": 4}),
+      ("--seed", {"type": int, "default": 0}))),
+)
+
+
+def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcog",
         description="Quantum-probability analysis of sequential survey data")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_json(p):
+    for name, func, help_text, arguments in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
         p.add_argument("--json", action="store_true",
                        help="emit the report as JSON")
-
-    p = sub.add_parser("check-classical",
-                       help="total-probability check of the two samples' "
-                            "final question")
-    p.add_argument("sample_a")
-    p.add_argument("sample_b")
-    p.add_argument("--tol", type=_tolerance, required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_check_classical)
-
-    p = sub.add_parser("check-order",
-                       help="flag marginals that depend on question order")
-    p.add_argument("pair_file")
-    p.add_argument("--tol", type=_tolerance, required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_check_order)
-
-    p = sub.add_parser("check-contraction",
-                       help="max/min contraction report for a question chain")
-    p.add_argument("survey")
-    p.add_argument("--tol", type=_tolerance, default=0.0)
-    add_json(p)
-    p.set_defaults(func=cmd_check_contraction)
-
-    p = sub.add_parser("check-feasibility",
-                       help="majorization feasibility of a question chain")
-    p.add_argument("survey")
-    p.add_argument("--tol", type=_tolerance, required=True)
-    p.add_argument("--isolate-first", action="store_true")
-    add_json(p)
-    p.set_defaults(func=cmd_check_feasibility)
-
-    p = sub.add_parser("fit-chain",
-                       help="construct orthonormal frames reproducing the "
-                            "chain")
-    p.add_argument("survey")
-    p.add_argument("--tol", type=_tolerance, required=True)
-    p.add_argument("--isolate-first", action="store_true")
-    add_json(p)
-    p.set_defaults(func=cmd_fit_chain)
-
-    p = sub.add_parser("conjunction-scan",
-                       help="scan the (p, q) square for the interference region")
-    p.add_argument("--grid", type=int, default=101)
-    p.add_argument("--out", help="write the grid as CSV")
-    add_json(p)
-    p.set_defaults(func=cmd_conjunction_scan)
-
-    p = sub.add_parser("spin-demo",
-                       help="spin-1/2 question-order demonstration")
-    add_json(p)
-    p.set_defaults(func=cmd_spin_demo)
-
-    p = sub.add_parser("nosignal-demo",
-                       help="random-state no-signalling deviation statistics")
-    p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--steps", type=_positive_int, default=4)
-    p.add_argument("--seed", type=int, default=0)
-    add_json(p)
-    p.set_defaults(func=cmd_nosignal_demo)
-
+        p.set_defaults(func=func)
     return parser
+
+
+# built once: parse_args leaves the parser unchanged
+_PARSER = _make_parser()
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for usage errors; 2 means
         # "violation found" here, so a usage error becomes 1
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)
-    except (ValueError, framefit.FitError) as exc:
+    except (ValueError, OSError, framefit.FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -213,9 +213,9 @@ def _require_transition(chain: SurveyChain, isolate_first: bool) -> None:
             f"need at least two questions{after} to check a transition")
 
 
-def contraction_check(chain: SurveyChain, tol: float = 0.0) -> FeasibilityReport:
-    """Per-transition contraction and majorization report for a chain."""
-    return chain_feasibility(chain, False, tol)
+def contraction_check(chain: SurveyChain) -> FeasibilityReport:
+    """Per-transition contraction and majorization (at tol 0) report."""
+    return chain_feasibility(chain, False, 0.0)
 
 
 def chain_feasibility(chain: SurveyChain, isolate_first: bool,

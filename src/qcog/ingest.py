@@ -35,12 +35,11 @@ def fixture_path(name: str) -> Path:
 
 
 def _load_json(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise IngestError(f"no such file: {path}")
     try:
-        with path.open() as fh:
+        with open(path) as fh:
             return json.load(fh)
+    except OSError as exc:
+        raise IngestError(f"{path}: cannot read ({exc.strerror})") from exc
     except json.JSONDecodeError as exc:
         raise IngestError(f"{path}: not valid JSON ({exc})") from exc
 

@@ -92,6 +92,8 @@ class DensityMatrix:
         m = as_matrix(self.matrix).copy()
         if m.shape[0] != m.shape[1]:
             raise StateError("density matrix must be square")
+        if not np.all(np.isfinite(m)):
+            raise StateError("non-finite entry in the density matrix")
         if not is_hermitian(m):
             raise StateError("density matrix is not Hermitian")
         if abs(np.trace(m).real - 1.0) > STRUCTURAL_TOL:
@@ -181,6 +183,8 @@ def degenerate_yes_probability(state: DensityMatrix, subspace_basis) -> float:
     vecs = [np.asarray(v, dtype=np.complex128) for v in subspace_basis]
     if not vecs:
         raise MeasurementError("subspace basis is empty")
+    if any(v.shape != (state.dim,) for v in vecs):
+        raise MeasurementError(f"basis vectors must have length {state.dim}")
     gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
     if np.max(np.abs(gram - np.eye(len(vecs)))) > STRUCTURAL_TOL:
         raise MeasurementError("subspace basis is not orthonormal")

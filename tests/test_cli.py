@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import hashlib
@@ -199,12 +200,13 @@ class TestExitCodes:
         ["check-classical", "table1.json", "table2.json", "--tol", "nan"],
         ["check-order", "moore.json", "--tol", "nan"],
         ["check-feasibility", "table1.json", "--tol", "nan"],
-        ["check-contraction", "table1.json", "--tol", "inf"],
+        ["check-feasibility", "table1.json", "--tol", "inf"],
         ["fit-chain", "table1.json", "--tol", "-0.1"],
         ["nosignal-demo", "--trials", "-3"],
         ["nosignal-demo", "--trials", "0"],
         ["nosignal-demo", "--steps", "0"],
         ["nosignal-demo", "--steps", "-3"],
+        ["check-contraction", "table1.json", "--tol", "0.1"],
     ])
     def test_usage_error_exit(self, capsys, argv):
         assert main(argv) == 1
@@ -213,6 +215,25 @@ class TestExitCodes:
     def test_help_exit(self, capsys):
         assert main(["fit-chain", "--help"]) == 0
         assert "--isolate-first" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["check-contraction", "."],
+        ["conjunction-scan", "--grid", "3", "--out", "missing/dir/x.csv"],
+    ])
+    def test_os_error_exit(self, tmp_path, capsys, monkeypatch, argv):
+        # a directory as input, an output in a directory that does not exist
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an ArgumentParser was built per call")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+        assert [main(["spin-demo", "--json"]), main(["no-such-command"]),
+                main(["fit-chain", "--help"])] == [0, 1, 0]
 
 
 SURVEY = json.loads(fixture_path("table1.json").read_text())

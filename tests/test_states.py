@@ -65,8 +65,15 @@ class TestDensityMatrix:
     def test_rejects_malformed(self):
         with pytest.raises(StateError, match="square"):
             DensityMatrix(np.ones((2, 3)) / 2)
-        with pytest.raises(StateError, match="not Hermitian"):
+        with pytest.raises(StateError, match="non-finite"):
             DensityMatrix(np.diag([np.nan, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        m = np.eye(2) / 2
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(StateError, match="non-finite"):
+            DensityMatrix(m)
 
     def test_hermiticity_checked_once(self, monkeypatch):
         calls = []
@@ -243,6 +250,11 @@ class TestDegenerateQuestion:
         rho = DensityMatrix(np.eye(2) / 2)
         with pytest.raises(MeasurementError, match="empty"):
             degenerate_yes_probability(rho, [])
+
+    def test_rejects_wrong_length(self):
+        rho = DensityMatrix(np.eye(3) / 3)
+        with pytest.raises(MeasurementError, match="length 3"):
+            degenerate_yes_probability(rho, [np.array([1, 0])])
 
     def test_degenerate_lueders_same_code_path(self):
         # rank-2 + rank-1 projectors form a valid degenerate measurement
