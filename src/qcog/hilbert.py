@@ -6,6 +6,8 @@ frame vectors.  Everything here is a pure function over immutable inputs.
 """
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 # Tolerances, in one table.  Each value is fixed; changing one moves verdicts.
@@ -25,6 +27,29 @@ _DIAGONAL_TOL = 1e-13
 _MAJORIZATION_NOISE = 1e-12
 # largest fifth-marginal deviation nosignal-demo reports as no signalling
 _NO_SIGNALLING_TOL = 1e-10
+
+
+def _psd_within_tol(a: np.ndarray) -> bool:
+    # for Hermitian a: a + tol*I has a Cholesky factor exactly when every
+    # eigenvalue of a lies above -STRUCTURAL_TOL; half the cost of eigvalsh
+    shifted = a.copy()
+    shifted.flat[::a.shape[0] + 1] += STRUCTURAL_TOL  # the diagonal
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _index(value, what: str) -> int:
+    # integers only: int() would turn 0.7 into 0 and 3.5 into 3, and
+    # operator.index takes a bool, which is never meant as an index
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def as_matrix(m) -> np.ndarray:
@@ -54,17 +79,18 @@ def is_psd(m) -> bool:
     a = as_matrix(m)
     if not is_hermitian(a):
         return False
-    return bool(np.min(np.linalg.eigvalsh(a)) >= -STRUCTURAL_TOL)
+    return _psd_within_tol(a)
 
 
 def partial_trace(rho, dims, keep: int) -> np.ndarray:
     """Trace out every tensor factor of ``rho`` except ``dims[keep]``.
 
-    ``dims`` lists the factor dimensions whose product must equal the side
-    of the square matrix ``rho``.
+    ``dims`` lists the integer factor dimensions whose product must equal the
+    side of the square matrix ``rho``.
     """
     a = as_matrix(rho)
-    dims = [int(d) for d in dims]
+    dims = [_index(d, "factor dimension") for d in dims]
+    keep = _index(keep, "keep index")
     total = int(np.prod(dims))
     if a.shape != (total, total):
         raise ValueError(

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import (_AMPLITUDE_NORM_TOL, _NEGATIVE_PROB_TOL, _PROB_SUM_TOL,
-                      STRUCTURAL_TOL, as_matrix, is_hermitian, is_unitary)
+                      STRUCTURAL_TOL, _psd_within_tol, as_matrix,
+                      is_hermitian, is_unitary)
 
 
 class StateError(ValueError):
@@ -92,6 +93,8 @@ class DensityMatrix:
         m = as_matrix(self.matrix).copy()
         if m.shape[0] != m.shape[1]:
             raise StateError("density matrix must be square")
+        if m.size == 0:
+            raise StateError("density matrix must be nonempty")
         if not np.all(np.isfinite(m)):
             raise StateError("non-finite entry in the density matrix")
         if not is_hermitian(m):
@@ -99,7 +102,7 @@ class DensityMatrix:
         if abs(np.trace(m).real - 1.0) > STRUCTURAL_TOL:
             raise StateError(f"trace is {np.trace(m).real}, not 1")
         # is_psd would check Hermiticity a second time
-        if not np.min(np.linalg.eigvalsh(m)) >= -STRUCTURAL_TOL:
+        if not _psd_within_tol(m):
             raise StateError("density matrix is not positive semidefinite")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

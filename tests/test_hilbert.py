@@ -104,6 +104,13 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(np.eye(5), [2, 3], keep=0)
 
+    @pytest.mark.parametrize("dims, keep", [((3, 3.5), 0), ((3, 3), 1.0),
+                                            ((3, 3), True)])
+    def test_rejects_non_integer_dims_and_keep(self, dims, keep):
+        # int() would read 3.5 as 3, and True as factor 1
+        with pytest.raises(ValueError, match="must be an integer"):
+            partial_trace(np.eye(9) / 9, dims, keep)
+
 
 class TestFrameProjectors:
     def test_projectors_complete(self):

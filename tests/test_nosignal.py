@@ -45,6 +45,16 @@ class TestLocalSeries:
         with pytest.raises(ValueError):
             LocalSeries(((0, np.ones((3, 3))),))
 
+    @pytest.mark.parametrize("k", [0.7, 1.0, True, np.bool_(False), "1"])
+    def test_rejects_non_integer_index(self, k):
+        # int() would truncate 0.7 to factor 0 and turn True into factor 1
+        with pytest.raises(ValueError, match="factor index must be an integer"):
+            LocalSeries(((k, np.eye(3)),))
+
+    def test_accepts_numpy_integer_index(self):
+        series = LocalSeries(((np.int64(2), np.eye(3)),))
+        assert series.steps[0][0] == 2 and type(series.steps[0][0]) is int
+
 
 class TestEmbedLocal:
     def test_block_structure(self):
@@ -109,6 +119,18 @@ class TestApplySeries:
         with pytest.raises(ValueError, match="factor index"):
             apply_series(state, LocalSeries(((3, np.eye(3)),)), dims=(3, 3, 3))
 
+    def test_rejects_non_integer_dims(self):
+        # int() would read the last factor's 3.5 as 3
+        rng = np.random.default_rng(157)
+        state = random_entangled_state(rng)
+        series = random_local_series(rng, 2)
+        bad = (3, 3, 3, 3, 3.5)
+        for call in (lambda: apply_series(state, series, dims=bad),
+                     lambda: fifth_marginal(state, dims=bad),
+                     lambda: no_signalling_check(state, series, series, bad)):
+            with pytest.raises(ValueError, match="factor dimension must be"):
+                call()
+
     def test_rejects_frame_shape_outside_dims(self):
         rng = np.random.default_rng(127)
         state = random_entangled_state(rng, dims=(2, 3, 3))
@@ -160,6 +182,7 @@ class TestApplySeries:
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "eigh", forbidden)
             m.setattr(np.linalg, "eigvalsh", forbidden)
+            m.setattr(np.linalg, "cholesky", forbidden)
             apply_series(state, series)
             random_entangled_state(rng)
             with pytest.raises(Validated):
@@ -213,6 +236,30 @@ class TestNoSignalling:
             b = random_local_series(rng, 4)
             worst = max(worst, no_signalling_check(state, a, b))
         assert worst < 1e-10
+
+    @pytest.mark.parametrize("dims", [(3,) * 5, (2, 3, 2), (2,) * 7])
+    def test_matches_marginals_of_applied_series(self, dims):
+        # the pair-major marginals against fifth_marginal of the rebuilt
+        # matrices
+        rng = np.random.default_rng(163)
+        for _ in range(3):
+            state = random_entangled_state(rng, dims=dims)
+            a = random_local_series(rng, 4, dims=dims)
+            b = random_local_series(rng, 4, dims=dims)
+            ma = fifth_marginal(apply_series(state, a, dims), dims).probs
+            mb = fifth_marginal(apply_series(state, b, dims), dims).probs
+            dev = no_signalling_check(state, a, b, dims)
+            assert abs(dev - np.max(np.abs(ma - mb))) <= 1e-15
+
+    def test_rejects_when_only_second_series_misfits(self):
+        rng = np.random.default_rng(167)
+        dims = (2, 3, 2)
+        state = random_entangled_state(rng, dims=dims)
+        good = random_local_series(rng, 4, dims=dims)
+        for bad, match in ((LocalSeries(((2, np.eye(2)),)), "factor index"),
+                           (LocalSeries(((0, np.eye(3)),)), "does not fit")):
+            with pytest.raises(ValueError, match=match):
+                no_signalling_check(state, good, bad, dims)
 
 
 class TestMixedDims:

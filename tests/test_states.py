@@ -67,6 +67,8 @@ class TestDensityMatrix:
             DensityMatrix(np.ones((2, 3)) / 2)
         with pytest.raises(StateError, match="non-finite"):
             DensityMatrix(np.diag([np.nan, 1.0]))
+        with pytest.raises(StateError, match="nonempty"):
+            DensityMatrix(np.zeros((0, 0)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
@@ -74,6 +76,33 @@ class TestDensityMatrix:
         m[0, 1] = m[1, 0] = bad
         with pytest.raises(StateError, match="non-finite"):
             DensityMatrix(m)
+
+    @pytest.mark.parametrize("dim", [2, 27, 243])
+    def test_positivity_at_tolerance_edge(self, dim):
+        # a Haar-rotated spectrum whose smallest eigenvalue sits just inside
+        # and just outside -STRUCTURAL_TOL; eigvalsh is the reference rule
+        rng = np.random.default_rng(dim)
+        u = haar_unitary(rng, dim)
+        for scale, accepted in ((0.99, True), (1.01, False)):
+            low = -scale * STRUCTURAL_TOL
+            spectrum = np.concatenate(
+                [[low], rng.dirichlet(np.ones(dim - 1)) * (1.0 - low)])
+            m = (u * spectrum) @ u.conj().T
+            m = (m + m.conj().T) / 2
+            assert (np.min(np.linalg.eigvalsh(m)) >= -STRUCTURAL_TOL) == accepted
+            assert hilbert.is_psd(m) == accepted
+            if accepted:
+                DensityMatrix(m)
+            else:
+                with pytest.raises(StateError, match="positive semidefinite"):
+                    DensityMatrix(m)
+
+    def test_accepts_random_pure_states(self):
+        rng = np.random.default_rng(41)
+        for _ in range(5):
+            psi = rng.standard_normal(243) + 1j * rng.standard_normal(243)
+            psi /= np.linalg.norm(psi)
+            DensityMatrix(np.outer(psi, psi.conj()))
 
     def test_hermiticity_checked_once(self, monkeypatch):
         calls = []
