@@ -62,14 +62,16 @@ def as_matrix(m) -> np.ndarray:
 
 def is_hermitian(m) -> bool:
     a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
+    # a 0x0 matrix gets a non-square matrix's verdict; numpy's max of an
+    # empty array would raise
+    if a.shape[0] != a.shape[1] or a.size == 0:
         return False
     return bool(np.max(np.abs(a - a.conj().T)) <= STRUCTURAL_TOL)
 
 
 def is_unitary(m) -> bool:
     a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
+    if a.shape[0] != a.shape[1] or a.size == 0:
         return False
     eye = np.eye(a.shape[0])
     return bool(np.max(np.abs(a.conj().T @ a - eye)) <= STRUCTURAL_TOL)

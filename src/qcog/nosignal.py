@@ -7,8 +7,15 @@ measurement as one superoperator on its factor's (row, column) index pair,
 and checks the invariance numerically.  The tests check the contraction
 against the same measurements built as dense projectors on the full space.
 Positivity is checked once, where the input state is built, by Cholesky of
-rho + tol*I; ``no_signalling_check`` reads each fifth marginal straight off
-the pair-major tensor and rebuilds no 243x243 matrix.
+rho + tol*I.
+
+Two routes give a series' fifth marginal.  ``apply_series`` followed by
+``fifth_marginal`` is the Schroedinger-picture reference: it evolves the
+state and traces it.  ``no_signalling_check`` works in the Heisenberg
+picture: the marginal is a linear functional of the evolved state, so it
+evolves each earlier factor's trace functional vec(I) backwards through that
+factor's steps, d x d per factor, and contracts the unevolved state with the
+results once; no evolved 243x243 state is built.
 """
 from __future__ import annotations
 
@@ -50,9 +57,18 @@ def _superoperator(u: np.ndarray) -> np.ndarray:
     return w @ w.conj().T
 
 
+def _factor_dims(dims) -> tuple:
+    # int() would read a dimension of 3.5 as 3, and np.prod of (-3, -3) is
+    # a 9-dimensional space
+    dims = tuple(_index(d, "factor dimension") for d in dims)
+    if not dims or min(dims) < 1:
+        raise ValueError(f"factor dimensions must be positive, got {dims}")
+    return dims
+
+
 def _check_series(state: DensityMatrix, series: LocalSeries, dims) -> tuple:
     # dims as ints; raises ValueError unless the state and every step fit them
-    dims = tuple(_index(d, "factor dimension") for d in dims)
+    dims = _factor_dims(dims)
     if state.dim != int(np.prod(dims)):
         raise ValueError(f"state dim {state.dim} does not match {dims}")
     for k, u in series.steps:
@@ -62,24 +78,6 @@ def _check_series(state: DensityMatrix, series: LocalSeries, dims) -> tuple:
             raise ValueError(f"frame of shape {u.shape} does not fit factor {k} "
                              f"of dimension {dims[k]}")
     return dims
-
-
-def _pair_major(m: np.ndarray, dims: tuple) -> np.ndarray:
-    # layout i0 j0 i1 j1 ...: axis k is factor k's (row, column) index pair
-    n = len(dims)
-    t = m.reshape(dims + dims)
-    return t.transpose([a for k in range(n) for a in (k, n + k)]).reshape(
-        [d * d for d in dims])
-
-
-def _run_steps(t: np.ndarray, series: LocalSeries) -> np.ndarray:
-    # each step is one matrix product on its pair axis; t itself is not
-    # written, so one pair-major state can feed several series
-    pairs = t.shape
-    for k, u in series.steps:
-        pre, post = int(np.prod(pairs[:k])), int(np.prod(pairs[k + 1:]))
-        t = np.matmul(_superoperator(u), t.reshape(pre, pairs[k], post))
-    return t.reshape(pairs)
 
 
 def apply_series(state: DensityMatrix, series: LocalSeries,
@@ -103,7 +101,14 @@ def apply_series(state: DensityMatrix, series: LocalSeries,
     if not series.steps:
         return state
     n = len(dims)
-    t = _run_steps(_pair_major(state.matrix, dims), series)
+    # pair-major layout i0 j0 i1 j1 ...: axis k is factor k's (row, column)
+    # index pair, and each step is one matrix product on its axis
+    t = state.matrix.reshape(dims + dims)
+    t = t.transpose([a for k in range(n) for a in (k, n + k)])
+    pairs = [d * d for d in dims]
+    for k, u in series.steps:
+        pre, post = int(np.prod(pairs[:k])), int(np.prod(pairs[k + 1:]))
+        t = np.matmul(_superoperator(u), t.reshape(pre, pairs[k], post))
     t = t.reshape([d for d in dims for _ in range(2)])
     m = t.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
     m = m.reshape(state.dim, state.dim)
@@ -116,25 +121,40 @@ def fifth_marginal(state: DensityMatrix, dims=FIVE_QUESTIONS) -> ProbabilityVect
     return ProbabilityVector(np.diag(reduced).real)
 
 
-def _pair_major_marginal(t: np.ndarray, dims: tuple) -> ProbabilityVector:
-    # fifth_marginal of a pair-major state: trace each earlier factor's pair
-    # diagonal, then read the last factor's diagonal
-    for d in dims[:-1]:
-        t = np.trace(t.reshape(d, d, -1))
-    return ProbabilityVector(np.diag(t.reshape(dims[-1], dims[-1])).real)
+def _heisenberg_marginal(state: DensityMatrix, series: LocalSeries,
+                         dims: tuple) -> ProbabilityVector:
+    # <vec I| M_m ... M_1 on each earlier factor, built from the last step
+    # back (M is Hermitian, so it is its own adjoint), then contracted with
+    # the state; each contraction divides the array's size by d²
+    m = state.matrix
+    for k, d in enumerate(dims[:-1]):
+        r = np.eye(d, dtype=np.complex128).reshape(d * d)
+        for j, u in reversed(series.steps):
+            if j == k:
+                r = r @ _superoperator(u)
+        rest = m.shape[0] // d
+        m = np.tensordot(m.reshape(d, rest, d, rest), r.reshape(d, d),
+                         axes=([0, 2], [0, 1]))
+    return ProbabilityVector(np.diag(m).real)
 
 
 def no_signalling_check(state: DensityMatrix, series_a: LocalSeries,
                         series_b: LocalSeries, dims=FIVE_QUESTIONS) -> float:
     """Largest componentwise gap between the fifth marginals after the two
     series.  Quantum transformation rules force this below numerical noise.
-    The marginals equal ``fifth_marginal(apply_series(...))`` of each series.
+
+    Each marginal is read in the Heisenberg picture: for every factor k
+    below the last, the row vec(I) is multiplied on the right by the
+    superoperator of each of the series' steps on factor k, from the last
+    step back to the first, giving a d_k x d_k functional R_k; the state is
+    then contracted with R_0, ..., R_{n-2}, and the marginal is the real
+    diagonal of the d_last x d_last block that remains.  The marginals equal
+    ``fifth_marginal(apply_series(...))`` of each series, the
+    Schroedinger-picture reference route.
     """
     dims = _check_series(state, series_a, dims)
     _check_series(state, series_b, dims)
-    t = _pair_major(state.matrix, dims)
-    ma, mb = (_pair_major_marginal(_run_steps(t, s), dims)
-              for s in (series_a, series_b))
+    ma, mb = (_heisenberg_marginal(state, s, dims) for s in (series_a, series_b))
     return float(np.max(np.abs(ma.probs - mb.probs)))
 
 
@@ -142,8 +162,9 @@ def random_entangled_state(rng: np.random.Generator,
                            dims=FIVE_QUESTIONS) -> DensityMatrix:
     """Pure state from a normalized complex Gaussian vector; generically
     entangled across every factor cut.  The outer product of a unit vector
-    is a density matrix by construction, so it is not validated again."""
-    total = int(np.prod(dims))
+    is a density matrix by construction, so it is not validated again.
+    A dimension that is not a positive integer raises ValueError."""
+    total = int(np.prod(_factor_dims(dims)))
     psi = rng.standard_normal(total) + 1j * rng.standard_normal(total)
     psi /= np.linalg.norm(psi)
     return DensityMatrix._unchecked(np.outer(psi, psi.conj()))
@@ -151,7 +172,9 @@ def random_entangled_state(rng: np.random.Generator,
 
 def random_local_series(rng: np.random.Generator, n_steps: int = 4,
                         dims=FIVE_QUESTIONS) -> LocalSeries:
-    """Random frames on randomly chosen factors 1..(n-1), via Haar-ish QR."""
+    """Random frames on randomly chosen factors 1..(n-1), via Haar-ish QR.
+    A dimension that is not a positive integer raises ValueError."""
+    dims = _factor_dims(dims)
     steps = []
     for _ in range(n_steps):
         k = int(rng.integers(0, len(dims) - 1))

@@ -414,6 +414,20 @@ class TestSeedHandling:
         main(args)
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("seed", ["0", "3", "7"])
+    def test_nosignal_demo_default_trials(self, seed, capsys):
+        # at the default 100 trials: exit 0, the same keys, no signalling,
+        # byte-identical reruns
+        args = ["nosignal-demo", "--seed", seed, "--json"]
+        assert main(args) == 0
+        first = capsys.readouterr().out
+        assert main(args) == 0
+        assert capsys.readouterr().out == first
+        out = json.loads(first)
+        assert set(out) == {"max_fifth_marginal_deviation", "steps", "trials"}
+        assert out["trials"] == 100
+        assert out["max_fifth_marginal_deviation"] < 1e-10
+
     def test_fit_chain_byte_identical(self, t1, capsys):
         args = ["fit-chain", t1, "--isolate-first", "--tol", "0", "--json"]
         main(args)

@@ -23,6 +23,11 @@ class TestPredicates:
         assert is_psd(np.diag([0.0, 1.0]))
         assert not is_psd(np.diag([-0.1, 1.1]))
 
+    @pytest.mark.parametrize("predicate", [is_hermitian, is_unitary, is_psd])
+    def test_empty_matrix_gets_a_verdict(self, predicate):
+        # the verdict a non-square matrix gets, not numpy's zero-size error
+        assert predicate(np.zeros((0, 0))) is False
+
 
 class TestKron:
     """np.kron's layout, the left factor indexing the blocks, is the factor

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from qcog import nosignal
 from qcog.hilbert import frame_projectors, partial_trace
 from qcog.nosignal import (LocalSeries, apply_series, fifth_marginal,
                            no_signalling_check, random_entangled_state,
                            random_local_series)
-from qcog.states import (DensityMatrix, ProbabilityVector, lueders_update,
-                         square_root_embed)
+from qcog.states import (DensityMatrix, ProbabilityVector, StateError,
+                         lueders_update, square_root_embed)
 
 from .conftest import haar_unitary
 from .oracles import embed_local
@@ -42,8 +43,9 @@ class TestLocalSeries:
             apply_series(state, LocalSeries(((4, np.eye(3)),)), DIMS)
 
     def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError):
-            LocalSeries(((0, np.ones((3, 3))),))
+        for frame in (np.ones((3, 3)), np.zeros((0, 0))):
+            with pytest.raises(ValueError, match="series frames must be unitary"):
+                LocalSeries(((0, frame),))
 
     @pytest.mark.parametrize("k", [0.7, 1.0, True, np.bool_(False), "1"])
     def test_rejects_non_integer_index(self, k):
@@ -120,16 +122,28 @@ class TestApplySeries:
             apply_series(state, LocalSeries(((3, np.eye(3)),)), dims=(3, 3, 3))
 
     def test_rejects_non_integer_dims(self):
-        # int() would read the last factor's 3.5 as 3
+        # int() would read the last factor's 3.5 as 3, and the product 364.5
+        # of these dims as a 364-dimensional space
         rng = np.random.default_rng(157)
         state = random_entangled_state(rng)
         series = random_local_series(rng, 2)
-        bad = (3, 3, 3, 3, 3.5)
-        for call in (lambda: apply_series(state, series, dims=bad),
-                     lambda: fifth_marginal(state, dims=bad),
-                     lambda: no_signalling_check(state, series, series, bad)):
-            with pytest.raises(ValueError, match="factor dimension must be"):
-                call()
+        for bad in ((3, 3, 3, 3, 3.5), (3.5, 3)):
+            for call in (lambda: apply_series(state, series, dims=bad),
+                         lambda: fifth_marginal(state, dims=bad),
+                         lambda: no_signalling_check(state, series, series, bad),
+                         lambda: random_entangled_state(rng, dims=bad),
+                         lambda: random_local_series(rng, 2, dims=bad)):
+                with pytest.raises(ValueError, match="factor dimension must be"):
+                    call()
+
+    def test_rejects_non_positive_dims(self):
+        # np.prod would read (-3, -3) as a 9-dimensional space
+        rng = np.random.default_rng(179)
+        for bad in ((3, 0), (-3, -3), ()):
+            for call in (lambda: random_entangled_state(rng, dims=bad),
+                         lambda: random_local_series(rng, 2, dims=bad)):
+                with pytest.raises(ValueError, match="must be positive"):
+                    call()
 
     def test_rejects_frame_shape_outside_dims(self):
         rng = np.random.default_rng(127)
@@ -239,17 +253,36 @@ class TestNoSignalling:
 
     @pytest.mark.parametrize("dims", [(3,) * 5, (2, 3, 2), (2,) * 7])
     def test_matches_marginals_of_applied_series(self, dims):
-        # the pair-major marginals against fifth_marginal of the rebuilt
-        # matrices
+        # the Heisenberg-picture marginals against the Schroedinger-picture
+        # route, fifth_marginal of the evolved matrices
         rng = np.random.default_rng(163)
         for _ in range(3):
             state = random_entangled_state(rng, dims=dims)
-            a = random_local_series(rng, 4, dims=dims)
-            b = random_local_series(rng, 4, dims=dims)
-            ma = fifth_marginal(apply_series(state, a, dims), dims).probs
-            mb = fifth_marginal(apply_series(state, b, dims), dims).probs
-            dev = no_signalling_check(state, a, b, dims)
-            assert abs(dev - np.max(np.abs(ma - mb))) <= 1e-15
+            for a in multi_step_series(rng, dims):
+                b = random_local_series(rng, 4, dims=dims)
+                ma = fifth_marginal(apply_series(state, a, dims), dims).probs
+                mb = fifth_marginal(apply_series(state, b, dims), dims).probs
+                dev = no_signalling_check(state, a, b, dims)
+                assert abs(dev - np.max(np.abs(ma - mb))) <= 1e-15
+
+    def test_catches_a_step_that_is_not_trace_preserving(self, monkeypatch):
+        # mutant: every step drops its first outcome's projector, so it
+        # loses probability and the series' fifth marginal moves
+        original = nosignal._superoperator
+
+        def broken(u):
+            w = np.outer(u[:, 0], u[:, 0].conj()).reshape(-1)
+            return original(u) - np.outer(w, w.conj())
+
+        monkeypatch.setattr(nosignal, "_superoperator", broken)
+        rng = np.random.default_rng(173)
+        state = random_entangled_state(rng)
+        series = random_local_series(rng, 4)
+        try:
+            dev = no_signalling_check(state, series, LocalSeries(()))
+        except StateError:
+            return
+        assert dev > 1e-3
 
     def test_rejects_when_only_second_series_misfits(self):
         rng = np.random.default_rng(167)
