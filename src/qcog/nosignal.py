@@ -6,16 +6,19 @@ state.  This module applies measurement series factor by factor, each local
 measurement as one superoperator on its factor's (row, column) index pair,
 and checks the invariance numerically.  The tests check the contraction
 against the same measurements built as dense projectors on the full space.
-Positivity is checked once, where the input state is built, by Cholesky of
-rho + tol*I.
+Positivity is checked once, where the input state is built: a rank-one
+certificate, O(n²), accepts a pure state such as the square-root embedding or
+the Gaussian entangled state, and anything else goes to a Cholesky
+factorisation of rho + tol*I.
 
 Two routes give a series' fifth marginal.  ``apply_series`` followed by
 ``fifth_marginal`` is the Schroedinger-picture reference: it evolves the
 state and traces it.  ``no_signalling_check`` works in the Heisenberg
 picture: the marginal is a linear functional of the evolved state, so it
 evolves each earlier factor's trace functional vec(I) backwards through that
-factor's steps, d x d per factor, and contracts the unevolved state with the
-results once; no evolved 243x243 state is built.
+factor's steps, d x d per factor, and contracts the unevolved state once
+with the Kronecker product of the results; no evolved 243x243 state is
+built.
 """
 from __future__ import annotations
 
@@ -23,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import _index, as_matrix, is_unitary, partial_trace
+from .hilbert import (_factor_dims, _index, as_matrix, is_unitary,
+                      partial_trace)
 from .states import DensityMatrix, ProbabilityVector
 
 FIVE_QUESTIONS = (3, 3, 3, 3, 3)
@@ -57,18 +61,17 @@ def _superoperator(u: np.ndarray) -> np.ndarray:
     return w @ w.conj().T
 
 
-def _factor_dims(dims) -> tuple:
-    # int() would read a dimension of 3.5 as 3, and np.prod of (-3, -3) is
-    # a 9-dimensional space
-    dims = tuple(_index(d, "factor dimension") for d in dims)
-    if not dims or min(dims) < 1:
-        raise ValueError(f"factor dimensions must be positive, got {dims}")
+def _series_dims(dims) -> tuple:
+    # a local series may touch every factor but the last, so it needs two
+    dims = _factor_dims(dims)
+    if len(dims) < 2:
+        raise ValueError(f"a local series needs at least two factors, got {dims}")
     return dims
 
 
 def _check_series(state: DensityMatrix, series: LocalSeries, dims) -> tuple:
     # dims as ints; raises ValueError unless the state and every step fit them
-    dims = _factor_dims(dims)
+    dims = _series_dims(dims)
     if state.dim != int(np.prod(dims)):
         raise ValueError(f"state dim {state.dim} does not match {dims}")
     for k, u in series.steps:
@@ -91,7 +94,8 @@ def apply_series(state: DensityMatrix, series: LocalSeries,
     transposed once into pair-major layout, each step is one matrix
     product on its pair axis, and the result is transposed back once and
     Hermitian-symmetrised.  A step whose factor index or frame shape does
-    not fit ``dims``, or a non-integer dimension, raises ValueError.
+    not fit ``dims``, a dimension that is not a positive integer, or fewer
+    than two factors, raises ValueError.
 
     The input was validated when it was built, and a series of projective
     measurements maps density matrices to density matrices, so the output
@@ -124,18 +128,21 @@ def fifth_marginal(state: DensityMatrix, dims=FIVE_QUESTIONS) -> ProbabilityVect
 def _heisenberg_marginal(state: DensityMatrix, series: LocalSeries,
                          dims: tuple) -> ProbabilityVector:
     # <vec I| M_m ... M_1 on each earlier factor, built from the last step
-    # back (M is Hermitian, so it is its own adjoint), then contracted with
-    # the state; each contraction divides the array's size by d²
-    m = state.matrix
+    # back (M is Hermitian, so it is its own adjoint); their Kronecker
+    # product is the functional on all earlier factors, and one einsum reads
+    # the state once, uncopied, against it in each of the last factor's
+    # diagonal blocks
+    r = np.ones((1, 1), dtype=np.complex128)
     for k, d in enumerate(dims[:-1]):
-        r = np.eye(d, dtype=np.complex128).reshape(d * d)
+        f = np.eye(d, dtype=np.complex128).reshape(d * d)
         for j, u in reversed(series.steps):
             if j == k:
-                r = r @ _superoperator(u)
-        rest = m.shape[0] // d
-        m = np.tensordot(m.reshape(d, rest, d, rest), r.reshape(d, d),
-                         axes=([0, 2], [0, 1]))
-    return ProbabilityVector(np.diag(m).real)
+                f = f @ _superoperator(u)
+        # np.kron(r, f) by broadcasting, without np.kron's Python overhead
+        r = (r[:, None, :, None] * f.reshape(d, 1, d)).reshape(len(r) * d, -1)
+    rest, last = r.shape[0], dims[-1]
+    blocks = state.matrix.reshape(rest, last, rest, last)
+    return ProbabilityVector(np.einsum("ab,acbc->c", r, blocks).real)
 
 
 def no_signalling_check(state: DensityMatrix, series_a: LocalSeries,
@@ -147,8 +154,9 @@ def no_signalling_check(state: DensityMatrix, series_a: LocalSeries,
     below the last, the row vec(I) is multiplied on the right by the
     superoperator of each of the series' steps on factor k, from the last
     step back to the first, giving a d_k x d_k functional R_k; the state is
-    then contracted with R_0, ..., R_{n-2}, and the marginal is the real
-    diagonal of the d_last x d_last block that remains.  The marginals equal
+    then contracted once with R_0 ⊗ ... ⊗ R_{n-2} in each of the last
+    factor's diagonal blocks, and the marginal is the real part of the
+    d_last numbers that gives.  The marginals equal
     ``fifth_marginal(apply_series(...))`` of each series, the
     Schroedinger-picture reference route.
     """
@@ -173,8 +181,9 @@ def random_entangled_state(rng: np.random.Generator,
 def random_local_series(rng: np.random.Generator, n_steps: int = 4,
                         dims=FIVE_QUESTIONS) -> LocalSeries:
     """Random frames on randomly chosen factors 1..(n-1), via Haar-ish QR.
-    A dimension that is not a positive integer raises ValueError."""
-    dims = _factor_dims(dims)
+    A dimension that is not a positive integer, or fewer than two factors,
+    raises ValueError."""
+    dims = _series_dims(dims)
     steps = []
     for _ in range(n_steps):
         k = int(rng.integers(0, len(dims) - 1))

@@ -119,8 +119,10 @@ class DensityMatrix:
 
     @classmethod
     def from_pure(cls, state: PureState) -> "DensityMatrix":
+        # the outer product of a validated unit vector is Hermitian, PSD and
+        # of trace 1 by construction
         a = state.amplitudes
-        return cls(np.outer(a, a.conj()))
+        return cls._unchecked(np.outer(a, a.conj()))
 
     @classmethod
     def diagonal(cls, p: ProbabilityVector) -> "DensityMatrix":

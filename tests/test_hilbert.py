@@ -23,6 +23,15 @@ class TestPredicates:
         assert is_psd(np.diag([0.0, 1.0]))
         assert not is_psd(np.diag([-0.1, 1.1]))
 
+    def test_psd_wild_pivots(self):
+        # the rank-one certificate's pivot is the largest diagonal entry: a
+        # zero or negative one, or a column that overflows when scaled by it,
+        # falls through to Cholesky with no RuntimeWarning
+        assert is_psd(np.zeros((3, 3)))
+        assert not is_psd(-np.eye(2))
+        assert not is_psd(np.array([[1.0, 1e200], [1e200, 1.0]]))
+        assert not is_psd(np.array([[1e-300, 1.0], [1.0, 0.0]]))
+
     @pytest.mark.parametrize("predicate", [is_hermitian, is_unitary, is_psd])
     def test_empty_matrix_gets_a_verdict(self, predicate):
         # the verdict a non-square matrix gets, not numpy's zero-size error
@@ -108,6 +117,13 @@ class TestPartialTrace:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             partial_trace(np.eye(5), [2, 3], keep=0)
+
+    @pytest.mark.parametrize("dims", [(-3, -3), (9, 0), (1, 9, -1)])
+    def test_rejects_non_positive_dims(self, dims):
+        # np.prod reads (-3, -3) as 9, and numpy's reshape would then raise
+        # its own "can only specify one unknown dimension"
+        with pytest.raises(ValueError, match="must be positive"):
+            partial_trace(np.eye(9) / 9, dims, 0)
 
     @pytest.mark.parametrize("dims, keep", [((3, 3.5), 0), ((3, 3), 1.0),
                                             ((3, 3), True)])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcog import nosignal
+from qcog import nosignal, states
 from qcog.hilbert import frame_projectors, partial_trace
 from qcog.nosignal import (LocalSeries, apply_series, fifth_marginal,
                            no_signalling_check, random_entangled_state,
@@ -137,13 +137,31 @@ class TestApplySeries:
                     call()
 
     def test_rejects_non_positive_dims(self):
-        # np.prod would read (-3, -3) as a 9-dimensional space
+        # np.prod would read (-3, -3) as a 9-dimensional space, which the
+        # 9-dimensional state would then fit
         rng = np.random.default_rng(179)
+        state = random_entangled_state(rng, dims=(3, 3))
+        series = LocalSeries(())
         for bad in ((3, 0), (-3, -3), ()):
             for call in (lambda: random_entangled_state(rng, dims=bad),
-                         lambda: random_local_series(rng, 2, dims=bad)):
+                         lambda: random_local_series(rng, 2, dims=bad),
+                         lambda: apply_series(state, series, dims=bad),
+                         lambda: fifth_marginal(state, dims=bad),
+                         lambda: no_signalling_check(state, series, series, bad)):
                 with pytest.raises(ValueError, match="must be positive"):
                     call()
+
+    def test_rejects_one_factor_space(self):
+        # a one-factor space has no factor below the last for a series to
+        # touch: the check would compare two untouched marginals
+        rng = np.random.default_rng(181)
+        state = DensityMatrix(np.eye(9) / 9)
+        empty = LocalSeries(())
+        for call in (lambda: no_signalling_check(state, empty, empty, (9,)),
+                     lambda: apply_series(state, empty, dims=(9,)),
+                     lambda: random_local_series(rng, 2, dims=(3,))):
+            with pytest.raises(ValueError, match="at least two factors"):
+                call()
 
     def test_rejects_frame_shape_outside_dims(self):
         rng = np.random.default_rng(127)
@@ -183,7 +201,9 @@ class TestApplySeries:
 
     def test_validates_only_at_boundary(self, monkeypatch):
         # outputs of apply_series and random_entangled_state are density
-        # matrices by construction, so only the public constructor validates
+        # matrices by construction, so only the public constructor validates;
+        # a pure state passes the rank-one certificate and never reaches
+        # Cholesky, so the positivity check itself is spied on too
         class Validated(Exception):
             pass
 
@@ -197,6 +217,7 @@ class TestApplySeries:
             m.setattr(np.linalg, "eigh", forbidden)
             m.setattr(np.linalg, "eigvalsh", forbidden)
             m.setattr(np.linalg, "cholesky", forbidden)
+            m.setattr(states, "_psd_within_tol", forbidden)
             apply_series(state, series)
             random_entangled_state(rng)
             with pytest.raises(Validated):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qcog import hilbert, states
 from qcog.hilbert import STRUCTURAL_TOL, frame_projectors
@@ -97,6 +99,23 @@ class TestDensityMatrix:
                 with pytest.raises(StateError, match="positive semidefinite"):
                     DensityMatrix(m)
 
+    def test_from_pure_is_the_unchecked_outer_product(self, monkeypatch):
+        # a validated unit vector's outer product is a density matrix by
+        # construction, so no check runs on it
+        def forbidden(*args, **kwargs):
+            raise AssertionError("validated")
+
+        monkeypatch.setattr(states, "is_hermitian", forbidden)
+        monkeypatch.setattr(states, "_psd_within_tol", forbidden)
+        monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+        rng = np.random.default_rng(43)
+        amps = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        psi = PureState(amps / np.linalg.norm(amps))
+        rho = DensityMatrix.from_pure(psi)
+        a = psi.amplitudes
+        assert np.array_equal(rho.matrix, np.outer(a, a.conj()))
+        assert not rho.matrix.flags.writeable
+
     def test_accepts_random_pure_states(self):
         rng = np.random.default_rng(41)
         for _ in range(5):
@@ -116,6 +135,91 @@ class TestDensityMatrix:
         monkeypatch.setattr(states, "is_hermitian", counted)
         DensityMatrix(np.eye(4) / 4)
         assert len(calls) == 1
+
+
+def _pure(rng, dim, zeros=0):
+    # a random unit vector whose first ``zeros`` entries vanish
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    psi[:zeros] = 0
+    return psi / np.linalg.norm(psi)
+
+
+def _positivity_verdicts(m):
+    # the DensityMatrix and is_psd verdicts, which must agree
+    try:
+        DensityMatrix(m)
+        accepted = True
+    except StateError as err:
+        assert "positive semidefinite" in str(err)
+        accepted = False
+    assert hilbert.is_psd(m) == accepted
+    return accepted
+
+
+class TestRankOneCertificate:
+    """A pure state is accepted by the O(n^2) rank-one certificate; anything
+    it does not certify goes to Cholesky of rho + tol*I, so the verdict is
+    the one eigvalsh gives, on both sides of -STRUCTURAL_TOL."""
+
+    @pytest.mark.parametrize("dim", [2, 27, 243])
+    def test_pure_state_never_reaches_cholesky(self, dim, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Cholesky ran")
+
+        monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+        psi = _pure(np.random.default_rng(dim), dim)
+        assert _positivity_verdicts(np.outer(psi, psi.conj()))
+
+    @pytest.mark.parametrize("dim", [2, 27, 243])
+    def test_negative_direction_at_tolerance_edge(self, dim):
+        # psi psi^H - c tol phi phi^H with phi orthogonal to psi, renormalised:
+        # its smallest eigenvalue is -c tol / (1 - c tol)
+        rng = np.random.default_rng(dim + 1)
+        psi, phi = _pure(rng, dim), _pure(rng, dim)
+        phi = phi - np.vdot(psi, phi) * psi
+        phi /= np.linalg.norm(phi)
+        for c, accepted in ((0.99, True), (1.01, False)):
+            m = (np.outer(psi, psi.conj())
+                 - c * STRUCTURAL_TOL * np.outer(phi, phi.conj()))
+            m /= 1.0 - c * STRUCTURAL_TOL
+            low = np.min(np.linalg.eigvalsh(m))
+            assert (low >= -STRUCTURAL_TOL) == accepted
+            assert _positivity_verdicts(m) == accepted
+
+    @pytest.mark.parametrize("dim", [27, 243])
+    def test_only_the_lower_triangle_counts(self, dim):
+        # a pure state that vanishes on indices 0-2, plus 0.9 tol times a
+        # pattern with eigenvalues (1, 1, -2) on 0-2 in one triangle only:
+        # Hermitian within tolerance, and its smallest eigenvalue -1.8 tol is
+        # seen only from that triangle
+        psi = _pure(np.random.default_rng(dim + 2), dim, zeros=3)
+        pattern = 0.9 * STRUCTURAL_TOL * np.array([[0, 1, 1], [1, 0, -1],
+                                                   [1, -1, 0]])
+        for strict in (np.triu(pattern, 1), np.tril(pattern, -1)):
+            m = np.outer(psi, psi.conj())
+            m[:3, :3] += strict
+            lower, upper = (np.min(np.linalg.eigvalsh(m, UPLO=uplo))
+                            >= -STRUCTURAL_TOL for uplo in "LU")
+            assert lower != upper
+            assert _positivity_verdicts(m) == lower
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           dim=st.sampled_from([2, 3, 9, 27]), rank=st.integers(1, 3),
+           scale=st.floats(-3.0, 3.0))
+    @settings(max_examples=200, deadline=None)
+    def test_low_rank_verdict_matches_eigvalsh(self, seed, dim, rank, scale):
+        # a random rank-r state plus scale * tol times a Hermitian matrix of
+        # spectral norm 1, away from the rounding band around -tol
+        rng = np.random.default_rng(seed)
+        vecs = np.stack([_pure(rng, dim) for _ in range(min(rank, dim))], 1)
+        m = (vecs * rng.dirichlet(np.ones(vecs.shape[1]))) @ vecs.conj().T
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        g = g + g.conj().T
+        m = m + scale * STRUCTURAL_TOL * g / np.max(np.abs(np.linalg.eigvalsh(g)))
+        m = (m + m.conj().T) / 2
+        low = np.min(np.linalg.eigvalsh(m))
+        assume(abs(low + STRUCTURAL_TOL) >= 1e-3 * STRUCTURAL_TOL)
+        assert hilbert.is_psd(m) == (low > -STRUCTURAL_TOL)
 
 
 class TestSquareRootEmbed:
