@@ -152,14 +152,14 @@ def order_effect_check(ordering_1, ordering_2, tol: float) -> OrderEffectReport:
 
 
 def majorization_check(current, target, tol: float = 0.0) -> tuple[bool, float]:
-    """Is ``target`` majorized by ``current`` (so reachable as frame
-    expectations of a state with spectrum ``current``)?
+    """Is the array ``target`` majorized by the array ``current`` (so
+    reachable as frame expectations of a state with spectrum ``current``)?
 
     The slack is the worst excess of the target's sorted partial sums over
     the current ones, clamped at zero; feasible iff slack <= tol.
     """
-    c = np.sort(np.asarray(getattr(current, "probs", current), dtype=float))[::-1]
-    t = np.sort(np.asarray(getattr(target, "probs", target), dtype=float))[::-1]
+    c = np.sort(np.asarray(current, dtype=float))[::-1]
+    t = np.sort(np.asarray(target, dtype=float))[::-1]
     if c.shape != t.shape:
         raise ValueError("distributions have different dimensions")
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(t))):

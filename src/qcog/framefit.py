@@ -132,7 +132,7 @@ def _pava_nonincreasing(x: np.ndarray) -> np.ndarray:
 def project_to_majorized(target: ProbabilityVector, current,
                          ) -> tuple[ProbabilityVector, float, float]:
     """Nearest (Euclidean) distribution to ``target`` that is majorized by
-    ``current``.  Returns (adjusted, max componentwise adjustment,
+    the 1-d array ``current``.  Returns (adjusted, max componentwise adjustment,
     Euclidean adjustment norm).
 
     The distributions majorized by ``current`` form its permutohedron; the
@@ -140,7 +140,7 @@ def project_to_majorized(target: ProbabilityVector, current,
     is the target minus an isotonic regression.
     """
     t = np.asarray(target.probs, dtype=float)
-    c = np.sort(np.asarray(getattr(current, "probs", current), dtype=float))[::-1]
+    c = np.sort(np.asarray(current, dtype=float))[::-1]
     order = np.argsort(-t, kind="stable")
     ts = t[order]
     ys = ts - _pava_nonincreasing(ts - c)

@@ -21,6 +21,8 @@ _NEGATIVE_PROB_TOL = 1e-12
 _PROB_SUM_TOL = 1e-9
 # a pure state: |norm - 1| accepted before renormalising
 _AMPLITUDE_NORM_TOL = 1e-6
+# survey percentages: |sum - 100| accepted before renormalising
+_PERCENT_SUM_TOL = 1.0
 # largest off-diagonal entry of a state still treated as diagonal
 _DIAGONAL_TOL = 1e-13
 # majorization slack below this is partial-sum rounding noise, read as 0
@@ -90,6 +92,16 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
+def _orthonormal_columns(a: np.ndarray) -> bool:
+    # the one rule for frames and subspace bases: max|A^H A - I| <= tol; a
+    # NaN, inf or overflow fails the comparison, with no RuntimeWarning
+    if a.size == 0:
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = a.conj().T @ a
+        return bool(np.max(np.abs(gram - np.eye(a.shape[1]))) <= STRUCTURAL_TOL)
+
+
 def is_hermitian(m) -> bool:
     a = as_matrix(m)
     # a 0x0 matrix gets a non-square matrix's verdict; numpy's max of an
@@ -97,19 +109,17 @@ def is_hermitian(m) -> bool:
     if a.shape[0] != a.shape[1] or a.size == 0:
         return False
     # |a_ij - conj(a_ji)| in one temporary: a fresh ~1 MB array at n = 243
-    # costs more in page faults than the arithmetic
+    # costs more in page faults than the arithmetic.  NaN (inf - inf) fails
     d = a.T.copy()
     np.conjugate(d, out=d)
-    np.subtract(a, d, out=d)
-    return bool(np.max(np.abs(d)) <= STRUCTURAL_TOL)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(a, d, out=d)
+        return bool(np.max(np.abs(d)) <= STRUCTURAL_TOL)
 
 
 def is_unitary(m) -> bool:
     a = as_matrix(m)
-    if a.shape[0] != a.shape[1] or a.size == 0:
-        return False
-    eye = np.eye(a.shape[0])
-    return bool(np.max(np.abs(a.conj().T @ a - eye)) <= STRUCTURAL_TOL)
+    return a.shape[0] == a.shape[1] and _orthonormal_columns(a)
 
 
 def is_psd(m) -> bool:

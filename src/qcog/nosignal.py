@@ -28,29 +28,40 @@ import numpy as np
 
 from .hilbert import (_factor_dims, _index, as_matrix, is_unitary,
                       partial_trace)
-from .states import DensityMatrix, ProbabilityVector
+from .states import DensityMatrix, ProbabilityVector, PureState
 
 FIVE_QUESTIONS = (3, 3, 3, 3, 3)
 
 
 @dataclass(frozen=True)
 class LocalSeries:
-    """Ordered local measurements: (factor index, frame) pairs.
-
-    Factor indices are 0-based integers (anything else raises ValueError);
-    :func:`apply_series` checks that each one stays below the last factor,
-    the isolated particle, of its ``dims``.
+    """Ordered local measurements, (factor index, frame) pairs, on the
+    tensor product with factor dimensions ``dims``, checked where it is
+    built: ``dims`` are at least two positive integers, each factor index
+    is a 0-based integer below the last (isolated) factor, and each frame
+    is unitary and fits its factor.  Anything else raises ValueError.
     """
 
     steps: tuple
+    dims: tuple = FIVE_QUESTIONS
 
     def __post_init__(self):
+        dims = _factor_dims(self.dims)
+        # a series may touch every factor but the last, so it needs two
+        if len(dims) < 2:
+            raise ValueError(f"a local series needs at least two factors, got {dims}")
         steps = tuple((_index(k, "factor index"), as_matrix(u))
                       for k, u in self.steps)
-        for _, u in steps:
+        for k, u in steps:
             if not is_unitary(u):
                 raise ValueError("series frames must be unitary")
+            if not 0 <= k < len(dims) - 1:
+                raise ValueError(f"factor index {k} must lie in 0..{len(dims) - 2}")
+            if u.shape != (dims[k], dims[k]):
+                raise ValueError(f"frame of shape {u.shape} does not fit factor "
+                                 f"{k} of dimension {dims[k]}")
         object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "dims", dims)
 
 
 def _superoperator(u: np.ndarray) -> np.ndarray:
@@ -61,30 +72,17 @@ def _superoperator(u: np.ndarray) -> np.ndarray:
     return w @ w.conj().T
 
 
-def _series_dims(dims) -> tuple:
-    # a local series may touch every factor but the last, so it needs two
-    dims = _factor_dims(dims)
-    if len(dims) < 2:
-        raise ValueError(f"a local series needs at least two factors, got {dims}")
-    return dims
+def _check_series(state: DensityMatrix, series: LocalSeries, *others) -> tuple:
+    # the series' dims; raises ValueError unless the state lives on them and
+    # every other series shares them
+    if any(o.dims != series.dims for o in others):
+        raise ValueError("the series act on different factor dims")
+    if state.dim != int(np.prod(series.dims)):
+        raise ValueError(f"state dim {state.dim} does not match {series.dims}")
+    return series.dims
 
 
-def _check_series(state: DensityMatrix, series: LocalSeries, dims) -> tuple:
-    # dims as ints; raises ValueError unless the state and every step fit them
-    dims = _series_dims(dims)
-    if state.dim != int(np.prod(dims)):
-        raise ValueError(f"state dim {state.dim} does not match {dims}")
-    for k, u in series.steps:
-        if not 0 <= k < len(dims) - 1:
-            raise ValueError(f"factor index {k} must lie in 0..{len(dims) - 2}")
-        if u.shape != (dims[k], dims[k]):
-            raise ValueError(f"frame of shape {u.shape} does not fit factor {k} "
-                             f"of dimension {dims[k]}")
-    return dims
-
-
-def apply_series(state: DensityMatrix, series: LocalSeries,
-                 dims=FIVE_QUESTIONS) -> DensityMatrix:
+def apply_series(state: DensityMatrix, series: LocalSeries) -> DensityMatrix:
     """Sequential measurement updates of the series' local observables.
 
     Each step acts as the projective update with the embedded local
@@ -93,15 +91,14 @@ def apply_series(state: DensityMatrix, series: LocalSeries,
     acting on that factor's (row, column) index pair: the state is
     transposed once into pair-major layout, each step is one matrix
     product on its pair axis, and the result is transposed back once and
-    Hermitian-symmetrised.  A step whose factor index or frame shape does
-    not fit ``dims``, a dimension that is not a positive integer, or fewer
-    than two factors, raises ValueError.
+    Hermitian-symmetrised.  A state that does not live on the series'
+    ``dims`` raises ValueError.
 
     The input was validated when it was built, and a series of projective
     measurements maps density matrices to density matrices, so the output
     is not validated again.
     """
-    dims = _check_series(state, series, dims)
+    dims = _check_series(state, series)
     if not series.steps:
         return state
     n = len(dims)
@@ -125,28 +122,28 @@ def fifth_marginal(state: DensityMatrix, dims=FIVE_QUESTIONS) -> ProbabilityVect
     return ProbabilityVector(np.diag(reduced).real)
 
 
-def _heisenberg_marginal(state: DensityMatrix, series: LocalSeries,
-                         dims: tuple) -> ProbabilityVector:
+def _heisenberg_marginal(state: DensityMatrix,
+                         series: LocalSeries) -> ProbabilityVector:
     # <vec I| M_m ... M_1 on each earlier factor, built from the last step
     # back (M is Hermitian, so it is its own adjoint); their Kronecker
     # product is the functional on all earlier factors, and one einsum reads
     # the state once, uncopied, against it in each of the last factor's
     # diagonal blocks
     r = np.ones((1, 1), dtype=np.complex128)
-    for k, d in enumerate(dims[:-1]):
+    for k, d in enumerate(series.dims[:-1]):
         f = np.eye(d, dtype=np.complex128).reshape(d * d)
         for j, u in reversed(series.steps):
             if j == k:
                 f = f @ _superoperator(u)
         # np.kron(r, f) by broadcasting, without np.kron's Python overhead
         r = (r[:, None, :, None] * f.reshape(d, 1, d)).reshape(len(r) * d, -1)
-    rest, last = r.shape[0], dims[-1]
+    rest, last = r.shape[0], series.dims[-1]
     blocks = state.matrix.reshape(rest, last, rest, last)
     return ProbabilityVector(np.einsum("ab,acbc->c", r, blocks).real)
 
 
 def no_signalling_check(state: DensityMatrix, series_a: LocalSeries,
-                        series_b: LocalSeries, dims=FIVE_QUESTIONS) -> float:
+                        series_b: LocalSeries) -> float:
     """Largest componentwise gap between the fifth marginals after the two
     series.  Quantum transformation rules force this below numerical noise.
 
@@ -158,11 +155,11 @@ def no_signalling_check(state: DensityMatrix, series_a: LocalSeries,
     factor's diagonal blocks, and the marginal is the real part of the
     d_last numbers that gives.  The marginals equal
     ``fifth_marginal(apply_series(...))`` of each series, the
-    Schroedinger-picture reference route.
+    Schroedinger-picture reference route.  Two series on different
+    ``dims``, or a state that does not live on them, raise ValueError.
     """
-    dims = _check_series(state, series_a, dims)
-    _check_series(state, series_b, dims)
-    ma, mb = (_heisenberg_marginal(state, s, dims) for s in (series_a, series_b))
+    _check_series(state, series_a, series_b)
+    ma, mb = (_heisenberg_marginal(state, s) for s in (series_a, series_b))
     return float(np.max(np.abs(ma.probs - mb.probs)))
 
 
@@ -174,8 +171,7 @@ def random_entangled_state(rng: np.random.Generator,
     A dimension that is not a positive integer raises ValueError."""
     total = int(np.prod(_factor_dims(dims)))
     psi = rng.standard_normal(total) + 1j * rng.standard_normal(total)
-    psi /= np.linalg.norm(psi)
-    return DensityMatrix._unchecked(np.outer(psi, psi.conj()))
+    return DensityMatrix.from_pure(PureState(psi / np.linalg.norm(psi)))
 
 
 def random_local_series(rng: np.random.Generator, n_steps: int = 4,
@@ -183,7 +179,7 @@ def random_local_series(rng: np.random.Generator, n_steps: int = 4,
     """Random frames on randomly chosen factors 1..(n-1), via Haar-ish QR.
     A dimension that is not a positive integer, or fewer than two factors,
     raises ValueError."""
-    dims = _series_dims(dims)
+    dims = LocalSeries((), dims).dims  # the empty series checks dims
     steps = []
     for _ in range(n_steps):
         k = int(rng.integers(0, len(dims) - 1))
@@ -192,4 +188,4 @@ def random_local_series(rng: np.random.Generator, n_steps: int = 4,
         q, r = np.linalg.qr(g)
         q = q * (np.diag(r) / np.abs(np.diag(r)))
         steps.append((k, q))
-    return LocalSeries(tuple(steps))
+    return LocalSeries(tuple(steps), dims)

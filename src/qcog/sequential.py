@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import frame_projectors
+from .hilbert import _index, frame_projectors
 from .states import (DensityMatrix, ProbabilityVector, lueders_update,
                      outcome_probabilities, square_root_embed)
 
@@ -82,28 +82,21 @@ def sequential_probability_via_states(p: float, q: float) -> float:
 
 @dataclass(frozen=True)
 class InterferenceResult:
-    """Leading-question effect at (p, q): one cell with float fields, or a
-    whole scan with one 1-d array per field."""
+    """Leading-question effect over a scan: one 1-d array per field, one
+    entry per cell."""
 
-    p: float | np.ndarray
-    q: float | np.ndarray
-    alpha: float | np.ndarray
-    p_f_b: float | np.ndarray
-    delta: float | np.ndarray
-    in_region: bool | np.ndarray
-
-
-def interference_point(p, q) -> InterferenceResult:
-    """The effect at (p, q); array inputs give array fields."""
-    alpha = overlap_alpha(p, q)
-    pfb = sequential_probability(p, q)
-    return InterferenceResult(
-        p=p, q=q, alpha=alpha, p_f_b=pfb, delta=pfb - q,
-        in_region=(p > pfb) & (pfb > q))
+    p: np.ndarray
+    q: np.ndarray
+    alpha: np.ndarray
+    p_f_b: np.ndarray
+    delta: np.ndarray
+    in_region: np.ndarray
 
 
 def grid_centers(grid_n: int) -> np.ndarray:
-    """The grid_n cell centers (i + 1/2) / grid_n of the scan along p and q."""
+    """The grid_n cell centers (i + 1/2) / grid_n of the scan along p and q;
+    ``grid_n`` must be an integer of at least 2, or ValueError is raised."""
+    grid_n = _index(grid_n, "grid_n")
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
     return (np.arange(grid_n) + 0.5) / grid_n
@@ -117,8 +110,12 @@ def interference_region_scan(grid_n: int) -> InterferenceResult:
     {0, 1} are excluded by the cell-center sampling.
     """
     centers = grid_centers(grid_n)
-    return interference_point(np.repeat(centers, grid_n),
-                              np.tile(centers, grid_n))
+    p = np.repeat(centers, centers.size)
+    q = np.tile(centers, centers.size)
+    pfb = sequential_probability(p, q)
+    return InterferenceResult(
+        p=p, q=q, alpha=overlap_alpha(p, q), p_f_b=pfb, delta=pfb - q,
+        in_region=(p > pfb) & (pfb > q))
 
 
 def spin_order_demo() -> tuple[float, float]:

@@ -10,8 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (_AMPLITUDE_NORM_TOL, _NEGATIVE_PROB_TOL, _PROB_SUM_TOL,
-                      STRUCTURAL_TOL, _psd_within_tol, as_matrix,
+from .hilbert import (_AMPLITUDE_NORM_TOL, _NEGATIVE_PROB_TOL,
+                      _PERCENT_SUM_TOL, _PROB_SUM_TOL, STRUCTURAL_TOL,
+                      _orthonormal_columns, _psd_within_tol, as_matrix,
                       is_hermitian, is_unitary)
 
 
@@ -50,8 +51,9 @@ class ProbabilityVector:
         if np.any(v < 0):  # an empty list fails the sum check below
             raise StateError(f"negative percentage in {list(v)}")
         s = v.sum()
-        if abs(s - 100.0) > 1.0:
-            raise StateError(f"percentages sum to {s}, outside [99, 101]")
+        if abs(s - 100.0) > _PERCENT_SUM_TOL:
+            lo, hi = 100 - _PERCENT_SUM_TOL, 100 + _PERCENT_SUM_TOL
+            raise StateError(f"percentages sum to {s}, outside [{lo:g}, {hi:g}]")
         return cls(v / s)
 
     @property
@@ -124,10 +126,6 @@ class DensityMatrix:
         a = state.amplitudes
         return cls._unchecked(np.outer(a, a.conj()))
 
-    @classmethod
-    def diagonal(cls, p: ProbabilityVector) -> "DensityMatrix":
-        return cls(np.diag(p.probs).astype(np.complex128))
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -190,9 +188,8 @@ def degenerate_yes_probability(state: DensityMatrix, subspace_basis) -> float:
         raise MeasurementError("subspace basis is empty")
     if any(v.shape != (state.dim,) for v in vecs):
         raise MeasurementError(f"basis vectors must have length {state.dim}")
-    gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
-    if np.max(np.abs(gram - np.eye(len(vecs)))) > STRUCTURAL_TOL:
+    v = np.stack(vecs, axis=1)
+    if not _orthonormal_columns(v):
         raise MeasurementError("subspace basis is not orthonormal")
-    proj = sum(np.outer(v, v.conj()) for v in vecs)
-    value = float(np.trace(state.matrix @ proj).real)
+    value = np.trace(v.conj().T @ state.matrix @ v).real
     return float(np.clip(value, 0.0, 1.0))

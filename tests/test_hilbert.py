@@ -18,6 +18,8 @@ class TestPredicates:
         assert is_unitary(u)
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
         assert not is_unitary(np.diag([1.0, 2.0]))
+        # an overflow in the Gram matrix fails with no RuntimeWarning
+        assert not is_unitary(np.diag([1e200, 1.0]))
 
     def test_psd(self):
         assert is_psd(np.diag([0.0, 1.0]))

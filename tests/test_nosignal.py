@@ -18,7 +18,7 @@ DIMS = (3, 3, 3, 3, 3)
 def assert_matches_dense_route(state, series, dims):
     # the superoperator contraction against the step-by-step Lueders update
     # with explicit full-space projectors
-    fast = apply_series(state, series, dims)
+    fast = apply_series(state, series)
     dense = state
     for k, u in series.steps:
         dense = lueders_update(dense, embed_local(u, k, dims))
@@ -31,16 +31,15 @@ def multi_step_series(rng, dims):
     yield from (random_local_series(rng, n, dims) for n in (2, 4, 8))
     yield LocalSeries(((0, haar_unitary(rng, dims[0])),
                        (0, haar_unitary(rng, dims[0])),
-                       (1, haar_unitary(rng, dims[1]))))
+                       (1, haar_unitary(rng, dims[1]))), dims)
 
 
 class TestLocalSeries:
     def test_rejects_fifth_factor(self):
-        # the series itself accepts any index; applying it checks the index
-        # against the space, whose last factor stays untouched
-        state = random_entangled_state(np.random.default_rng(139))
+        # the series checks the index against its space, whose last factor
+        # stays untouched
         with pytest.raises(ValueError, match="factor index"):
-            apply_series(state, LocalSeries(((4, np.eye(3)),)), DIMS)
+            LocalSeries(((4, np.eye(3)),), DIMS)
 
     def test_rejects_non_unitary(self):
         for frame in (np.ones((3, 3)), np.zeros((0, 0))):
@@ -93,8 +92,7 @@ class TestApplySeries:
         state = random_entangled_state(rng, dims=(3, 3, 3))
         for factor in (0, 1):
             u = haar_unitary(rng, 3)
-            fast = apply_series(state, LocalSeries(((factor, u),)),
-                                dims=(3, 3, 3))
+            fast = apply_series(state, LocalSeries(((factor, u),), (3, 3, 3)))
             dense = lueders_update(state, embed_local(u, factor, (3, 3, 3)))
             assert np.max(np.abs(fast.matrix - dense.matrix)) < 1e-12
         for dims in ((3, 3, 3), (2,) * 7):
@@ -108,7 +106,7 @@ class TestApplySeries:
         state = random_entangled_state(rng, dims=dims)
         for factor in (0, 1):
             u = haar_unitary(rng, dims[factor])
-            fast = apply_series(state, LocalSeries(((factor, u),)), dims)
+            fast = apply_series(state, LocalSeries(((factor, u),), dims))
             dense = lueders_update(state, embed_local(u, factor, dims))
             assert np.max(np.abs(fast.matrix - dense.matrix)) < 1e-12
         for series in multi_step_series(rng, dims):
@@ -116,10 +114,8 @@ class TestApplySeries:
 
     def test_rejects_index_outside_dims(self):
         # factor 3 is valid for five factors but not for three
-        rng = np.random.default_rng(113)
-        state = random_entangled_state(rng, dims=(3, 3, 3))
         with pytest.raises(ValueError, match="factor index"):
-            apply_series(state, LocalSeries(((3, np.eye(3)),)), dims=(3, 3, 3))
+            LocalSeries(((3, np.eye(3)),), (3, 3, 3))
 
     def test_rejects_non_integer_dims(self):
         # int() would read the last factor's 3.5 as 3, and the product 364.5
@@ -128,9 +124,8 @@ class TestApplySeries:
         state = random_entangled_state(rng)
         series = random_local_series(rng, 2)
         for bad in ((3, 3, 3, 3, 3.5), (3.5, 3)):
-            for call in (lambda: apply_series(state, series, dims=bad),
+            for call in (lambda: LocalSeries(series.steps, bad),
                          lambda: fifth_marginal(state, dims=bad),
-                         lambda: no_signalling_check(state, series, series, bad),
                          lambda: random_entangled_state(rng, dims=bad),
                          lambda: random_local_series(rng, 2, dims=bad)):
                 with pytest.raises(ValueError, match="factor dimension must be"):
@@ -141,13 +136,11 @@ class TestApplySeries:
         # 9-dimensional state would then fit
         rng = np.random.default_rng(179)
         state = random_entangled_state(rng, dims=(3, 3))
-        series = LocalSeries(())
         for bad in ((3, 0), (-3, -3), ()):
             for call in (lambda: random_entangled_state(rng, dims=bad),
                          lambda: random_local_series(rng, 2, dims=bad),
-                         lambda: apply_series(state, series, dims=bad),
-                         lambda: fifth_marginal(state, dims=bad),
-                         lambda: no_signalling_check(state, series, series, bad)):
+                         lambda: LocalSeries((), bad),
+                         lambda: fifth_marginal(state, dims=bad)):
                 with pytest.raises(ValueError, match="must be positive"):
                     call()
 
@@ -155,19 +148,14 @@ class TestApplySeries:
         # a one-factor space has no factor below the last for a series to
         # touch: the check would compare two untouched marginals
         rng = np.random.default_rng(181)
-        state = DensityMatrix(np.eye(9) / 9)
-        empty = LocalSeries(())
-        for call in (lambda: no_signalling_check(state, empty, empty, (9,)),
-                     lambda: apply_series(state, empty, dims=(9,)),
+        for call in (lambda: LocalSeries((), (9,)),
                      lambda: random_local_series(rng, 2, dims=(3,))):
             with pytest.raises(ValueError, match="at least two factors"):
                 call()
 
     def test_rejects_frame_shape_outside_dims(self):
-        rng = np.random.default_rng(127)
-        state = random_entangled_state(rng, dims=(2, 3, 3))
         with pytest.raises(ValueError, match="does not fit"):
-            apply_series(state, LocalSeries(((0, np.eye(3)),)), dims=(2, 3, 3))
+            LocalSeries(((0, np.eye(3)),), (2, 3, 3))
 
     def test_product_state_marginal_untouched(self):
         rng = np.random.default_rng(107)
@@ -281,9 +269,9 @@ class TestNoSignalling:
             state = random_entangled_state(rng, dims=dims)
             for a in multi_step_series(rng, dims):
                 b = random_local_series(rng, 4, dims=dims)
-                ma = fifth_marginal(apply_series(state, a, dims), dims).probs
-                mb = fifth_marginal(apply_series(state, b, dims), dims).probs
-                dev = no_signalling_check(state, a, b, dims)
+                ma = fifth_marginal(apply_series(state, a), dims).probs
+                mb = fifth_marginal(apply_series(state, b), dims).probs
+                dev = no_signalling_check(state, a, b)
                 assert abs(dev - np.max(np.abs(ma - mb))) <= 1e-15
 
     def test_catches_a_step_that_is_not_trace_preserving(self, monkeypatch):
@@ -306,14 +294,21 @@ class TestNoSignalling:
         assert dev > 1e-3
 
     def test_rejects_when_only_second_series_misfits(self):
+        # a step that misfits the dims cannot be built; a series built on
+        # other dims of the same total dimension reaches the check, which
+        # rejects it in either position
         rng = np.random.default_rng(167)
         dims = (2, 3, 2)
         state = random_entangled_state(rng, dims=dims)
         good = random_local_series(rng, 4, dims=dims)
-        for bad, match in ((LocalSeries(((2, np.eye(2)),)), "factor index"),
-                           (LocalSeries(((0, np.eye(3)),)), "does not fit")):
+        for steps, match in ((((2, np.eye(2)),), "factor index"),
+                             (((0, np.eye(3)),), "does not fit")):
             with pytest.raises(ValueError, match=match):
-                no_signalling_check(state, good, bad, dims)
+                LocalSeries(steps, dims)
+        other = LocalSeries(((0, np.eye(3)),), (3, 2, 2))
+        for pair in ((good, other), (other, good)):
+            with pytest.raises(ValueError, match="different factor dims"):
+                no_signalling_check(state, *pair)
 
 
 class TestMixedDims:
@@ -331,7 +326,7 @@ class TestMixedDims:
         state = random_entangled_state(rng, dims=self.DIMS)
         a = random_local_series(rng, 4, dims=self.DIMS)
         b = random_local_series(rng, 4, dims=self.DIMS)
-        assert no_signalling_check(state, a, b, dims=self.DIMS) < 1e-12
+        assert no_signalling_check(state, a, b) < 1e-12
 
 
 class TestManyFactors:
@@ -344,4 +339,4 @@ class TestManyFactors:
         a = random_local_series(rng, 8, dims=self.DIMS)
         b = random_local_series(rng, 8, dims=self.DIMS)
         assert max(k for k, _ in a.steps + b.steps) >= 4
-        assert no_signalling_check(state, a, b, dims=self.DIMS) < 1e-12
+        assert no_signalling_check(state, a, b) < 1e-12

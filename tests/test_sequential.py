@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcog.sequential import (grid_centers, interference_point,
-                             interference_region_scan, overlap_alpha,
+from qcog.sequential import (grid_centers, interference_region_scan,
+                             overlap_alpha,
                              sequential_probability,
                              sequential_probability_via_states,
                              spin_order_demo)
@@ -155,14 +155,25 @@ class TestRegionScan:
                               np.broadcast_to(centers, (5, 5)))
         # each column is the scalar evaluation of its cell
         k = 2 * 5 + 3
-        cell = interference_point(float(scan.p[k]), float(scan.q[k]))
-        for field in dataclasses.fields(scan):
-            assert getattr(scan, field.name)[k] == getattr(cell, field.name)
+        p, q = float(scan.p[k]), float(scan.q[k])
+        pfb = sequential_probability(p, q)
+        assert scan.alpha[k] == overlap_alpha(p, q)
+        assert scan.p_f_b[k] == pfb
+        assert scan.delta[k] == pfb - q
+        assert scan.in_region[k] == (p > pfb > q)
 
     def test_point_fields_consistent(self):
-        r = interference_point(0.8, 0.3)
-        assert abs(r.delta - (r.p_f_b - r.q)) < 1e-15
-        assert r.in_region
+        scan = interference_region_scan(5)
+        assert np.all(np.abs(scan.delta - (scan.p_f_b - scan.q)) < 1e-15)
+        assert scan.in_region[4 * 5 + 1]  # (p, q) = (0.9, 0.3)
+
+    @pytest.mark.parametrize("grid_n", [2.5, 3.0, True, "3"])
+    def test_rejects_non_integer_grid(self, grid_n):
+        # int() would read 2.5 as 2, and (arange(2) + 0.5) / 2.5 puts a
+        # center on the excluded boundary p = 1
+        for f in (grid_centers, interference_region_scan):
+            with pytest.raises(ValueError, match="grid_n must be an integer"):
+                f(grid_n)
 
 
 class TestSpinOrderDemo:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qcog import hilbert, states
 from qcog.hilbert import STRUCTURAL_TOL, frame_projectors
+from qcog.nosignal import LocalSeries
 from qcog.states import (DensityMatrix, MeasurementError, ProbabilityVector,
                          PureState, StateError, degenerate_yes_probability,
                          lueders_update, outcome_probabilities,
@@ -344,7 +345,7 @@ class TestLuedersUpdate:
         rng = np.random.default_rng(43)
         p = ProbabilityVector(random_probs(rng, 3))
         pure = DensityMatrix.from_pure(square_root_embed(p))
-        mixed = DensityMatrix.diagonal(p)
+        mixed = DensityMatrix(np.diag(p.probs))
         frame = np.eye(3)
         for _ in range(3):
             sp = outcome_probabilities(measure_frame(pure, frame), frame)
@@ -352,6 +353,25 @@ class TestLuedersUpdate:
             assert np.allclose(sp.probs, sm.probs, atol=1e-12)
             pure = measure_frame(pure, frame)
             mixed = measure_frame(mixed, frame)
+
+
+_MIXED = DensityMatrix(np.eye(2) / 2)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("entry, error", [
+    (lambda m: lueders_update(_MIXED, [m, np.eye(2) - m]), MeasurementError),
+    (lambda m: outcome_probabilities(_MIXED, m), MeasurementError),
+    (lambda m: LocalSeries(((0, m),), (2, 2)), ValueError),
+    (lambda m: degenerate_yes_probability(_MIXED, list(m.T)), MeasurementError),
+], ids=["lueders_update", "outcome_probabilities", "LocalSeries",
+        "degenerate_yes_probability"])
+def test_non_finite_measurement_gives_typed_error(entry, error, bad):
+    # inf - inf and inf * 0 are NaN, which fails every structural check; a
+    # RuntimeWarning on the way is an exception under -W error, and a NaN
+    # that passed through would be a silent wrong answer
+    with pytest.raises(error):
+        entry(np.diag([bad, 1.0]))
 
 
 class TestDegenerateQuestion:
