@@ -5,8 +5,11 @@ Exit codes: 0 success, 1 error (bad input or usage, an unreadable input
 or unwritable output path, or a failed post-check), 2 analysis ran and
 found a violation (so scripts can branch on findings).
 ``nosignal-demo`` alone draws random numbers, seeded by ``--seed`` only;
-every other subcommand depends on its input files alone.  ``--json``
-output is strict JSON.
+every other subcommand depends on its input files alone.
+
+Stdout is written once, by ``main``, after the analysis has run: either
+the report as strict JSON (``--json``) or its text lines.  An error
+leaves stdout empty, writes one ``error:`` line to stderr and exits 1.
 """
 from __future__ import annotations
 
@@ -32,100 +35,80 @@ def _json_default(obj):
     return dataclasses.asdict(obj)
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, default=_json_default, indent=2, sort_keys=True,
-                     allow_nan=False))
-
-
-def cmd_check_classical(args) -> int:
+# Each handler is a generator: it runs the analysis, yields (JSON payload,
+# finding) first, then its text lines, which main draws only in text mode.
+def cmd_check_classical(args):
     a = ingest.load_survey(args.sample_a)
     b = ingest.load_survey(args.sample_b)
     check = feasibility.classical_consistency_check(
         a.questions[-1], b.questions[-1], args.tol)
-    if args.json:
-        _emit_json(check)
+    yield check, check.violation is not None
+    yield f"final question: {a.label!r} vs {b.label!r}"
+    yield f"  support-side difference: {check.support_difference:.6g}"
+    yield f"  oppose-side difference:  {check.oppose_difference:.6g}"
+    if check.polarity_warning:
+        yield ("  note: opposite polarities compared via the "
+               "'not opposing = supporting' reading")
+    if check.violation is not None:
+        yield (f"  VIOLATION of total probability: {check.violation:.6g} "
+               f"> tol {args.tol}")
     else:
-        print(f"final question: {a.label!r} vs {b.label!r}")
-        print(f"  support-side difference: {check.support_difference:.6g}")
-        print(f"  oppose-side difference:  {check.oppose_difference:.6g}")
-        if check.polarity_warning:
-            print("  note: opposite polarities compared via the "
-                  "'not opposing = supporting' reading")
-        if check.violation is not None:
-            print(f"  VIOLATION of total probability: {check.violation:.6g} "
-                  f"> tol {args.tol}")
-        else:
-            print(f"  consistent within tol {args.tol}")
-    return EXIT_FINDING if check.violation is not None else EXIT_OK
+        yield f"  consistent within tol {args.tol}"
 
 
-def cmd_check_order(args) -> int:
+def cmd_check_order(args):
     pair = ingest.load_order_pair(args.pair_file)
     report = feasibility.order_effect_check(
         pair["ordering_1"], pair["ordering_2"], args.tol)
-    if args.json:
-        _emit_json({"label": pair["label"],
-                    "question_names": pair["question_names"],
-                    "entries": report.entries})
-    else:
-        print(pair["label"])
-        for e in report.entries:
-            name = pair["question_names"][e.question_index]
-            mark = "FLAGGED" if e.flagged else "ok"
-            print(f"  {name}: {e.marginal_first_ordering.tolist()} vs "
-                  f"{e.marginal_second_ordering.tolist()} "
-                  f"(diff {e.difference:.6g}) [{mark}]")
-    return EXIT_FINDING if report.any_flagged else EXIT_OK
+    yield ({"label": pair["label"], "question_names": pair["question_names"],
+            "entries": report.entries}, report.any_flagged)
+    yield pair["label"]
+    for e in report.entries:
+        name = pair["question_names"][e.question_index]
+        mark = "FLAGGED" if e.flagged else "ok"
+        yield (f"  {name}: {e.marginal_first_ordering.tolist()} vs "
+               f"{e.marginal_second_ordering.tolist()} "
+               f"(diff {e.difference:.6g}) [{mark}]")
 
 
-def _print_feasibility(report: feasibility.FeasibilityReport) -> None:
+def _feasibility_lines(report: feasibility.FeasibilityReport):
     for t in report.transitions:
         tag = "exempt" if t.exempt else ("ok" if t.feasible_at_tol else "INFEASIBLE")
-        print(f"  Q{t.from_index + 1}->Q{t.to_index + 1}: "
-              f"max_increase {t.max_increase:.6g}, "
-              f"min_decrease {t.min_decrease:.6g}, "
-              f"majorization slack {t.majorization_slack:.6g} [{tag}]")
+        yield (f"  Q{t.from_index + 1}->Q{t.to_index + 1}: "
+               f"max_increase {t.max_increase:.6g}, "
+               f"min_decrease {t.min_decrease:.6g}, "
+               f"majorization slack {t.majorization_slack:.6g} [{tag}]")
 
 
-def cmd_check_contraction(args) -> int:
+def cmd_check_contraction(args):
     chain = ingest.load_survey(args.survey)
     report = feasibility.contraction_check(chain)
-    if args.json:
-        _emit_json(report)
-    else:
-        print(f"contraction report for {chain.label!r}")
-        _print_feasibility(report)
-    violated = any(t.max_increase > 0 or t.min_decrease > 0
-                   for t in report.transitions)
-    return EXIT_FINDING if violated else EXIT_OK
+    yield report, any(t.max_increase > 0 or t.min_decrease > 0
+                      for t in report.transitions)
+    yield f"contraction report for {chain.label!r}"
+    yield from _feasibility_lines(report)
 
 
-def cmd_check_feasibility(args) -> int:
+def cmd_check_feasibility(args):
     chain = ingest.load_survey(args.survey)
     report = feasibility.chain_feasibility(chain, args.isolate_first, args.tol)
-    if args.json:
-        _emit_json(report)
-    else:
-        mode = "isolated first question" if args.isolate_first else "full chain"
-        print(f"feasibility report for {chain.label!r} ({mode}, tol {args.tol})")
-        _print_feasibility(report)
-    return EXIT_OK if report.all_feasible else EXIT_FINDING
+    yield report, not report.all_feasible
+    mode = "isolated first question" if args.isolate_first else "full chain"
+    yield f"feasibility report for {chain.label!r} ({mode}, tol {args.tol})"
+    yield from _feasibility_lines(report)
 
 
-def cmd_fit_chain(args) -> int:
+def cmd_fit_chain(args):
     chain = ingest.load_survey(args.survey)
     fit = framefit.fit_chain(chain, args.isolate_first, args.tol)
-    if args.json:
-        _emit_json(framefit.fit_result_to_dict(fit))
-    else:
-        print(f"fitted {len(fit.frames)} frames for {chain.label!r}")
-        for i, p in enumerate(fit.achieved):
-            print(f"  Q{i + 1} achieved: {np.round(p.probs, 9).tolist()}")
-        print(f"  residuals: {[f'{r:.3g}' for r in fit.residuals]}")
-        if max(fit.projection_distances) > 0:
-            print(f"  projection distances: "
-                  f"{[f'{d:.3g}' for d in fit.projection_distances]}")
-    return EXIT_OK
+    yield framefit.fit_result_to_dict(fit), False
+    yield f"fitted {len(fit.frames)} frames for {chain.label!r}"
+    for i, p in enumerate(fit.achieved):
+        yield f"  Q{i + 1} achieved: {np.round(p.probs, 9).tolist()}"
+    yield f"  residuals: {[f'{r:.3g}' for r in fit.residuals]}"
+    if max(fit.projection_distances) > 0:
+        yield (f"  projection distances: "
+               f"{[f'{d:.3g}' for d in fit.projection_distances]}")
 
 
 def _scan_csv_lines(scan, grid_n: int):
@@ -141,35 +124,29 @@ def _scan_csv_lines(scan, grid_n: int):
             yield f"{p},{q},{alpha},{pfb},{delta},{flag:d}\n"
 
 
-def cmd_conjunction_scan(args) -> int:
+def cmd_conjunction_scan(args):
     scan = sequential.interference_region_scan(args.grid)
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
             fh.writelines(_scan_csv_lines(scan, args.grid))
     n_cells = scan.in_region.size
     n_in = int(scan.in_region.sum())
-    if args.json:
-        _emit_json({"grid": args.grid, "cells": n_cells,
-                    "cells_in_region": n_in, "out": args.out})
-    else:
-        print(f"{args.grid}x{args.grid} scan: {n_in}/{n_cells} cells "
-              f"with P(F) > P^F(B) > P(B)")
-        if args.out:
-            print(f"wrote {args.out}")
-    return EXIT_OK
+    yield ({"grid": args.grid, "cells": n_cells, "cells_in_region": n_in,
+            "out": args.out}, False)
+    yield (f"{args.grid}x{args.grid} scan: {n_in}/{n_cells} cells "
+           f"with P(F) > P^F(B) > P(B)")
+    if args.out:
+        yield f"wrote {args.out}"
 
 
-def cmd_spin_demo(args) -> int:
+def cmd_spin_demo(args):
     direct, after = sequential.spin_order_demo()
-    if args.json:
-        _emit_json({"p_up_direct": direct, "p_up_after_y": after})
-    else:
-        print(f"P(X=UP) with no intervening measurement: {direct}")
-        print(f"P(X=UP) after a y-spin measurement:      {after}")
-    return EXIT_OK
+    yield {"p_up_direct": direct, "p_up_after_y": after}, False
+    yield f"P(X=UP) with no intervening measurement: {direct}"
+    yield f"P(X=UP) after a y-spin measurement:      {after}"
 
 
-def cmd_nosignal_demo(args) -> int:
+def cmd_nosignal_demo(args):
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for _ in range(args.trials):
@@ -177,14 +154,12 @@ def cmd_nosignal_demo(args) -> int:
         series_a = nosignal.random_local_series(rng, args.steps)
         series_b = nosignal.random_local_series(rng, args.steps)
         worst = max(worst, nosignal.no_signalling_check(state, series_a, series_b))
-    if args.json:
-        _emit_json({"trials": args.trials, "steps": args.steps,
-                    "max_fifth_marginal_deviation": worst})
-    else:
-        print(f"{args.trials} random entangled states, {args.steps}-step "
-              f"local series pairs")
-        print(f"max fifth-marginal deviation: {worst:.3g}")
-    return EXIT_OK if worst < _NO_SIGNALLING_TOL else EXIT_FINDING
+    yield ({"trials": args.trials, "steps": args.steps,
+            "max_fifth_marginal_deviation": worst},
+           not worst < _NO_SIGNALLING_TOL)
+    yield (f"{args.trials} random entangled states, {args.steps}-step "
+           f"local series pairs")
+    yield f"max fifth-marginal deviation: {worst:.3g}"
 
 
 def _tolerance(text: str) -> float:
@@ -256,10 +231,15 @@ def main(argv=None) -> int:
         # "violation found" here, so a usage error becomes 1
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
-        return args.func(args)
+        report = args.func(args)
+        payload, finding = next(report)
+        print(json.dumps(payload, default=_json_default, indent=2,
+                         sort_keys=True, allow_nan=False)
+              if args.json else "\n".join(report))
     except (ValueError, OSError, framefit.FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    return EXIT_FINDING if finding else EXIT_OK
 
 
 if __name__ == "__main__":

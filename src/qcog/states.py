@@ -154,16 +154,19 @@ def outcome_probabilities(state: DensityMatrix, frame) -> ProbabilityVector:
 def _check_projective(projectors, dim: int) -> None:
     # Hermitian idempotents that sum to the identity are pairwise orthogonal:
     # P_j = sum_i P_j P_i P_j = P_j + sum_{i != j} (P_i P_j)^H (P_i P_j)
+    # overflow or NaN in a wild entry fails the comparisons, with no
+    # RuntimeWarning
     total = np.zeros((dim, dim), dtype=np.complex128)
-    for i, p in enumerate(projectors):
-        if p.shape != (dim, dim):
-            raise MeasurementError("projector dimension mismatch")
-        if not is_hermitian(p) or np.max(np.abs(p @ p - p)) > STRUCTURAL_TOL:
-            raise MeasurementError(
-                f"projector {i} is not a Hermitian idempotent")
-        total += p
-    if np.max(np.abs(total - np.eye(dim))) > STRUCTURAL_TOL:
-        raise MeasurementError("projectors do not sum to the identity")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, p in enumerate(projectors):
+            if p.shape != (dim, dim):
+                raise MeasurementError("projector dimension mismatch")
+            if not is_hermitian(p) or np.max(np.abs(p @ p - p)) > STRUCTURAL_TOL:
+                raise MeasurementError(
+                    f"projector {i} is not a Hermitian idempotent")
+            total += p
+        if np.max(np.abs(total - np.eye(dim))) > STRUCTURAL_TOL:
+            raise MeasurementError("projectors do not sum to the identity")
 
 
 def lueders_update(state: DensityMatrix, projectors) -> DensityMatrix:

@@ -4,12 +4,14 @@ import copy
 import hashlib
 import io
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcog import cli
 from qcog.cli import main
 from qcog.ingest import IngestError, fixture_path, load_order_pair, load_survey
 
@@ -227,6 +229,15 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
 
+    def test_unrenderable_json_exit(self, capsys, monkeypatch):
+        # strict JSON has no NaN: rendering fails before stdout is written
+        import qcog.sequential as sequential
+        monkeypatch.setattr(sequential, "spin_order_demo",
+                            lambda: (float("nan"), 0.5))
+        assert main(["spin-demo", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+
     def test_parser_built_once(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("an ArgumentParser was built per call")
@@ -339,6 +350,39 @@ class TestMalformedInput:
                 code = main(argv)
             assert (code, out.getvalue()) == (1, ""), (argv, doc)
             assert err.getvalue().startswith("error:"), (argv, doc)
+
+
+T1, T2, MOORE = (str(fixture_path(name))
+                  for name in ("table1.json", "table2.json", "moore.json"))
+# (argv on the bundled fixtures, exit code): every subcommand, each finding
+# subcommand both with and without its finding
+MODE_CASES = [
+    (["check-classical", T1, T2, "--tol", "0.01"], 2),
+    (["check-classical", T1, T2, "--tol", "0.5"], 0),
+    (["check-order", MOORE, "--tol", "0.05"], 2),
+    (["check-order", MOORE, "--tol", "0.5"], 0),
+    (["check-contraction", T1], 2),
+    (["check-feasibility", T1, "--isolate-first", "--tol", "0"], 0),
+    (["check-feasibility", T2, "--tol", "0.07"], 2),
+    (["fit-chain", T2, "--isolate-first", "--tol", "0.07"], 0),
+    (["conjunction-scan", "--grid", "5"], 0),
+    (["spin-demo"], 0),
+    (["nosignal-demo", "--trials", "2", "--steps", "2"], 0),
+]
+
+
+class TestOutputModes:
+    def test_every_subcommand_has_a_case(self):
+        assert ({argv[0] for argv, _ in MODE_CASES}
+                == {row[0] for row in cli._SUBCOMMANDS})
+
+    @pytest.mark.parametrize("argv, code", MODE_CASES, ids=[
+        " ".join(os.path.basename(a) for a in argv) for argv, _ in MODE_CASES])
+    def test_exit_code_does_not_depend_on_json(self, argv, code, capsys):
+        assert main(argv) == code
+        assert capsys.readouterr().out.strip()
+        assert main(argv + ["--json"]) == code
+        json.loads(capsys.readouterr().out)
 
 
 class TestJsonOutputs:

@@ -40,33 +40,6 @@ class TestPredicates:
         assert predicate(np.zeros((0, 0))) is False
 
 
-class TestKron:
-    """np.kron's layout, the left factor indexing the blocks, is the factor
-    order that ``partial_trace``, ``apply_series`` and the dense oracles in
-    ``tests/oracles.py`` take ``dims`` in."""
-
-    def test_identity(self):
-        assert np.array_equal(np.kron(np.eye(2), np.eye(3)), np.eye(6))
-
-    def test_diagonal_blocks(self):
-        out = np.kron(np.diag([1.0, 2.0]), np.eye(2))
-        assert np.array_equal(out, np.diag([1.0, 1.0, 2.0, 2.0]))
-
-    def test_kron_of_unitaries_is_unitary(self):
-        # oracle: check U^dagger U = I on the product directly
-        rng = np.random.default_rng(7)
-        u = np.kron(haar_unitary(rng, 3), haar_unitary(rng, 3))
-        assert np.max(np.abs(u.conj().T @ u - np.eye(9))) < 1e-12
-
-    def test_associative(self):
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        assert np.allclose(np.kron(np.kron(a, b), c),
-                           np.kron(a, np.kron(b, c)), atol=1e-12)
-
-
 def _contract_oracle(rho, dims, keep):
     # independent index-by-index contraction, no einsum
     n = len(dims)

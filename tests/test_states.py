@@ -358,7 +358,7 @@ class TestLuedersUpdate:
 _MIXED = DensityMatrix(np.eye(2) / 2)
 
 
-@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200])
 @pytest.mark.parametrize("entry, error", [
     (lambda m: lueders_update(_MIXED, [m, np.eye(2) - m]), MeasurementError),
     (lambda m: outcome_probabilities(_MIXED, m), MeasurementError),
@@ -367,9 +367,10 @@ _MIXED = DensityMatrix(np.eye(2) / 2)
 ], ids=["lueders_update", "outcome_probabilities", "LocalSeries",
         "degenerate_yes_probability"])
 def test_non_finite_measurement_gives_typed_error(entry, error, bad):
-    # inf - inf and inf * 0 are NaN, which fails every structural check; a
-    # RuntimeWarning on the way is an exception under -W error, and a NaN
-    # that passed through would be a silent wrong answer
+    # inf - inf and inf * 0 are NaN, and 1e200 squared overflows to inf;
+    # either fails every structural check.  A RuntimeWarning on the way is an
+    # exception under -W error, and a NaN that passed through would be a
+    # silent wrong answer
     with pytest.raises(error):
         entry(np.diag([bad, 1.0]))
 
