@@ -31,30 +31,39 @@ _MAJORIZATION_NOISE = 1e-12
 _NO_SIGNALLING_TOL = 1e-10
 
 
-def _psd_within_tol(a: np.ndarray) -> bool:
-    # Cholesky and eigvalsh read only the lower triangle of a; H is the
-    # Hermitian matrix it defines.  Rank-one certificate first, O(n^2): with
-    # v = a[:, j]/sqrt(a[j, j]) at the largest diagonal entry and
-    # R = a - v v^H, H - v v^H is the Hermitian matrix built from tril(R), so
-    # ||H - v v^H||_F^2 <= 2||R||_F^2, and by Weyl lambda_min(H) >= -tol/2
-    # once 2||R||_F^2 <= (tol/2)^2; Cholesky of H + tol*I, whose rounding is
-    # ~1e-13 for a trace-1 H at n = 243, accepts every such H
+def _rank_one_certificate(a: np.ndarray, out=None) -> bool:
+    # O(n^2) proof that a is Hermitian and PSD within tolerance, for a pure
+    # state; False proves nothing.  With v = a[:, j]/sqrt(a[j, j]) at the
+    # largest diagonal entry it accepts when ||R||_F <= tol/(2 sqrt 2) for
+    # R = a - v v^H, written into out (n x n complex128, a caller's scratch)
+    # or a fresh array.  Hermiticity: v v^H is Hermitian to rounding
+    # (~1e-17), so max|a - a^H| <= 2||R||_F <= tol/sqrt 2, inside
+    # STRUCTURAL_TOL.  Positivity: Cholesky and eigvalsh read only the lower
+    # triangle of a, and for the Hermitian H it defines, H - v v^H is built
+    # from tril(R), so ||H - v v^H||_F^2 <= 2||R||_F^2 <= (tol/2)^2 and by
+    # Weyl lambda_min(H) >= -tol/2
     diag = a.diagonal().real
     j = int(np.argmax(diag))
     bound = STRUCTURAL_TOL ** 2 / 8
-    # overflow or nan in a wild input fails the comparisons and falls through
+    # overflow or nan in a wild input fails the comparisons
     with np.errstate(over="ignore", invalid="ignore"):
-        if diag[j] > 0:
-            v = a[:, j] / np.sqrt(diag[j])
-            # O(n) pre-test: diag(R) alone exceeds the bound at full rank
-            rd = diag - (v.real ** 2 + v.imag ** 2)
-            if rd @ rd <= bound:
-                r = np.outer(v, v.conj())
-                np.subtract(a, r, out=r)
-                if np.vdot(r, r).real <= bound:
-                    return True
-    # a + tol*I has a Cholesky factor exactly when every eigenvalue of H
-    # lies above -STRUCTURAL_TOL; half the cost of eigvalsh
+        if not diag[j] > 0:
+            return False
+        v = a[:, j] / np.sqrt(diag[j])
+        # O(n) pre-test: diag(R) alone exceeds the bound at full rank
+        rd = diag - (v.real ** 2 + v.imag ** 2)
+        if not rd @ rd <= bound:
+            return False
+        r = np.outer(v, v.conj(), out=out)
+        np.subtract(a, r, out=r)
+        return bool(np.vdot(r, r).real <= bound)
+
+
+def _shifted_cholesky(a: np.ndarray) -> bool:
+    # a + tol*I has a Cholesky factor exactly when every eigenvalue of the
+    # Hermitian matrix defined by tril(a) lies above -STRUCTURAL_TOL; half
+    # the cost of eigvalsh, and its rounding is ~1e-13 for a trace-1 matrix
+    # at n = 243, so it accepts everything the certificate does
     shifted = a.copy()
     shifted.flat[::a.shape[0] + 1] += STRUCTURAL_TOL  # the diagonal
     try:
@@ -93,13 +102,14 @@ def as_matrix(m) -> np.ndarray:
 
 
 def _orthonormal_columns(a: np.ndarray) -> bool:
-    # the one rule for frames and subspace bases: max|A^H A - I| <= tol; a
-    # NaN, inf or overflow fails the comparison, with no RuntimeWarning
+    # the one rule for frames and subspace bases: max|A^H A - I| <= tol, for
+    # one matrix or over a stack of them (..., n, k); a NaN, inf or overflow
+    # fails the comparison, with no RuntimeWarning
     if a.size == 0:
         return False
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = a.conj().T @ a
-        return bool(np.max(np.abs(gram - np.eye(a.shape[1]))) <= STRUCTURAL_TOL)
+        gram = a.conj().swapaxes(-1, -2) @ a
+        return bool(np.max(np.abs(gram - np.eye(a.shape[-1]))) <= STRUCTURAL_TOL)
 
 
 def is_hermitian(m) -> bool:
@@ -126,7 +136,7 @@ def is_psd(m) -> bool:
     a = as_matrix(m)
     if not is_hermitian(a):
         return False
-    return _psd_within_tol(a)
+    return _rank_one_certificate(a) or _shifted_cholesky(a)
 
 
 def partial_trace(rho, dims, keep: int) -> np.ndarray:

@@ -9,7 +9,13 @@ against the same measurements built as dense projectors on the full space.
 Positivity is checked once, where the input state is built: a rank-one
 certificate, O(n²), accepts a pure state such as the square-root embedding or
 the Gaussian entangled state, and anything else goes to a Cholesky
-factorisation of rho + tol*I.
+factorisation of rho + tol*I.  The certificate's bound also proves the state
+Hermitian, so a certified state skips the Hermiticity check, and its residual
+is written into the state's own output buffer before the input is copied
+there: one n x n array per validated state.  A series' frames are checked
+where it is built, those of each size as one stacked Gram product.  Every
+public function here that takes a state raises ValueError unless it is a
+DensityMatrix.
 
 Two routes give a series' fifth marginal.  ``apply_series`` followed by
 ``fifth_marginal`` is the Schroedinger-picture reference: it evolves the
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (_factor_dims, _index, as_matrix, is_unitary,
+from .hilbert import (_factor_dims, _index, _orthonormal_columns, as_matrix,
                       partial_trace)
 from .states import DensityMatrix, ProbabilityVector, PureState
 
@@ -52,9 +58,14 @@ class LocalSeries:
             raise ValueError(f"a local series needs at least two factors, got {dims}")
         steps = tuple((_index(k, "factor index"), as_matrix(u))
                       for k, u in self.steps)
+        # the frames of each shape are checked as one stacked Gram product
+        by_shape = {}
+        for _, u in steps:
+            by_shape.setdefault(u.shape, []).append(u)
+        if not all(rows == cols and _orthonormal_columns(np.stack(frames))
+                   for (rows, cols), frames in by_shape.items()):
+            raise ValueError("series frames must be unitary")
         for k, u in steps:
-            if not is_unitary(u):
-                raise ValueError("series frames must be unitary")
             if not 0 <= k < len(dims) - 1:
                 raise ValueError(f"factor index {k} must lie in 0..{len(dims) - 2}")
             if u.shape != (dims[k], dims[k]):
@@ -72,9 +83,18 @@ def _superoperator(u: np.ndarray) -> np.ndarray:
     return w @ w.conj().T
 
 
+def _check_state(state) -> None:
+    # a bare array or a PureState would otherwise fail later with an
+    # AttributeError
+    if not isinstance(state, DensityMatrix):
+        raise ValueError(
+            f"state must be a DensityMatrix, got {type(state).__name__}")
+
+
 def _check_series(state: DensityMatrix, series: LocalSeries, *others) -> tuple:
-    # the series' dims; raises ValueError unless the state lives on them and
-    # every other series shares them
+    # the series' dims; raises ValueError unless the state is a
+    # DensityMatrix that lives on them and every other series shares them
+    _check_state(state)
     if any(o.dims != series.dims for o in others):
         raise ValueError("the series act on different factor dims")
     if state.dim != int(np.prod(series.dims)):
@@ -91,8 +111,8 @@ def apply_series(state: DensityMatrix, series: LocalSeries) -> DensityMatrix:
     acting on that factor's (row, column) index pair: the state is
     transposed once into pair-major layout, each step is one matrix
     product on its pair axis, and the result is transposed back once and
-    Hermitian-symmetrised.  A state that does not live on the series'
-    ``dims`` raises ValueError.
+    Hermitian-symmetrised.  A state that is not a DensityMatrix, or does
+    not live on the series' ``dims``, raises ValueError.
 
     The input was validated when it was built, and a series of projective
     measurements maps density matrices to density matrices, so the output
@@ -117,7 +137,9 @@ def apply_series(state: DensityMatrix, series: LocalSeries) -> DensityMatrix:
 
 
 def fifth_marginal(state: DensityMatrix, dims=FIVE_QUESTIONS) -> ProbabilityVector:
-    """Standard-basis answer distribution of the last (isolated) factor."""
+    """Standard-basis answer distribution of the last (isolated) factor.
+    A state that is not a DensityMatrix raises ValueError."""
+    _check_state(state)
     reduced = partial_trace(state.matrix, dims, keep=len(dims) - 1)
     return ProbabilityVector(np.diag(reduced).real)
 
@@ -156,7 +178,8 @@ def no_signalling_check(state: DensityMatrix, series_a: LocalSeries,
     d_last numbers that gives.  The marginals equal
     ``fifth_marginal(apply_series(...))`` of each series, the
     Schroedinger-picture reference route.  Two series on different
-    ``dims``, or a state that does not live on them, raise ValueError.
+    ``dims``, or a state that is not a DensityMatrix or does not live on
+    them, raise ValueError.
     """
     _check_series(state, series_a, series_b)
     ma, mb = (_heisenberg_marginal(state, s) for s in (series_a, series_b))

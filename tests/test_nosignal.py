@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from qcog.hilbert import frame_projectors, partial_trace
 from qcog.nosignal import (LocalSeries, apply_series, fifth_marginal,
                            no_signalling_check, random_entangled_state,
                            random_local_series)
-from qcog.states import (DensityMatrix, ProbabilityVector, StateError,
-                         lueders_update, square_root_embed)
+from qcog.states import (DensityMatrix, ProbabilityVector, PureState,
+                         StateError, lueders_update, square_root_embed)
 
 from .conftest import haar_unitary
 from .oracles import embed_local
@@ -55,6 +57,83 @@ class TestLocalSeries:
     def test_accepts_numpy_integer_index(self):
         series = LocalSeries(((np.int64(2), np.eye(3)),))
         assert series.steps[0][0] == 2 and type(series.steps[0][0]) is int
+
+
+class TestLocalSeriesBatching:
+    """Frames are checked for unitarity in one stacked Gram product per
+    shape; a series with one fault raises what the step-by-step check
+    raised."""
+
+    @staticmethod
+    def with_fault(position, step):
+        # five good steps on DIMS with one replaced
+        rng = np.random.default_rng(179)
+        steps = [(k % 4, haar_unitary(rng, 3)) for k in range(5)]
+        steps[position] = step
+        return tuple(steps)
+
+    @pytest.mark.parametrize("position, step, message", [
+        (0, (1, np.diag([1.0, 1.0, 1.1])), "^series frames must be unitary$"),
+        (2, (1, np.diag([1.0, 1.0, 1.1])), "^series frames must be unitary$"),
+        (4, (1, np.diag([1.0, 1.0, 1.1])), "^series frames must be unitary$"),
+        (2, (0, np.zeros((0, 0))), "^series frames must be unitary$"),
+        (2, (0, np.eye(3)[:, :2]), "^series frames must be unitary$"),
+        (2, (4, np.eye(3)), "^factor index 4 must lie in 0..3$"),
+        (2, (0, np.eye(2)), r"^frame of shape \(2, 2\) does not fit factor 0 "
+                            r"of dimension 3$"),
+    ], ids=["non-unitary-first", "non-unitary-middle", "non-unitary-last",
+            "empty", "non-square", "out-of-range-index", "misfit"])
+    def test_single_fault_message(self, position, step, message):
+        with pytest.raises(ValueError, match=message):
+            LocalSeries(self.with_fault(position, step))
+
+    @pytest.mark.parametrize("bad", [np.nan, 1e200])
+    def test_wild_entry_is_not_unitary_without_warning(self, bad):
+        frame = np.eye(3, dtype=np.complex128)
+        frame[1, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="series frames must be unitary"):
+                LocalSeries(self.with_fault(2, (1, frame)))
+
+    def test_one_stack_per_frame_size(self, monkeypatch):
+        # (2, 3, 2): factor 0 takes 2x2 frames and factor 1 takes 3x3 ones
+        stacks = []
+        original = nosignal._orthonormal_columns
+
+        def recorded(a):
+            stacks.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(nosignal, "_orthonormal_columns", recorded)
+        rng = np.random.default_rng(181)
+        frames = [(0, haar_unitary(rng, 2)), (1, haar_unitary(rng, 3)),
+                  (0, haar_unitary(rng, 2)), (1, haar_unitary(rng, 3)),
+                  (0, haar_unitary(rng, 2))]
+        LocalSeries(tuple(frames), (2, 3, 2))
+        assert sorted(stacks) == [(2, 3, 3), (3, 2, 2)]
+        # a fault in either stack is still caught
+        for k, d in ((0, 2), (1, 3)):
+            bad = frames.copy()
+            bad[k] = (k, 2 * np.eye(d))
+            with pytest.raises(ValueError, match="series frames must be unitary"):
+                LocalSeries(tuple(bad), (2, 3, 2))
+
+
+class TestStateType:
+    @pytest.mark.parametrize("state", [
+        np.eye(243) / 243,
+        PureState(np.eye(243)[0]),
+    ], ids=["ndarray", "PureState"])
+    def test_typed_error_for_a_state_that_is_not_a_density_matrix(self, state):
+        series = LocalSeries(((0, np.eye(3)),))
+        for call in (lambda: no_signalling_check(state, series, series),
+                     lambda: apply_series(state, series),
+                     lambda: fifth_marginal(state)):
+            with pytest.raises(ValueError,
+                               match="state must be a DensityMatrix, got "
+                                     f"{type(state).__name__}$"):
+                call()
 
 
 class TestEmbedLocal:
@@ -205,7 +284,8 @@ class TestApplySeries:
             m.setattr(np.linalg, "eigh", forbidden)
             m.setattr(np.linalg, "eigvalsh", forbidden)
             m.setattr(np.linalg, "cholesky", forbidden)
-            m.setattr(states, "_psd_within_tol", forbidden)
+            m.setattr(states, "_rank_one_certificate", forbidden)
+            m.setattr(states, "_shifted_cholesky", forbidden)
             apply_series(state, series)
             random_entangled_state(rng)
             with pytest.raises(Validated):

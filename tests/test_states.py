@@ -11,7 +11,7 @@ from qcog.states import (DensityMatrix, MeasurementError, ProbabilityVector,
                          lueders_update, outcome_probabilities,
                          square_root_embed)
 
-from .conftest import haar_unitary, random_probs
+from .conftest import haar_unitary, random_density, random_probs
 from .oracles import measure_frame
 
 
@@ -107,7 +107,8 @@ class TestDensityMatrix:
             raise AssertionError("validated")
 
         monkeypatch.setattr(states, "is_hermitian", forbidden)
-        monkeypatch.setattr(states, "_psd_within_tol", forbidden)
+        monkeypatch.setattr(states, "_rank_one_certificate", forbidden)
+        monkeypatch.setattr(states, "_shifted_cholesky", forbidden)
         monkeypatch.setattr(np.linalg, "cholesky", forbidden)
         rng = np.random.default_rng(43)
         amps = rng.standard_normal(5) + 1j * rng.standard_normal(5)
@@ -136,6 +137,58 @@ class TestDensityMatrix:
         monkeypatch.setattr(states, "is_hermitian", counted)
         DensityMatrix(np.eye(4) / 4)
         assert len(calls) == 1
+
+    # one fault each; pure and near-pure inputs pass the rank-one certificate
+    # or miss it by far, so each message comes from the check named
+    _PSI = np.array([0.6, 0.8j])
+    _PURE = np.outer(_PSI, _PSI.conj())
+
+    @pytest.mark.parametrize("m, message", [
+        (np.ones((2, 3)) / 2, "density matrix must be square"),
+        (np.zeros((0, 0)), "density matrix must be nonempty"),
+        (np.where(np.eye(2, dtype=bool), _PURE, np.nan),
+         "non-finite entry in the density matrix"),
+        (_PURE + np.array([[0, 1e-9], [0, 0]]), "density matrix is not Hermitian"),
+        (0.9 * _PURE, f"trace is {np.trace(0.9 * _PURE).real}, not 1"),
+        (np.diag([1.1, -0.1]), "density matrix is not positive semidefinite"),
+    ], ids=["non-square", "empty", "nan", "non-hermitian-near-pure",
+            "trace-0.9-pure", "non-psd-mixed"])
+    def test_error_message_per_fault(self, m, message):
+        with pytest.raises(StateError) as err:
+            DensityMatrix(m)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
+    @pytest.mark.parametrize("layout", ["c-order", "f-order", "real",
+                                        "read-only", "list"])
+    def test_never_writes_to_or_aliases_input(self, pure, layout):
+        # the certificate writes its residual into the output buffer, never
+        # into the input, and the state owns a frozen copy
+        rng = np.random.default_rng(47)
+        dim = 9
+        if layout == "real":
+            psi = rng.standard_normal(dim)
+            psi /= np.linalg.norm(psi)
+            x = np.outer(psi, psi) if pure else np.diag(random_probs(rng, dim))
+        else:
+            psi = _pure(rng, dim)
+            x = np.outer(psi, psi.conj()) if pure else random_density(rng, dim)
+        if layout == "f-order":
+            x = np.asfortranarray(x)
+        elif layout == "read-only":
+            x.setflags(write=False)
+        elif layout == "list":
+            x = x.tolist()
+        expected = np.array(x, dtype=np.complex128).tobytes()
+        writeable = x.flags.writeable if isinstance(x, np.ndarray) else None
+        rho = DensityMatrix(x)
+        assert rho.matrix is not x
+        assert rho.matrix.tobytes() == expected
+        assert np.array(x, dtype=np.complex128).tobytes() == expected
+        assert not rho.matrix.flags.writeable
+        if isinstance(x, np.ndarray):
+            assert not np.shares_memory(rho.matrix, x)
+            assert x.flags.writeable == writeable
 
 
 def _pure(rng, dim, zeros=0):
@@ -221,6 +274,32 @@ class TestRankOneCertificate:
         low = np.min(np.linalg.eigvalsh(m))
         assume(abs(low + STRUCTURAL_TOL) >= 1e-3 * STRUCTURAL_TOL)
         assert hilbert.is_psd(m) == (low > -STRUCTURAL_TOL)
+
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           dim=st.sampled_from([2, 3, 9, 27]), skew=st.booleans(),
+           edge=st.sampled_from([0.5, 0.9, 0.99, 1.01, 1.1, 2.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_certificate_proves_hermiticity(self, seed, dim, skew, edge):
+        # a pure state plus a Hermitian or anti-Hermitian perturbation E of
+        # Frobenius norm edge * tol / (2 sqrt 2), the certificate's edge; E
+        # vanishes on the pivot's row and column, so the certificate's
+        # residual is E itself.  Whatever it accepts is Hermitian and PSD
+        # within tolerance, so DensityMatrix may skip those checks on it
+        rng = np.random.default_rng(seed)
+        psi = _pure(rng, dim)
+        j = int(np.argmax(np.abs(psi)))
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        e = g - g.conj().T if skew else g + g.conj().T
+        e[j, :] = e[:, j] = 0
+        e *= edge * STRUCTURAL_TOL / (2 * np.sqrt(2)) / np.linalg.norm(e)
+        m = np.outer(psi, psi.conj()) + e
+        accepted = hilbert._rank_one_certificate(m)
+        assert accepted == (edge < 1)
+        if accepted:
+            assert hilbert.is_hermitian(m)
+            for uplo in "LU":
+                assert np.min(np.linalg.eigvalsh(m, UPLO=uplo)) >= -STRUCTURAL_TOL
 
 
 class TestSquareRootEmbed:
