@@ -122,6 +122,15 @@ class OrderEffectReport:
         return any(e.flagged for e in self.entries)
 
 
+def _check_orderings(ordering_1, ordering_2) -> None:
+    # the one shape rule of an order pair, for order_effect_check and ingest:
+    # two questions each way, each with one answer count in both orderings
+    if len(ordering_1) != 2 or len(ordering_2) != 2:
+        raise ValueError("each ordering must contain exactly two questions")
+    if any(a.dim != b.dim for a, b in zip(ordering_1, ordering_2[::-1])):
+        raise ValueError("marginal dimensions differ between orderings")
+
+
 def order_effect_check(ordering_1, ordering_2, tol: float) -> OrderEffectReport:
     """Compare marginals of the same two questions asked in opposite order.
 
@@ -130,24 +139,11 @@ def order_effect_check(ordering_1, ordering_2, tol: float) -> OrderEffectReport:
     order (question 1 then question 0).  Each question whose marginal moves
     by more than ``tol`` is flagged.
     """
-    o1 = [np.asarray(p.probs, dtype=float) for p in ordering_1]
-    o2 = [np.asarray(p.probs, dtype=float) for p in ordering_2]
-    if len(o1) != 2 or len(o2) != 2:
-        raise ValueError("each ordering must contain exactly two questions")
-    if any(a.shape != b.shape for a, b in zip(o1, o2[::-1])):
-        raise ValueError("marginal dimensions differ between orderings")
+    _check_orderings(ordering_1, ordering_2)
     entries = []
-    for idx in range(2):
-        a = o1[idx]
-        b = o2[1 - idx]
-        diff = float(np.max(np.abs(a - b)))
-        entries.append(OrderEffectEntry(
-            question_index=idx,
-            marginal_first_ordering=a,
-            marginal_second_ordering=b,
-            difference=diff,
-            flagged=diff > tol,
-        ))
+    for idx, (a, b) in enumerate(zip(ordering_1, ordering_2[::-1])):
+        diff = float(np.max(np.abs(a.probs - b.probs)))
+        entries.append(OrderEffectEntry(idx, a.probs, b.probs, diff, diff > tol))
     return OrderEffectReport(tuple(entries))
 
 

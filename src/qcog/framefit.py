@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feasibility import SurveyChain, _require_transition, majorization_check
-from .hilbert import _DIAGONAL_TOL, RESIDUAL_LIMIT, frame_projectors
+from .hilbert import RESIDUAL_LIMIT, frame_projectors
 from .states import (DensityMatrix, ProbabilityVector, lueders_update,
                      outcome_probabilities, square_root_embed)
 
@@ -43,15 +43,6 @@ class FitError(RuntimeError):
 class TransitionFit:
     frame: np.ndarray
     residual: float
-
-
-def _eigenbasis(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # diagonal states keep their own ordering; otherwise fall back to eigh
-    off = m - np.diag(np.diag(m))
-    if np.max(np.abs(off)) < _DIAGONAL_TOL:
-        return np.diag(m).real.copy(), np.eye(m.shape[0], dtype=np.complex128)
-    lam, v = np.linalg.eigh(m)
-    return lam, v
 
 
 def _schur_horn_frame(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -84,34 +75,43 @@ def _schur_horn_frame(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
     return w
 
 
-def _checked_frame(lam: np.ndarray, t: np.ndarray):
-    """(W, achieved, squared residual) for :func:`_schur_horn_frame`, with
-    the residual check after it; ``t`` must be majorized by ``lam``."""
-    w = _schur_horn_frame(lam, t)
+def _fit_row(lam: np.ndarray, target: ProbabilityVector, tol: float,
+             what: str):
+    """(W, achieved, squared residual, projection distance) for one answer
+    row of a state with spectrum ``lam``, W in that state's eigenbasis: the
+    one row step of :func:`fit_chain` and :func:`fit_transition`.  A row
+    whose slack exceeds ``tol`` is infeasible (``what`` names it), one
+    within it is first projected, and the frame's residual is checked."""
+    feasible, slack = majorization_check(lam, target.probs, tol)
+    if not feasible:
+        raise InfeasibleTargetError(
+            f"{what} is infeasible: majorization slack {slack:.4g} "
+            f"exceeds tol {tol}", slack)
+    proj_dist = 0.0
+    if slack > 0:
+        target, proj_dist, _ = project_to_majorized(target, lam)
+    w = _schur_horn_frame(lam, target.probs)
     achieved = (lam[:, None] * w ** 2).sum(axis=0)
-    r = achieved - t
+    r = achieved - target.probs
     sse = float(r @ r)
     if not sse <= RESIDUAL_LIMIT:  # also rejects NaN
         raise FitError(f"constructed frame misses the target: squared "
                        f"residual {sse:.3g} exceeds {RESIDUAL_LIMIT}")
-    return w, achieved, sse
+    return w, achieved, sse, proj_dist
 
 
 def fit_transition(rho: DensityMatrix, target: ProbabilityVector) -> TransitionFit:
     """Construct a frame whose expectations on ``rho`` equal ``target``.
 
-    Works in the eigenbasis of ``rho``.  Raises
+    Diagonalises ``rho`` with ``eigh`` and runs :func:`fit_chain`'s row step
+    on its spectrum at tol 0, so nothing is projected:
     :class:`InfeasibleTargetError` when the target is not majorized by the
-    spectrum and :class:`FitError` when the constructed frame misses the
+    spectrum, :class:`FitError` when the constructed frame misses the
     target by more than ``RESIDUAL_LIMIT``.
     """
-    lam, v = _eigenbasis(np.asarray(rho.matrix))
-    feasible, slack = majorization_check(lam, target.probs, 0.0)
-    if not feasible:
-        raise InfeasibleTargetError(
-            f"target {target.probs.tolist()} not majorized by spectrum "
-            f"{np.sort(lam)[::-1].tolist()} (slack {slack:.6g})", slack)
-    w, _, sse = _checked_frame(lam, target.probs)
+    lam, v = np.linalg.eigh(rho.matrix)
+    w, _, sse, _ = _fit_row(lam, target, 0.0,
+                            f"target {target.probs.tolist()}")
     return TransitionFit(frame=v @ w, residual=sse)
 
 
@@ -204,15 +204,8 @@ def fit_chain(chain: SurveyChain, isolate_first: bool, tol: float) -> FitResult:
     projections = [0.0]
 
     for j, q in enumerate(questions[base_index + 1:], start=base_index + 1):
-        feasible, slack = majorization_check(lam, q.probs.probs, tol)
-        if not feasible:
-            raise InfeasibleTargetError(
-                f"transition Q{j}->Q{j + 1} of {chain.label!r} is infeasible: "
-                f"majorization slack {slack:.4g} exceeds tol {tol}", slack)
-        target, proj_dist = q.probs, 0.0
-        if slack > 0:
-            target, proj_dist, _ = project_to_majorized(q.probs, lam)
-        w, lam, sse = _checked_frame(lam, target.probs)
+        w, lam, sse, proj_dist = _fit_row(
+            lam, q.probs, tol, f"transition Q{j}->Q{j + 1} of {chain.label!r}")
         frames.append(frames[-1] @ w)
         residuals.append(sse)
         projections.append(proj_dist)

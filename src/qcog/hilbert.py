@@ -12,7 +12,8 @@ import numpy as np
 
 # Tolerances, in one table.  Each value is fixed; changing one moves verdicts.
 # structural checks on states, frames and measurements: Hermiticity, trace,
-# positivity, unitarity, projectors
+# positivity (one rule, _psd_fault, for DensityMatrix and is_psd), unitarity,
+# projectors
 STRUCTURAL_TOL = 1e-10
 # largest accepted squared residual of a constructed frame (it reaches ~1e-31)
 RESIDUAL_LIMIT = 1e-18
@@ -23,8 +24,6 @@ _PROB_SUM_TOL = 1e-9
 _AMPLITUDE_NORM_TOL = 1e-6
 # survey percentages: |sum - 100| accepted before renormalising
 _PERCENT_SUM_TOL = 1.0
-# largest off-diagonal entry of a state still treated as diagonal
-_DIAGONAL_TOL = 1e-13
 # majorization slack below this is partial-sum rounding noise, read as 0
 _MAJORIZATION_NOISE = 1e-12
 # largest fifth-marginal deviation nosignal-demo reports as no signalling
@@ -57,20 +56,6 @@ def _rank_one_certificate(a: np.ndarray, out=None) -> bool:
         r = np.outer(v, v.conj(), out=out)
         np.subtract(a, r, out=r)
         return bool(np.vdot(r, r).real <= bound)
-
-
-def _shifted_cholesky(a: np.ndarray) -> bool:
-    # a + tol*I has a Cholesky factor exactly when every eigenvalue of the
-    # Hermitian matrix defined by tril(a) lies above -STRUCTURAL_TOL; half
-    # the cost of eigvalsh, and its rounding is ~1e-13 for a trace-1 matrix
-    # at n = 243, so it accepts everything the certificate does
-    shifted = a.copy()
-    shifted.flat[::a.shape[0] + 1] += STRUCTURAL_TOL  # the diagonal
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def _index(value, what: str) -> int:
@@ -132,11 +117,32 @@ def is_unitary(m) -> bool:
     return a.shape[0] == a.shape[1] and _orthonormal_columns(a)
 
 
+def _psd_fault(a: np.ndarray, out: np.ndarray) -> str | None:
+    # the one positivity rule, of DensityMatrix and is_psd: None when the
+    # square, nonempty a is Hermitian and PSD within STRUCTURAL_TOL, else the
+    # fault; out (n x n complex128) is scratch.  The rank-one certificate
+    # proves both for a pure state.  Otherwise a + tol*I has a Cholesky
+    # factor exactly when every eigenvalue of the Hermitian matrix defined by
+    # tril(a) lies above -tol: half the cost of eigvalsh, with rounding ~1e-13
+    # for a trace-1 matrix at n = 243, so it accepts what the certificate does
+    if _rank_one_certificate(a, out):
+        return None
+    if not is_hermitian(a):
+        return "not Hermitian"
+    np.copyto(out, a)
+    out.flat[::a.shape[0] + 1] += STRUCTURAL_TOL  # the diagonal
+    try:
+        np.linalg.cholesky(out)
+    except np.linalg.LinAlgError:
+        return "not positive semidefinite"
+    return None
+
+
 def is_psd(m) -> bool:
     a = as_matrix(m)
-    if not is_hermitian(a):
-        return False
-    return _rank_one_certificate(a) or _shifted_cholesky(a)
+    # a non-square or 0x0 matrix is not Hermitian, so not PSD
+    return (a.shape[0] == a.shape[1] and a.size > 0
+            and _psd_fault(a, np.empty_like(a)) is None)
 
 
 def partial_trace(rho, dims, keep: int) -> np.ndarray:

@@ -21,7 +21,7 @@ import json
 from importlib import resources
 from pathlib import Path
 
-from .feasibility import Polarity, Question, SurveyChain
+from .feasibility import Polarity, Question, SurveyChain, _check_orderings
 from .states import ProbabilityVector
 
 
@@ -42,6 +42,13 @@ def _load_json(path) -> dict:
         raise IngestError(f"{path}: cannot read ({exc.strerror})") from exc
     except json.JSONDecodeError as exc:
         raise IngestError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def _string(path, value, field: str) -> str:
+    # str() would turn 1 into "1" and ["weird"] into "['weird']"
+    if not isinstance(value, str):
+        raise IngestError(f"{path}: {field} must be a string, got {value!r}")
+    return value
 
 
 def _percentages(path, values, where: str) -> ProbabilityVector:
@@ -75,12 +82,14 @@ def load_survey(path) -> SurveyChain:
         try:
             percents = [row["yes"], row["unsure"], row["no"]]
             polarity = Polarity(row.get("polarity", "neutral"))
-            text = str(row["text"])
+            text = row["text"]
         except (KeyError, TypeError, ValueError) as exc:
             raise IngestError(f"{path}: bad question row {i}: {row!r}") from exc
+        _string(path, text, f"question {i} text")
         probs = _percentages(path, percents, f"question {i} ({text!r})")
         questions.append(Question(text=text, probs=probs, polarity=polarity))
-    return SurveyChain(label=str(label), questions=tuple(questions))
+    return SurveyChain(label=_string(path, label, "sample_label"),
+                       questions=tuple(questions))
 
 
 def load_order_pair(path) -> dict:
@@ -100,11 +109,17 @@ def load_order_pair(path) -> dict:
         raise IngestError(f"{path}: question_names, ordering_1 and ordering_2 "
                           f"must each be a list of 2 entries")
 
+    for k, name in enumerate(names):
+        _string(path, name, f"question_names[{k}]")
+    o1, o2 = ([_percentages(path, r, f"marginal row {r!r}") for r in o]
+              for o in (o1, o2))
+    try:
+        _check_orderings(o1, o2)
+    except ValueError as exc:
+        raise IngestError(f"{path}: {exc}") from exc
     return {
-        "label": str(doc.get("label", "")),
+        "label": _string(path, doc.get("label", ""), "label"),
         "question_names": names,
-        "ordering_1": [_percentages(path, r, f"marginal row {r!r}")
-                       for r in o1],
-        "ordering_2": [_percentages(path, r, f"marginal row {r!r}")
-                       for r in o2],
+        "ordering_1": o1,
+        "ordering_2": o2,
     }

@@ -6,16 +6,10 @@ state.  This module applies measurement series factor by factor, each local
 measurement as one superoperator on its factor's (row, column) index pair,
 and checks the invariance numerically.  The tests check the contraction
 against the same measurements built as dense projectors on the full space.
-Positivity is checked once, where the input state is built: a rank-one
-certificate, O(n²), accepts a pure state such as the square-root embedding or
-the Gaussian entangled state, and anything else goes to a Cholesky
-factorisation of rho + tol*I.  The certificate's bound also proves the state
-Hermitian, so a certified state skips the Hermiticity check, and its residual
-is written into the state's own output buffer before the input is copied
-there: one n x n array per validated state.  A series' frames are checked
-where it is built, those of each size as one stacked Gram product.  Every
-public function here that takes a state raises ValueError unless it is a
-DensityMatrix.
+The input state is validated once, where it is built (``DensityMatrix``),
+and a series' frames where the series is built, those of each size as one
+stacked Gram product.  Every public function here that takes a state raises
+ValueError unless it is a DensityMatrix.
 
 Two routes give a series' fifth marginal.  ``apply_series`` followed by
 ``fifth_marginal`` is the Schroedinger-picture reference: it evolves the

@@ -12,8 +12,8 @@ import numpy as np
 
 from .hilbert import (_AMPLITUDE_NORM_TOL, _NEGATIVE_PROB_TOL,
                       _PERCENT_SUM_TOL, _PROB_SUM_TOL, STRUCTURAL_TOL,
-                      _orthonormal_columns, _rank_one_certificate,
-                      _shifted_cholesky, as_matrix, is_hermitian, is_unitary)
+                      _orthonormal_columns, _psd_fault, as_matrix,
+                      is_hermitian, is_unitary)
 
 
 class StateError(ValueError):
@@ -99,19 +99,14 @@ class DensityMatrix:
             raise StateError("density matrix must be nonempty")
         if not np.all(np.isfinite(a)):
             raise StateError("non-finite entry in the density matrix")
-        # one n x n buffer: the rank-one certificate's scratch, then the
-        # frozen copy.  A certified state is Hermitian and PSD within
-        # tolerance, so only an uncertified one is checked for either
+        if abs(np.trace(a).real - 1.0) > STRUCTURAL_TOL:
+            raise StateError(f"trace is {np.trace(a).real}, not 1")
+        # one n x n buffer: the positivity rule's scratch, then the copy
         m = np.empty(a.shape, dtype=np.complex128)
-        certified = _rank_one_certificate(a, out=m)
+        fault = _psd_fault(a, out=m)
+        if fault:
+            raise StateError(f"density matrix is {fault}")
         np.copyto(m, a)
-        del a  # a converted input is freed before the checks allocate
-        if not certified and not is_hermitian(m):
-            raise StateError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > STRUCTURAL_TOL:
-            raise StateError(f"trace is {np.trace(m).real}, not 1")
-        if not certified and not _shifted_cholesky(m):
-            raise StateError("density matrix is not positive semidefinite")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

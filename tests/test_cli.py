@@ -98,6 +98,47 @@ class TestIngest:
         with pytest.raises(IngestError, match="list of 2 entries"):
             load_order_pair(path)
 
+    @pytest.mark.parametrize("field, edit", [
+        ("sample_label", lambda d: d.update(sample_label=["weird"])),
+        ("question 2 text", lambda d: d["questions"][1].update(text=7)),
+    ], ids=["sample_label", "text"])
+    def test_survey_strings_are_strings(self, tmp_path, field, edit):
+        doc = copy.deepcopy(SURVEY)
+        edit(doc)
+        path = tmp_path / "survey.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(IngestError) as err:
+            load_survey(path)
+        assert str(err.value).startswith(f"{path}: {field} must be a string")
+
+    @pytest.mark.parametrize("field, edit", [
+        ("label", lambda d: d.update(label=3)),
+        ("question_names[0]", lambda d: d.update(question_names=[1, "b"])),
+        ("question_names[1]", lambda d: d.update(question_names=["a", {"z": 2}])),
+    ], ids=["label", "name-int", "name-dict"])
+    def test_pair_strings_are_strings(self, tmp_path, field, edit):
+        doc = copy.deepcopy(PAIR)
+        edit(doc)
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(IngestError) as err:
+            load_order_pair(path)
+        assert str(err.value).startswith(f"{path}: {field} must be a string")
+
+    def test_pair_answer_counts_match(self, tmp_path, capsys):
+        # a question with three answers one way and two the other is an
+        # ingest fault, named with its file
+        doc = copy.deepcopy(PAIR)
+        doc["ordering_1"][0] = [20, 30, 50]
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(doc))
+        message = f"{path}: marginal dimensions differ between orderings"
+        with pytest.raises(IngestError) as err:
+            load_order_pair(path)
+        assert str(err.value) == message
+        assert main(["check-order", str(path), "--tol", "0.05"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_moore_pair(self, moore):
         pair = load_order_pair(moore)
         assert len(pair["ordering_1"]) == 2
@@ -256,6 +297,10 @@ NOT_A_NUMBER = st.one_of(
     st.none(), st.booleans(), st.text(max_size=5),
     st.lists(st.integers(), max_size=3),
     st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+NOT_A_STRING = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.lists(st.text(max_size=3), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
 NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
 # added to one percentage, moves its row's sum outside [99, 101]; an integer
 # past float range too
@@ -272,7 +317,7 @@ def malformed_survey(draw):
     key = draw(st.sampled_from(["yes", "unsure", "no"]))
     defect = draw(st.sampled_from([
         "questions", "no questions", "row", "missing key", "type",
-        "non-finite", "sum", "polarity", "label"]))
+        "non-finite", "sum", "polarity", "label", "non-string"]))
     if defect == "questions":
         doc["questions"] = draw(NOT_A_LIST)
     elif defect == "no questions":
@@ -293,6 +338,11 @@ def malformed_survey(draw):
             st.none(), st.integers(),
             st.text(max_size=5).filter(
                 lambda t: t not in ("favour", "oppose", "neutral"))))
+    elif defect == "non-string":
+        if draw(st.booleans()):
+            doc["sample_label"] = draw(NOT_A_STRING)
+        else:
+            row["text"] = draw(NOT_A_STRING)
     else:
         del doc["sample_label"]
     return doc
@@ -307,7 +357,7 @@ def malformed_pair(draw):
     i, j = draw(st.integers(0, 1)), draw(st.integers(0, 1))
     defect = draw(st.sampled_from([
         "field", "length", "missing", "row", "type", "non-finite", "sum",
-        "empty row", "mismatch"]))
+        "empty row", "mismatch", "non-string"]))
     if defect == "field":
         doc[field] = draw(NOT_A_LIST)
     elif defect == "length":
@@ -324,6 +374,11 @@ def malformed_pair(draw):
         ordering[i][j] += draw(OFF_SUM)
     elif defect == "empty row":
         ordering[i] = []
+    elif defect == "non-string":
+        if draw(st.booleans()):
+            doc["label"] = draw(NOT_A_STRING)
+        else:
+            doc["question_names"][i] = draw(NOT_A_STRING)
     else:
         # the other ordering still asks this question with two answers
         doc["ordering_1"][i] = [20, 30, 50]

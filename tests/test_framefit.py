@@ -71,6 +71,43 @@ class TestFitTransition:
         with pytest.raises(InfeasibleTargetError):
             fit_transition(rho, pv(0.9, 0.05, 0.05))
 
+    def test_infeasible_message_is_the_row_steps(self):
+        # fit_transition and fit_chain raise from one row step, in one form
+        rho = diag_state(0.81, 0.04, 0.15)
+        with pytest.raises(InfeasibleTargetError) as err:
+            fit_transition(rho, pv(0.9, 0.05, 0.05))
+        assert str(err.value) == ("target [0.9, 0.05, 0.05] is infeasible: "
+                                  "majorization slack 0.09 exceeds tol 0.0")
+        assert abs(err.value.slack - 0.09) < 1e-12
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("diagonal", [
+        (0.15, 0.81, 0.04), (0.4, 0.2, 0.2, 0.2), (0.6, 0.0, 0.4, 0.0),
+        (0.0, 0.3, 0.0, 0.3, 0.4)], ids=["permuted", "repeated", "zeros",
+                                         "repeated-zeros"])
+    def test_diagonal_states(self, diagonal, dtype):
+        # eigh of an exactly diagonal state is a permutation of it, so every
+        # reachable target is reproduced: the diagonal itself, reversed,
+        # uniform, and halfway to uniform
+        rho = DensityMatrix(np.diag(diagonal).astype(dtype))
+        d = np.array(diagonal)
+        u_n = np.full(d.size, 1 / d.size)
+        for t in (d, d[::-1], u_n, (d + u_n) / 2):
+            u = fit_transition(rho, pv(*t)).frame
+            assert np.max(np.abs(u.conj().T @ u - np.eye(d.size))) < 1e-12
+            achieved = np.einsum("ij,ik,kj->j", u.conj(), rho.matrix, u).real
+            assert np.max(np.abs(achieved - t)) < 1e-12
+
+    @pytest.mark.parametrize("diagonal", [
+        (0.15, 0.81, 0.04), (0.5, 0.0, 0.3, 0.2), (0.05, 0.1, 0.2, 0.25, 0.4)])
+    def test_diagonal_target_gives_identity(self, diagonal):
+        # distinct entries: the Schur-Horn ordering undoes eigh's permutation
+        # exactly.  Tied entries may come back swapped within their tie,
+        # which reproduces the same row
+        fit = fit_transition(DensityMatrix(np.diag(diagonal)), pv(*diagonal))
+        assert fit.residual == 0.0
+        assert np.array_equal(fit.frame, np.eye(len(diagonal)))
+
     def test_frames_orthonormal(self):
         rng = np.random.default_rng(73)
         for _ in range(10):

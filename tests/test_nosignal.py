@@ -284,8 +284,7 @@ class TestApplySeries:
             m.setattr(np.linalg, "eigh", forbidden)
             m.setattr(np.linalg, "eigvalsh", forbidden)
             m.setattr(np.linalg, "cholesky", forbidden)
-            m.setattr(states, "_rank_one_certificate", forbidden)
-            m.setattr(states, "_shifted_cholesky", forbidden)
+            m.setattr(states, "_psd_fault", forbidden)
             apply_series(state, series)
             random_entangled_state(rng)
             with pytest.raises(Validated):

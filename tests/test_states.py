@@ -107,8 +107,7 @@ class TestDensityMatrix:
             raise AssertionError("validated")
 
         monkeypatch.setattr(states, "is_hermitian", forbidden)
-        monkeypatch.setattr(states, "_rank_one_certificate", forbidden)
-        monkeypatch.setattr(states, "_shifted_cholesky", forbidden)
+        monkeypatch.setattr(states, "_psd_fault", forbidden)
         monkeypatch.setattr(np.linalg, "cholesky", forbidden)
         rng = np.random.default_rng(43)
         amps = rng.standard_normal(5) + 1j * rng.standard_normal(5)
