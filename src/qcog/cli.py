@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
+import math
 import sys
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -29,10 +30,81 @@ EXIT_ERROR = 1
 EXIT_FINDING = 2
 
 
-def _json_default(obj):
+def render_json(payload) -> str:
+    """``payload`` as strict JSON text.
+
+    The text is that of ``json.dumps(payload, indent=2, sort_keys=True,
+    allow_nan=False)``, with ASCII escapes and shortest round-trip floats,
+    where a numpy array stands for its ``tolist()`` and a dataclass for the
+    dict of its fields.  Dict keys must be strings.  NaN and infinities
+    raise ValueError; any other type raises TypeError.
+    """
+    return _json_text(payload, "\n")
+
+
+def _float_text(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(
+            f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+def _json_text(obj, newline: str) -> str:
+    # str, int, float, list, tuple and dict cannot share an instance, so
+    # only bool must be tested before int; float subclasses (numpy scalars)
+    # and str and int subclasses (enums) print as json prints them
+    if isinstance(obj, float):
+        return _float_text(obj)
+    if isinstance(obj, (list, tuple, dict)):
+        if not obj:
+            return "{}" if isinstance(obj, dict) else "[]"
+        inner = newline + "  "
+        if isinstance(obj, dict):
+            items = [_key_text(key) + ": " + _json_text(value, inner)
+                     for key, value in sorted(obj.items())]
+            opening, closing = "{", "}"
+        else:
+            items = _float_list_texts(obj)
+            if items is None:
+                items = [_json_text(item, inner) for item in obj]
+            opening, closing = "[", "]"
+        return opening + inner + ("," + inner).join(items) + newline + closing
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return dataclasses.asdict(obj)
+        return _json_text(obj.tolist(), newline)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _json_text({f.name: getattr(obj, f.name)
+                           for f in dataclasses.fields(obj)}, newline)
+    raise TypeError(
+        f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _float_list_texts(items) -> list | None:
+    # the texts of a list of floats at C speed (the bulk of a fit), else None
+    if not isinstance(items[0], float):
+        return None
+    try:
+        texts = list(map(float.__repr__, items))
+    except TypeError:  # a float, then something else
+        return None
+    if "nan" in texts or "inf" in texts or "-inf" in texts:
+        return [_float_text(x) for x in items]  # raises for the first
+    return texts
+
+
+def _key_text(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return encode_basestring_ascii(key)
 
 
 # Each handler is a generator: it runs the analysis, yields (JSON payload,
@@ -233,9 +305,7 @@ def main(argv=None) -> int:
     try:
         report = args.func(args)
         payload, finding = next(report)
-        print(json.dumps(payload, default=_json_default, indent=2,
-                         sort_keys=True, allow_nan=False)
-              if args.json else "\n".join(report))
+        print(render_json(payload) if args.json else "\n".join(report))
     except (ValueError, OSError, framefit.FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -147,6 +147,25 @@ def order_effect_check(ordering_1, ordering_2, tol: float) -> OrderEffectReport:
     return OrderEffectReport(tuple(entries))
 
 
+def _sorted_cumsum(p: np.ndarray) -> np.ndarray:
+    # partial sums of each row sorted largest first
+    return np.sort(p, axis=-1)[..., ::-1].cumsum(axis=-1)
+
+
+def _slack(current_cumsum: np.ndarray,
+           target_cumsum: np.ndarray) -> np.ndarray:
+    """Majorization slack from :func:`_sorted_cumsum` rows: the worst excess
+    of the target's partial sums over the current ones, clamped at zero and
+    with float noise below ``_MAJORIZATION_NOISE`` read as zero."""
+    excess = (target_cumsum - current_cumsum).max(axis=-1)
+    return np.where(excess >= _MAJORIZATION_NOISE, excess, 0.0)
+
+
+def _majorization_slack(current: np.ndarray, target: np.ndarray) -> float:
+    # the slack of two validated 1-d distributions of one dimension
+    return float(_slack(_sorted_cumsum(current), _sorted_cumsum(target)))
+
+
 def majorization_check(current, target, tol: float = 0.0) -> tuple[bool, float]:
     """Is the array ``target`` majorized by the array ``current`` (so
     reachable as frame expectations of a state with spectrum ``current``)?
@@ -154,15 +173,13 @@ def majorization_check(current, target, tol: float = 0.0) -> tuple[bool, float]:
     The slack is the worst excess of the target's sorted partial sums over
     the current ones, clamped at zero; feasible iff slack <= tol.
     """
-    c = np.sort(np.asarray(current, dtype=float))[::-1]
-    t = np.sort(np.asarray(target, dtype=float))[::-1]
+    c = np.asarray(current, dtype=float)
+    t = np.asarray(target, dtype=float)
     if c.shape != t.shape:
         raise ValueError("distributions have different dimensions")
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(t))):
         raise ValueError("non-finite probability in a majorization check")
-    slack = float(max(0.0, np.max(np.cumsum(t) - np.cumsum(c))))
-    if slack < _MAJORIZATION_NOISE:
-        slack = 0.0
+    slack = _majorization_slack(c, t)
     return slack <= tol, slack
 
 
@@ -186,20 +203,6 @@ class FeasibilityReport:
         return all(t.feasible_at_tol for t in self.transitions)
 
 
-def _transition(prev: np.ndarray, nxt: np.ndarray, i: int,
-                tol: float, exempt: bool) -> TransitionCheck:
-    max_inc = max(0.0, float(np.max(nxt) - np.max(prev)))
-    min_dec = max(0.0, float(np.min(prev) - np.min(nxt)))
-    feasible, slack = majorization_check(prev, nxt, tol)
-    return TransitionCheck(
-        from_index=i, to_index=i + 1,
-        max_increase=max_inc, min_decrease=min_dec,
-        majorization_slack=slack,
-        feasible_at_tol=True if exempt else feasible,
-        exempt=exempt,
-    )
-
-
 def _require_transition(chain: SurveyChain, isolate_first: bool) -> None:
     # the one chain-length rule of checking and fitting: at least one
     # transition, not counting the exempt one from an isolated first question
@@ -216,16 +219,28 @@ def contraction_check(chain: SurveyChain) -> FeasibilityReport:
 
 def chain_feasibility(chain: SurveyChain, isolate_first: bool,
                       tol: float) -> FeasibilityReport:
-    """Majorization feasibility of every transition in the chain.
+    """Majorization feasibility of every transition in the chain, with its
+    max increase and min decrease, all found in one pass over the chain's
+    rows.
 
     With ``isolate_first`` the first transition is exempted: the first
     question lives on its own tensor factor of a product state, so its
     outcome constrains nothing downstream.
     """
     _require_transition(chain, isolate_first)
-    dists = chain.distributions()
-    transitions = tuple(
-        _transition(dists[i], dists[i + 1], i, tol,
-                    exempt=isolate_first and i == 0)
-        for i in range(len(dists) - 1))
-    return FeasibilityReport(transitions)
+    d = np.array(chain.distributions())
+    n = len(d)
+    highs, lows = d.max(axis=1), d.min(axis=1)
+    increase = highs[1:] - highs[:-1]
+    decrease = lows[:-1] - lows[1:]
+    cumsum = _sorted_cumsum(d)
+    slack = _slack(cumsum[:-1], cumsum[1:])
+    exempt = np.zeros(n - 1, dtype=bool)
+    exempt[0] = isolate_first
+    return FeasibilityReport(tuple(map(
+        TransitionCheck, range(n - 1), range(1, n),
+        np.where(increase > 0.0, increase, 0.0).tolist(),
+        np.where(decrease > 0.0, decrease, 0.0).tolist(),
+        slack.tolist(),
+        (exempt | (slack <= tol)).tolist(),
+        exempt.tolist())))

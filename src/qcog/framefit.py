@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feasibility import SurveyChain, _require_transition, majorization_check
+from .feasibility import (SurveyChain, _majorization_slack,
+                          _require_transition, majorization_check)
 from .hilbert import RESIDUAL_LIMIT, frame_projectors
 from .states import (DensityMatrix, ProbabilityVector, lueders_update,
                      outcome_probabilities, square_root_embed)
@@ -82,8 +83,8 @@ def _fit_row(lam: np.ndarray, target: ProbabilityVector, tol: float,
     one row step of :func:`fit_chain` and :func:`fit_transition`.  A row
     whose slack exceeds ``tol`` is infeasible (``what`` names it), one
     within it is first projected, and the frame's residual is checked."""
-    feasible, slack = majorization_check(lam, target.probs, tol)
-    if not feasible:
+    slack = _majorization_slack(lam, target.probs)
+    if not slack <= tol:
         raise InfeasibleTargetError(
             f"{what} is infeasible: majorization slack {slack:.4g} "
             f"exceeds tol {tol}", slack)
@@ -109,6 +110,8 @@ def fit_transition(rho: DensityMatrix, target: ProbabilityVector) -> TransitionF
     spectrum, :class:`FitError` when the constructed frame misses the
     target by more than ``RESIDUAL_LIMIT``.
     """
+    if target.dim != rho.dim:
+        raise ValueError("distributions have different dimensions")
     lam, v = np.linalg.eigh(rho.matrix)
     w, _, sse, _ = _fit_row(lam, target, 0.0,
                             f"target {target.probs.tolist()}")
@@ -209,7 +212,8 @@ def fit_chain(chain: SurveyChain, isolate_first: bool, tol: float) -> FitResult:
         frames.append(frames[-1] @ w)
         residuals.append(sse)
         projections.append(proj_dist)
-        achieved.append(ProbabilityVector(lam))
+        # nonnegative, finite and of sum 1 by construction
+        achieved.append(ProbabilityVector._unchecked(lam))
 
     return FitResult(
         label=chain.label,
@@ -240,7 +244,7 @@ def replay(fit: FitResult, chain: SurveyChain) -> list[ProbabilityVector]:
 def fit_result_to_dict(fit: FitResult) -> dict:
     """JSON-ready view; frames as row-major (re, im) pairs."""
     def frame_json(u: np.ndarray) -> list:
-        return [[[float(z.real), float(z.imag)] for z in row] for row in u]
+        return np.stack((u.real, u.imag), -1).tolist()
 
     return {
         "label": fit.label,

@@ -21,8 +21,10 @@ import json
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from .feasibility import Polarity, Question, SurveyChain, _check_orderings
-from .states import ProbabilityVector
+from .states import ProbabilityVector, RowError
 
 
 class IngestError(ValueError):
@@ -51,21 +53,45 @@ def _string(path, value, field: str) -> str:
     return value
 
 
-def _percentages(path, values, where: str) -> ProbabilityVector:
+def _numbers(path, values, where: str) -> list[float]:
+    # a list of numbers, each within float range: what an answer row must be
+    # before the rows are checked as one array
     if not (isinstance(values, list) and all(
             isinstance(v, (int, float)) and not isinstance(v, bool)
             for v in values)):
         raise IngestError(f"{path}: {where}: expected a list of numbers, "
                           f"got {values!r}")
     try:
-        return ProbabilityVector.from_percents(values)
-    except (ValueError, OverflowError) as exc:
-        # a StateError, an empty row, or an integer beyond float range
+        return [float(v) for v in values]
+    except OverflowError as exc:  # an integer beyond float range
         raise IngestError(f"{path}: {where}: {exc}") from exc
 
 
+def _percentages(path, values, where: str) -> ProbabilityVector:
+    numbers = _numbers(path, values, where)
+    try:
+        return ProbabilityVector.from_percents(numbers)
+    except RowError as exc:
+        raise IngestError(f"{path}: {where}: {exc}") from exc
+
+
+def _question_row(path, i: int, row) -> tuple[str, Polarity, list[float]]:
+    try:
+        values = [row["yes"], row["unsure"], row["no"]]
+        polarity = Polarity(row.get("polarity", "neutral"))
+        text = row["text"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IngestError(f"{path}: bad question row {i}: {row!r}") from exc
+    _string(path, text, f"question {i} text")
+    return text, polarity, _numbers(path, values, f"question {i} ({text!r})")
+
+
 def load_survey(path) -> SurveyChain:
-    """Read a survey sample file into a question chain."""
+    """Read a survey sample file into a question chain.
+
+    The answer rows are checked as one array; of a file with several faulty
+    rows, the first is the one reported.
+    """
     doc = _load_json(path)
     try:
         label = doc["sample_label"]
@@ -77,19 +103,29 @@ def load_survey(path) -> SurveyChain:
     if not rows:
         raise IngestError(f"{path}: empty question list")
 
-    questions = []
+    texts, polarities, percents = [], [], []
+    fault = None
     for i, row in enumerate(rows, start=1):
         try:
-            percents = [row["yes"], row["unsure"], row["no"]]
-            polarity = Polarity(row.get("polarity", "neutral"))
-            text = row["text"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise IngestError(f"{path}: bad question row {i}: {row!r}") from exc
-        _string(path, text, f"question {i} text")
-        probs = _percentages(path, percents, f"question {i} ({text!r})")
-        questions.append(Question(text=text, probs=probs, polarity=polarity))
+            text, polarity, numbers = _question_row(path, i, row)
+        except IngestError as exc:
+            # reported unless an earlier row fails the percentage rule
+            fault = exc
+            break
+        texts.append(text)
+        polarities.append(polarity)
+        percents.append(numbers)
+    try:
+        probs = ProbabilityVector.rows_from_percents(
+            np.array(percents, dtype=float).reshape(-1, 3))
+    except RowError as exc:
+        where = f"question {exc.row + 1} ({texts[exc.row]!r})"
+        raise IngestError(f"{path}: {where}: {exc}") from exc
+    if fault is not None:
+        raise fault
+    questions = tuple(map(Question, texts, probs, polarities))
     return SurveyChain(label=_string(path, label, "sample_label"),
-                       questions=tuple(questions))
+                       questions=questions)
 
 
 def load_order_pair(path) -> dict:

@@ -24,6 +24,59 @@ class MeasurementError(ValueError):
     """A measurement description is invalid (incomplete, non-orthogonal...)."""
 
 
+class RowError(StateError):
+    """One row of a batch of answer rows breaks the rule; ``row`` is its
+    0-based index."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
+def _answer_rows(v: np.ndarray, percents: bool) -> np.ndarray:
+    """The one rule for answer rows, on every row of the 2-d float array
+    ``v`` at once; returns the rows as probabilities.
+
+    Percentage rows (``percents``) must be nonnegative, with a sum within
+    ``_PERCENT_SUM_TOL`` of 100 that each row is divided by.  Probability
+    rows must be finite, with no entry below ``-_NEGATIVE_PROB_TOL`` and,
+    clipped at zero, a sum within ``_PROB_SUM_TOL`` of 1.  The first faulty
+    row raises :class:`RowError` with the message of its first failed check.
+    """
+    # a faulty row may overflow its sum or divide by zero: it is rejected
+    # below, with no RuntimeWarning.  NaN compares false, so the >= and <=
+    # tests flag its row, and the message names the check it fails first
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if percents:
+            total = np.add.reduce(v, axis=1)
+            bad = ((np.minimum.reduce(v, axis=1, initial=np.inf) < 0)
+                   | (np.abs(total - 100.0) > _PERCENT_SUM_TOL))
+            p = v / total[:, None]
+        else:
+            bad, p = False, v
+        q = np.maximum(p, 0.0)  # np.clip(p, 0.0, None), without its wrapper
+        s = np.add.reduce(q, axis=1)
+        bad = bad | ~((np.minimum.reduce(p, axis=1, initial=np.inf)
+                       >= -_NEGATIVE_PROB_TOL)
+                      & (np.abs(s - 1.0) <= _PROB_SUM_TOL))
+    if bad.any():
+        i = int(bad.argmax())
+        if percents and np.any(v[i] < 0):
+            message = f"negative percentage in {list(v[i])}"
+        elif percents and abs(total[i] - 100.0) > _PERCENT_SUM_TOL:
+            lo, hi = 100 - _PERCENT_SUM_TOL, 100 + _PERCENT_SUM_TOL
+            message = (f"percentages sum to {total[i]}, "
+                       f"outside [{lo:g}, {hi:g}]")
+        elif not np.all(np.isfinite(p[i])):
+            message = f"non-finite probability in {p[i].tolist()}"
+        elif np.min(p[i]) < -_NEGATIVE_PROB_TOL:
+            message = f"negative probability {np.min(p[i])}"
+        else:
+            message = f"probabilities sum to {s[i]}, not 1"
+        raise RowError(message, i)
+    return q
+
+
 @dataclass(frozen=True)
 class ProbabilityVector:
     """Nonnegative reals summing to 1; one question's answer distribution."""
@@ -31,30 +84,37 @@ class ProbabilityVector:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float).copy()
+        p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise StateError("probabilities must form a nonempty 1-d vector")
-        if not np.all(np.isfinite(p)):
-            raise StateError(f"non-finite probability in {p.tolist()}")
-        if np.min(p) < -_NEGATIVE_PROB_TOL:
-            raise StateError(f"negative probability {np.min(p)}")
-        p = np.clip(p, 0.0, None)
-        if abs(p.sum() - 1.0) > _PROB_SUM_TOL:
-            raise StateError(f"probabilities sum to {p.sum()}, not 1")
+        q = _answer_rows(p[None], percents=False)[0]
+        q.setflags(write=False)
+        object.__setattr__(self, "probs", q)
+
+    @classmethod
+    def _unchecked(cls, p: np.ndarray) -> "ProbabilityVector":
+        # for rows that passed the answer-row rule, and distributions valid
+        # by construction; takes ownership of the float array p, freezes it
+        # and checks nothing
         p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
+        vector = object.__new__(cls)
+        object.__setattr__(vector, "probs", p)
+        return vector
 
     @classmethod
     def from_percents(cls, values) -> "ProbabilityVector":
         """Divide by 100 and renormalize; reject if the sum is off by > 1%."""
         v = np.asarray(values, dtype=float)
-        if np.any(v < 0):  # an empty list fails the sum check below
-            raise StateError(f"negative percentage in {list(v)}")
-        s = v.sum()
-        if abs(s - 100.0) > _PERCENT_SUM_TOL:
-            lo, hi = 100 - _PERCENT_SUM_TOL, 100 + _PERCENT_SUM_TOL
-            raise StateError(f"percentages sum to {s}, outside [{lo:g}, {hi:g}]")
-        return cls(v / s)
+        if v.ndim != 1:
+            raise StateError("probabilities must form a nonempty 1-d vector")
+        return cls.rows_from_percents(v[None])[0]
+
+    @classmethod
+    def rows_from_percents(cls, rows) -> list["ProbabilityVector"]:
+        """:meth:`from_percents` of each row of the 2-d array ``rows``, checked
+        as one array; the first faulty row raises :class:`RowError`."""
+        probs = _answer_rows(np.asarray(rows, dtype=float), percents=True)
+        return [cls._unchecked(p) for p in probs]
 
     @property
     def dim(self) -> int:

@@ -6,9 +6,11 @@ path under test.
 import numpy as np
 
 from qcog.feasibility import SurveyChain
-from qcog.hilbert import as_matrix, frame_projectors
+from qcog.hilbert import (_MAJORIZATION_NOISE, _NEGATIVE_PROB_TOL,
+                          _PERCENT_SUM_TOL, _PROB_SUM_TOL, as_matrix,
+                          frame_projectors)
 from qcog.nosignal import FIVE_QUESTIONS
-from qcog.states import DensityMatrix, lueders_update
+from qcog.states import DensityMatrix, StateError, lueders_update
 
 
 def embed_local(frame, factor_index: int,
@@ -39,3 +41,46 @@ def survey_to_dict(chain: SurveyChain) -> dict:
         rows.append({"text": q.text, "yes": yes, "unsure": unsure, "no": no,
                      "polarity": q.polarity.value})
     return {"sample_label": chain.label, "questions": rows}
+
+
+def percent_row_oracle(values) -> np.ndarray:
+    """One answer row in percent, checked and normalized row by row: the
+    percentage checks, then the probability checks on the row divided by its
+    sum.  Raises StateError with the message of the first failed check."""
+    v = np.asarray(values, dtype=float)
+    if np.any(v < 0):
+        raise StateError(f"negative percentage in {list(v)}")
+    with np.errstate(all="ignore"):  # the faulty rows the checks reject
+        s = v.sum()
+        p = v / s
+    if abs(s - 100.0) > _PERCENT_SUM_TOL:
+        raise StateError(f"percentages sum to {s}, outside [99, 101]")
+    return probability_row_oracle(p)
+
+
+def probability_row_oracle(values) -> np.ndarray:
+    """One nonempty probability row checked entry by entry and clipped at 0."""
+    p = np.array(values, dtype=float)
+    if not all(np.isfinite(x) for x in p):
+        raise StateError(f"non-finite probability in {p.tolist()}")
+    if min(p) < -_NEGATIVE_PROB_TOL:
+        raise StateError(f"negative probability {np.min(p)}")
+    p = np.clip(p, 0.0, None)
+    with np.errstate(over="ignore"):
+        s = p.sum()
+    if abs(s - 1.0) > _PROB_SUM_TOL:
+        raise StateError(f"probabilities sum to {s}, not 1")
+    return p
+
+
+def transition_oracle(prev, nxt, tol: float):
+    """(max increase, min decrease, majorization slack, feasible) of one
+    transition, computed for that transition alone."""
+    max_inc = max(0.0, float(np.max(nxt) - np.max(prev)))
+    min_dec = max(0.0, float(np.min(prev) - np.min(nxt)))
+    c = np.sort(np.asarray(prev, dtype=float))[::-1]
+    t = np.sort(np.asarray(nxt, dtype=float))[::-1]
+    slack = float(max(0.0, np.max(np.cumsum(t) - np.cumsum(c))))
+    if slack < _MAJORIZATION_NOISE:
+        slack = 0.0
+    return max_inc, min_dec, slack, slack <= tol

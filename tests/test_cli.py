@@ -1,10 +1,12 @@
 import argparse
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import io
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from hypothesis import strategies as st
 
 from qcog import cli
 from qcog.cli import main
+from qcog.feasibility import Polarity
+from qcog.framefit import fit_chain, fit_result_to_dict
 from qcog.ingest import IngestError, fixture_path, load_order_pair, load_survey
 
 from .oracles import survey_to_dict
@@ -38,6 +42,18 @@ def t2():
 @pytest.fixture
 def moore():
     return str(fixture_path("moore.json"))
+
+
+# (row, message) of one faulty answer row
+FAULTY_ROWS = {
+    "negative": ([105, -5, 0], "negative percentage in "
+                 + repr(list(np.array([105, -5, 0], dtype=float)))),
+    "sum": ([50, 30, 17], "percentages sum to 97.0, outside [99, 101]"),
+    "non-numeric": (["50", 30, 20],
+                    "expected a list of numbers, got ['50', 30, 20]"),
+    "overflow": ([1e308] * 3, "percentages sum to inf, outside [99, 101]"),
+    "huge integer": ([10 ** 400, 0, 0], "int too large to convert to float"),
+}
 
 
 class TestIngest:
@@ -138,6 +154,44 @@ class TestIngest:
         assert str(err.value) == message
         assert main(["check-order", str(path), "--tol", "0.05"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("second", FAULTY_ROWS)
+    @pytest.mark.parametrize("fourth", FAULTY_ROWS)
+    def test_first_faulty_row_is_reported(self, tmp_path, second, fourth):
+        # the rows are checked as one array, yet a file with two faulty rows
+        # names the first, with the message it would have on its own
+        rows = [[50, 30, 20]] * 5
+        rows[1], rows[3] = FAULTY_ROWS[second][0], FAULTY_ROWS[fourth][0]
+        path = write_survey(tmp_path / "two-faults.json", rows)
+        with pytest.raises(IngestError) as err:
+            load_survey(path)
+        assert str(err.value) == (
+            f"{path}: question 2 ('q2'): {FAULTY_ROWS[second][1]}")
+
+    @pytest.mark.parametrize("kind", ["survey", "pair"])
+    def test_overflowing_row_is_one_error_line(self, tmp_path, capsys, kind):
+        # percentages whose sum overflows: exit 1 with one error line, and no
+        # RuntimeWarning on the way
+        path = tmp_path / f"{kind}.json"
+        if kind == "survey":
+            doc = copy.deepcopy(SURVEY)
+            doc["questions"][1].update(yes=OVERFLOW, unsure=OVERFLOW,
+                                       no=OVERFLOW)
+            where = f"question 2 ({doc['questions'][1]['text']!r})"
+            argv = ["check-contraction", str(path)]
+        else:
+            doc = copy.deepcopy(PAIR)
+            doc["ordering_1"][0] = [OVERFLOW, OVERFLOW]
+            where = "marginal row [1e+308, 1e+308]"
+            argv = ["check-order", str(path), "--tol", "0.05"]
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, caught) == (1, "", [])
+        assert captured.err == (f"error: {path}: {where}: percentages sum "
+                                f"to inf, outside [99, 101]\n")
 
     def test_moore_pair(self, moore):
         pair = load_order_pair(moore)
@@ -279,6 +333,15 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf")])
+    def test_infinite_json_exit(self, capsys, monkeypatch, bad):
+        # nor infinities
+        import qcog.sequential as sequential
+        monkeypatch.setattr(sequential, "spin_order_demo", lambda: (0.5, bad))
+        assert main(["spin-demo", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+
     def test_parser_built_once(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("an ArgumentParser was built per call")
@@ -306,6 +369,8 @@ NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
 # past float range too
 OFF_SUM = st.one_of(st.floats(1.5, 1e300), st.floats(-1e300, -1.5),
                     st.integers(2, 10 ** 400))
+# finite percentages whose sum overflows to inf
+OVERFLOW = 1e308
 
 
 @st.composite
@@ -317,7 +382,7 @@ def malformed_survey(draw):
     key = draw(st.sampled_from(["yes", "unsure", "no"]))
     defect = draw(st.sampled_from([
         "questions", "no questions", "row", "missing key", "type",
-        "non-finite", "sum", "polarity", "label", "non-string"]))
+        "non-finite", "sum", "overflow", "polarity", "label", "non-string"]))
     if defect == "questions":
         doc["questions"] = draw(NOT_A_LIST)
     elif defect == "no questions":
@@ -333,6 +398,8 @@ def malformed_survey(draw):
         row[key] = draw(NON_FINITE)
     elif defect == "sum":
         row[key] += draw(OFF_SUM)
+    elif defect == "overflow":
+        row.update(yes=OVERFLOW, unsure=OVERFLOW, no=OVERFLOW)
     elif defect == "polarity":
         row["polarity"] = draw(st.one_of(
             st.none(), st.integers(),
@@ -357,7 +424,7 @@ def malformed_pair(draw):
     i, j = draw(st.integers(0, 1)), draw(st.integers(0, 1))
     defect = draw(st.sampled_from([
         "field", "length", "missing", "row", "type", "non-finite", "sum",
-        "empty row", "mismatch", "non-string"]))
+        "overflow", "empty row", "mismatch", "non-string"]))
     if defect == "field":
         doc[field] = draw(NOT_A_LIST)
     elif defect == "length":
@@ -372,6 +439,8 @@ def malformed_pair(draw):
         ordering[i][j] = draw(NON_FINITE)
     elif defect == "sum":
         ordering[i][j] += draw(OFF_SUM)
+    elif defect == "overflow":
+        ordering[i] = [OVERFLOW, OVERFLOW]
     elif defect == "empty row":
         ordering[i] = []
     elif defect == "non-string":
@@ -463,6 +532,121 @@ class TestJsonOutputs:
         doc = json.loads(capsys.readouterr().out)
         assert abs(doc["p_up_direct"] - 1.0) < 1e-12
         assert abs(doc["p_up_after_y"] - 0.5) < 1e-12
+
+
+# (argv, exit code, SHA-256 of stdout) of each --json report whose payload
+# involves no BLAS product, as the row-by-row implementation wrote them
+GOLDEN_JSON = [
+    (["check-contraction", T1], 2,
+     "f249b0b5702d0c576929d93a9f5665ca885e372e0e0f12b849580c678f76d1c6"),
+    (["check-contraction", T2], 2,
+     "9adec0419857d4ed58ba52097b50b554208fbf3436e83d1d97a36115714569ce"),
+    (["check-feasibility", T1, "--tol", "0"], 2,
+     "f249b0b5702d0c576929d93a9f5665ca885e372e0e0f12b849580c678f76d1c6"),
+    (["check-feasibility", T1, "--tol", "0", "--isolate-first"], 0,
+     "125731b15bd3ab858af1cc4105cb261d24660e51225730de6dea0dc94b722418"),
+    (["check-feasibility", T1, "--tol", "0.07"], 2,
+     "f249b0b5702d0c576929d93a9f5665ca885e372e0e0f12b849580c678f76d1c6"),
+    (["check-feasibility", T1, "--tol", "0.07", "--isolate-first"], 0,
+     "125731b15bd3ab858af1cc4105cb261d24660e51225730de6dea0dc94b722418"),
+    (["check-feasibility", T2, "--tol", "0"], 2,
+     "9adec0419857d4ed58ba52097b50b554208fbf3436e83d1d97a36115714569ce"),
+    (["check-feasibility", T2, "--tol", "0", "--isolate-first"], 2,
+     "66132ec13ccd237c577b9d3192d1b983d964686bf89c99a54f586a6b99a2a70f"),
+    (["check-feasibility", T2, "--tol", "0.07"], 2,
+     "52495a107f3bc403d99bc26cb480cccd792f50ce74dc453e39bbc09e2dfe3b0c"),
+    (["check-feasibility", T2, "--tol", "0.07", "--isolate-first"], 0,
+     "4ccb76286a260cc678ccc0817ea7f75514cc0b505e70fa2ab40a25e027569032"),
+    (["check-classical", T1, T2, "--tol", "0.01"], 2,
+     "7b607c7636e8523e978c68e465d787a691852f762231ec8e7f15c9ec0eef4e60"),
+    (["check-classical", T1, T2, "--tol", "0.5"], 0,
+     "f132de0592523a7ae46a1eea7153ee466f7a2098b670a10e21aafc10ed696272"),
+    (["check-order", MOORE, "--tol", "0.05"], 2,
+     "2fdbcfbf08cdfaee7bfb0e260a803ece5aa805240a62cdd26021e28bcfd34c59"),
+    (["check-order", MOORE, "--tol", "0.5"], 0,
+     "77154b39e12bc4719449b8a88b994a99b96f055538beb4b8fde1b8c889cc89e5"),
+    (["spin-demo"], 0,
+     "fa8594709bd42465b6b45d03c55a2e64db7b50c0569e6167e612c3fa4ae6e97a"),
+]
+
+
+class TestGoldenJson:
+    @pytest.mark.parametrize("argv, code, digest", GOLDEN_JSON, ids=[
+        " ".join(map(os.path.basename, argv)) for argv, _, _ in GOLDEN_JSON])
+    def test_digest(self, argv, code, digest, capsys):
+        assert main(argv + ["--json"]) == code
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest
+
+    @pytest.mark.parametrize("path, tol", [(T1, "0"), (T1, "0.07"),
+                                           (T2, "0.07")],
+                             ids=["table1-0", "table1-0.07", "table2-0.07"])
+    def test_fit_chain_is_json_dumps(self, path, tol, capsys):
+        # a frame passes through a complex matmul, whose last bits may differ
+        # between BLAS builds, so the payload is rebuilt here, not pinned
+        argv = ["fit-chain", path, "--isolate-first", "--tol", tol, "--json"]
+        assert main(argv) == 0
+        payload = fit_result_to_dict(fit_chain(load_survey(path), True,
+                                               float(tol)))
+        assert capsys.readouterr().out == json.dumps(
+            payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+@dataclasses.dataclass
+class Box:
+    first: object
+    second: object = None
+
+
+def reference_default(obj):
+    # how json.dumps rendered arrays and dataclasses before render_json
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    return dataclasses.asdict(obj)
+
+
+def reference_json(payload) -> str:
+    return json.dumps(payload, default=reference_default, indent=2,
+                      sort_keys=True, allow_nan=False)
+
+
+JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 1e-05, 1e16, 5e-324, 0.1, 1e22, 1.5e300]))
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), JSON_FLOATS, st.text(),
+    JSON_FLOATS.map(np.float64), st.sampled_from(list(Polarity)),
+    st.lists(JSON_FLOATS, max_size=5).map(np.array),
+    st.lists(st.tuples(JSON_FLOATS, JSON_FLOATS), max_size=3).map(
+        lambda pairs: np.array(pairs, dtype=float).reshape(-1, 2)),
+    st.lists(st.integers(-5, 5), max_size=3).map(
+        lambda v: np.array(v, dtype=np.int64)))
+JSON_PAYLOADS = st.recursive(JSON_LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=4), children, max_size=4),
+    st.builds(Box, children, children)), max_leaves=25)
+
+
+class TestRenderJson:
+    @settings(max_examples=300, deadline=None)
+    @given(payload=JSON_PAYLOADS)
+    def test_matches_json_dumps(self, payload):
+        assert cli.render_json(payload) == reference_json(payload)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    @pytest.mark.parametrize("wrap", [
+        lambda x: x, lambda x: [0.5, x], lambda x: [x, 0.5],
+        lambda x: {"a": [1, x]}, lambda x: (x,), lambda x: np.float64(x),
+        lambda x: np.array([[1.0, x]]), lambda x: Box([0.5], x)],
+        ids=["bare", "list", "first", "dict", "tuple", "numpy", "array",
+             "dataclass"])
+    def test_non_finite_raises(self, bad, wrap):
+        with pytest.raises(ValueError):
+            reference_json(wrap(bad))
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli.render_json(wrap(bad))
 
 
 class TestScanCsv:

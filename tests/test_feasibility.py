@@ -10,6 +10,7 @@ from qcog.feasibility import (Polarity, PolarityError, Question,
 from qcog.states import DensityMatrix, ProbabilityVector, outcome_probabilities
 
 from .conftest import haar_unitary, make_chain, random_probs
+from .oracles import transition_oracle
 
 
 def pv(*values):
@@ -169,3 +170,53 @@ class TestChainFeasibility:
         report = chain_feasibility(table2, isolate_first=True, tol=0.07)
         assert report.all_feasible
         assert abs(report.transitions[1].majorization_slack - 0.06) < 1e-12
+
+
+@st.composite
+def chains(draw):
+    """2-8 rows of 2-6 answers drawn from a small pool, so rows repeat and
+    entries tie; zero entries included."""
+    k = draw(st.integers(2, 6))
+    weights = st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any)
+    pool = [np.array(w, dtype=float) / sum(w)
+            for w in draw(st.lists(weights, min_size=1, max_size=4))]
+    return [pool[i] for i in draw(st.lists(
+        st.integers(0, len(pool) - 1), min_size=2, max_size=8))]
+
+
+def bits(x: float) -> str:
+    return float(x).hex()  # tells -0.0 from 0.0
+
+
+class TestChainReportOnePass:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=chains(), isolate_first=st.booleans(), data=st.data())
+    def test_matches_each_transition_alone(self, rows, isolate_first, data):
+        # tol exactly at a transition's slack, or at zero
+        slacks = [transition_oracle(a, b, 0.0)[2]
+                  for a, b in zip(rows, rows[1:])]
+        tol = data.draw(st.sampled_from([0.0, *slacks]))
+        chain = make_chain(rows)
+        if len(rows) < 2 + isolate_first:
+            with pytest.raises(ValueError, match="at least two questions"):
+                chain_feasibility(chain, isolate_first, tol)
+            return
+        report = chain_feasibility(chain, isolate_first, tol)
+        assert len(report.transitions) == len(rows) - 1
+        dists = chain.distributions()
+        for i, t in enumerate(report.transitions):
+            max_inc, min_dec, slack, feasible = transition_oracle(
+                dists[i], dists[i + 1], tol)
+            assert majorization_check(dists[i], dists[i + 1], tol) == (
+                feasible, slack)
+            exempt = isolate_first and i == 0
+            assert (t.from_index, t.to_index) == (i, i + 1)
+            assert [bits(t.max_increase), bits(t.min_decrease),
+                    bits(t.majorization_slack)] == [
+                bits(max_inc), bits(min_dec), bits(slack)]
+            assert type(t.feasible_at_tol) is bool and type(t.exempt) is bool
+            assert (t.feasible_at_tol, t.exempt) == (
+                feasible or exempt, exempt)
+        if tol == 0.0:
+            assert contraction_check(chain) == chain_feasibility(
+                chain, False, 0.0)

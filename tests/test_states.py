@@ -7,12 +7,38 @@ from qcog import hilbert, states
 from qcog.hilbert import STRUCTURAL_TOL, frame_projectors
 from qcog.nosignal import LocalSeries
 from qcog.states import (DensityMatrix, MeasurementError, ProbabilityVector,
-                         PureState, StateError, degenerate_yes_probability,
-                         lueders_update, outcome_probabilities,
-                         square_root_embed)
+                         PureState, RowError, StateError,
+                         degenerate_yes_probability, lueders_update,
+                         outcome_probabilities, square_root_embed)
 
 from .conftest import haar_unitary, random_density, random_probs
-from .oracles import measure_frame
+from .oracles import (measure_frame, percent_row_oracle,
+                      probability_row_oracle)
+
+
+# the entries a faulty answer row may carry
+ROW_ENTRY = st.one_of(
+    st.floats(-0.5, 1.5),
+    st.sampled_from([0.0, -0.0, 1.0, 0.5, -1e-13, -1e-11, float("nan"),
+                     float("inf"), float("-inf"), 1e308]))
+
+
+@st.composite
+def percent_rows(draw):
+    """1-8 rows of 1-6 answers in percent, summing to about 100, ties and
+    zeros included; about one row in four carries a faulty entry."""
+    k = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        weights = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k))
+        weights[0] += sum(weights) == 0
+        scale = draw(st.floats(98.0, 102.0)) / sum(weights)
+        row = [w * scale for w in weights]
+        if draw(st.integers(0, 3)) == 0:
+            row[draw(st.integers(0, k - 1))] = draw(st.one_of(
+                st.sampled_from([-1.0, -0.0, 1e308, 200.0]), ROW_ENTRY))
+        rows.append(row)
+    return rows
 
 
 class TestProbabilityVector:
@@ -40,6 +66,49 @@ class TestProbabilityVector:
     def test_from_percents_renormalizes(self):
         p = ProbabilityVector.from_percents([50, 30, 20.5])
         assert abs(p.probs.sum() - 1.0) < 1e-15
+
+    @pytest.mark.parametrize("values", [[1e308] * 3, [1e308, 1e308]])
+    def test_overflowing_percentages_give_a_typed_error(self, values):
+        # the sum overflows to inf inside the rule, with no RuntimeWarning
+        with pytest.raises(StateError, match="percentages sum to inf"):
+            ProbabilityVector.from_percents(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=percent_rows())
+    def test_rows_from_percents_matches_row_by_row(self, rows):
+        # the chain's rows checked as one array: the rows the row-by-row rule
+        # builds, bit for bit, or its first fault, with the same message
+        expected = []
+        for i, row in enumerate(rows):
+            try:
+                expected.append(percent_row_oracle(row))
+            except StateError as exc:
+                with pytest.raises(RowError) as err:
+                    ProbabilityVector.rows_from_percents(rows)
+                assert (err.value.row, str(err.value)) == (i, str(exc))
+                with pytest.raises(StateError) as err:
+                    ProbabilityVector.from_percents(row)
+                assert str(err.value) == str(exc)
+                return
+        got = ProbabilityVector.rows_from_percents(rows)
+        assert [p.probs.tobytes() for p in got] == [
+            p.tobytes() for p in expected]
+        assert ProbabilityVector.from_percents(rows[0]).probs.tobytes() == (
+            expected[0].tobytes())
+        assert not any(p.probs.flags.writeable for p in got)
+
+    @settings(max_examples=200, deadline=None)
+    @given(row=st.lists(ROW_ENTRY, min_size=1, max_size=6))
+    def test_constructor_matches_row_oracle(self, row):
+        try:
+            expected = probability_row_oracle(row)
+        except StateError as exc:
+            with pytest.raises(StateError) as err:
+                ProbabilityVector(np.array(row))
+            assert str(err.value) == str(exc)
+        else:
+            got = ProbabilityVector(np.array(row)).probs
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestPureState:
