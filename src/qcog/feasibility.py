@@ -57,9 +57,6 @@ class SurveyChain:
     def dim(self) -> int:
         return self.questions[0].probs.dim
 
-    def distributions(self) -> list[np.ndarray]:
-        return [q.probs.probs for q in self.questions]
-
 
 def _support_oppose(q: Question) -> tuple[float, float]:
     # yes/unsure/no columns; polarity decides which end means support
@@ -191,7 +188,7 @@ class TransitionCheck:
     min_decrease: float
     majorization_slack: float
     feasible_at_tol: bool
-    exempt: bool = False
+    exempt: bool
 
 
 @dataclass(frozen=True)
@@ -228,7 +225,7 @@ def chain_feasibility(chain: SurveyChain, isolate_first: bool,
     outcome constrains nothing downstream.
     """
     _require_transition(chain, isolate_first)
-    d = np.array(chain.distributions())
+    d = np.array([q.probs.probs for q in chain.questions])
     n = len(d)
     highs, lows = d.max(axis=1), d.min(axis=1)
     increase = highs[1:] - highs[:-1]

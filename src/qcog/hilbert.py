@@ -30,12 +30,12 @@ _MAJORIZATION_NOISE = 1e-12
 _NO_SIGNALLING_TOL = 1e-10
 
 
-def _rank_one_certificate(a: np.ndarray, out=None) -> bool:
+def _rank_one_certificate(a: np.ndarray, out: np.ndarray) -> bool:
     # O(n^2) proof that a is Hermitian and PSD within tolerance, for a pure
     # state; False proves nothing.  With v = a[:, j]/sqrt(a[j, j]) at the
     # largest diagonal entry it accepts when ||R||_F <= tol/(2 sqrt 2) for
-    # R = a - v v^H, written into out (n x n complex128, a caller's scratch)
-    # or a fresh array.  Hermiticity: v v^H is Hermitian to rounding
+    # R = a - v v^H, written into out (n x n complex128, a caller's
+    # scratch).  Hermiticity: v v^H is Hermitian to rounding
     # (~1e-17), so max|a - a^H| <= 2||R||_F <= tol/sqrt 2, inside
     # STRUCTURAL_TOL.  Positivity: Cholesky and eigvalsh read only the lower
     # triangle of a, and for the Hermitian H it defines, H - v v^H is built
@@ -110,11 +110,6 @@ def is_hermitian(m) -> bool:
     with np.errstate(over="ignore", invalid="ignore"):
         np.subtract(a, d, out=d)
         return bool(np.max(np.abs(d)) <= STRUCTURAL_TOL)
-
-
-def is_unitary(m) -> bool:
-    a = as_matrix(m)
-    return a.shape[0] == a.shape[1] and _orthonormal_columns(a)
 
 
 def _psd_fault(a: np.ndarray, out: np.ndarray) -> str | None:

@@ -67,12 +67,14 @@ def _numbers(path, values, where: str) -> list[float]:
         raise IngestError(f"{path}: {where}: {exc}") from exc
 
 
-def _percentages(path, values, where: str) -> ProbabilityVector:
-    numbers = _numbers(path, values, where)
+def _percent_rows(path, rows, where) -> list[ProbabilityVector]:
+    # the answer-row rule of every ingest path, on the 2-d array rows of
+    # percentages; where(i) names the failing row i, and is called for it
+    # alone
     try:
-        return ProbabilityVector.from_percents(numbers)
+        return ProbabilityVector.rows_from_percents(rows)
     except RowError as exc:
-        raise IngestError(f"{path}: {where}: {exc}") from exc
+        raise IngestError(f"{path}: {where(exc.row)}: {exc}") from exc
 
 
 def _question_row(path, i: int, row) -> tuple[str, Polarity, list[float]]:
@@ -115,12 +117,9 @@ def load_survey(path) -> SurveyChain:
         texts.append(text)
         polarities.append(polarity)
         percents.append(numbers)
-    try:
-        probs = ProbabilityVector.rows_from_percents(
-            np.array(percents, dtype=float).reshape(-1, 3))
-    except RowError as exc:
-        where = f"question {exc.row + 1} ({texts[exc.row]!r})"
-        raise IngestError(f"{path}: {where}: {exc}") from exc
+    probs = _percent_rows(
+        path, np.array(percents, dtype=float).reshape(-1, 3),
+        lambda i: f"question {i + 1} ({texts[i]!r})")
     if fault is not None:
         raise fault
     questions = tuple(map(Question, texts, probs, polarities))
@@ -147,7 +146,10 @@ def load_order_pair(path) -> dict:
 
     for k, name in enumerate(names):
         _string(path, name, f"question_names[{k}]")
-    o1, o2 = ([_percentages(path, r, f"marginal row {r!r}") for r in o]
+    # one row at a time: a pair's two questions may differ in answer count
+    where = "marginal row {!r}".format
+    o1, o2 = ([_percent_rows(path, [_numbers(path, r, where(r))],
+                             lambda _, r=r: where(r))[0] for r in o]
               for o in (o1, o2))
     try:
         _check_orderings(o1, o2)

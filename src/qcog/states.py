@@ -13,7 +13,7 @@ import numpy as np
 from .hilbert import (_AMPLITUDE_NORM_TOL, _NEGATIVE_PROB_TOL,
                       _PERCENT_SUM_TOL, _PROB_SUM_TOL, STRUCTURAL_TOL,
                       _orthonormal_columns, _psd_fault, as_matrix,
-                      is_hermitian, is_unitary)
+                      is_hermitian)
 
 
 class StateError(ValueError):
@@ -62,7 +62,7 @@ def _answer_rows(v: np.ndarray, percents: bool) -> np.ndarray:
     if bad.any():
         i = int(bad.argmax())
         if percents and np.any(v[i] < 0):
-            message = f"negative percentage in {list(v[i])}"
+            message = f"negative percentage in {v[i].tolist()}"
         elif percents and abs(total[i] - 100.0) > _PERCENT_SUM_TOL:
             lo, hi = 100 - _PERCENT_SUM_TOL, 100 + _PERCENT_SUM_TOL
             message = (f"percentages sum to {total[i]}, "
@@ -102,17 +102,10 @@ class ProbabilityVector:
         return vector
 
     @classmethod
-    def from_percents(cls, values) -> "ProbabilityVector":
-        """Divide by 100 and renormalize; reject if the sum is off by > 1%."""
-        v = np.asarray(values, dtype=float)
-        if v.ndim != 1:
-            raise StateError("probabilities must form a nonempty 1-d vector")
-        return cls.rows_from_percents(v[None])[0]
-
-    @classmethod
     def rows_from_percents(cls, rows) -> list["ProbabilityVector"]:
-        """:meth:`from_percents` of each row of the 2-d array ``rows``, checked
-        as one array; the first faulty row raises :class:`RowError`."""
+        """Each row of the 2-d array ``rows`` of nonnegative percentages,
+        divided by its sum, which must lie within 1 of 100.  The rows are
+        checked as one array; the first faulty row raises :class:`RowError`."""
         probs = _answer_rows(np.asarray(rows, dtype=float), percents=True)
         return [cls._unchecked(p) for p in probs]
 
@@ -139,10 +132,6 @@ class PureState:
         a /= norm
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
 
 
 @dataclass(frozen=True)
@@ -206,7 +195,7 @@ def outcome_probabilities(state: DensityMatrix, frame) -> ProbabilityVector:
     if u.shape != (state.dim, state.dim):
         raise MeasurementError(
             f"frame shape {u.shape} does not match state dim {state.dim}")
-    if not is_unitary(u):
+    if not _orthonormal_columns(u):
         raise MeasurementError("frame is not orthonormal")
     p = np.einsum("ij,ik,kj->j", u.conj(), state.matrix, u).real
     return ProbabilityVector(p)

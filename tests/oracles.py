@@ -49,7 +49,7 @@ def percent_row_oracle(values) -> np.ndarray:
     sum.  Raises StateError with the message of the first failed check."""
     v = np.asarray(values, dtype=float)
     if np.any(v < 0):
-        raise StateError(f"negative percentage in {list(v)}")
+        raise StateError(f"negative percentage in {v.tolist()}")
     with np.errstate(all="ignore"):  # the faulty rows the checks reject
         s = v.sum()
         p = v / s

@@ -46,8 +46,7 @@ def moore():
 
 # (row, message) of one faulty answer row
 FAULTY_ROWS = {
-    "negative": ([105, -5, 0], "negative percentage in "
-                 + repr(list(np.array([105, -5, 0], dtype=float)))),
+    "negative": ([105, -5, 0], "negative percentage in [105.0, -5.0, 0.0]"),
     "sum": ([50, 30, 17], "percentages sum to 97.0, outside [99, 101]"),
     "non-numeric": (["50", 30, 20],
                     "expected a list of numbers, got ['50', 30, 20]"),
@@ -88,6 +87,14 @@ class TestIngest:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError):
             load_survey(tmp_path / "nope.json")
+
+    def test_rejects_text_that_is_not_json(self, tmp_path):
+        path = tmp_path / "text.json"
+        path.write_text("not json")
+        with pytest.raises(IngestError) as err:
+            load_survey(path)
+        assert str(err.value) == (f"{path}: not valid JSON (Expecting value: "
+                                  f"line 1 column 1 (char 0))")
 
     def test_round_trip(self, t1, tmp_path):
         chain = load_survey(t1)
@@ -155,6 +162,26 @@ class TestIngest:
         assert main(["check-order", str(path), "--tol", "0.05"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_pair_questions_may_differ_in_answer_count(self, tmp_path,
+                                                       capsys):
+        # why a pair's rows are checked one at a time: question 0 has three
+        # answers in both orderings and question 1 has two, so an ordering's
+        # rows do not stack into one array
+        doc = copy.deepcopy(PAIR)
+        doc["ordering_1"] = [[20, 30, 50], [60, 40]]
+        doc["ordering_2"] = [[55, 45], [25, 30, 45]]
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(doc))
+        pair = load_order_pair(path)
+        assert [p.probs.tolist() for p in pair["ordering_1"]] == [
+            [0.2, 0.3, 0.5], [0.6, 0.4]]
+        assert main(["check-order", str(path), "--tol", "0.5", "--json"]) == 0
+        entries = json.loads(capsys.readouterr().out)["entries"]
+        assert [(e["question_index"], e["marginal_first_ordering"],
+                 e["marginal_second_ordering"]) for e in entries] == [
+            (0, [0.2, 0.3, 0.5], [0.25, 0.3, 0.45]),
+            (1, [0.6, 0.4], [0.55, 0.45])]
+
     @pytest.mark.parametrize("second", FAULTY_ROWS)
     @pytest.mark.parametrize("fourth", FAULTY_ROWS)
     def test_first_faulty_row_is_reported(self, tmp_path, second, fourth):
@@ -171,27 +198,32 @@ class TestIngest:
     @pytest.mark.parametrize("kind", ["survey", "pair"])
     def test_overflowing_row_is_one_error_line(self, tmp_path, capsys, kind):
         # percentages whose sum overflows: exit 1 with one error line, and no
-        # RuntimeWarning on the way
+        # RuntimeWarning on the way.  A pair row, checked on its own under
+        # the survey rows' rule, gives every FAULTY_ROWS message
         path = tmp_path / f"{kind}.json"
         if kind == "survey":
             doc = copy.deepcopy(SURVEY)
             doc["questions"][1].update(yes=OVERFLOW, unsure=OVERFLOW,
                                        no=OVERFLOW)
-            where = f"question 2 ({doc['questions'][1]['text']!r})"
+            cases = [(doc, f"question 2 ({doc['questions'][1]['text']!r})",
+                      "percentages sum to inf, outside [99, 101]")]
             argv = ["check-contraction", str(path)]
         else:
-            doc = copy.deepcopy(PAIR)
-            doc["ordering_1"][0] = [OVERFLOW, OVERFLOW]
-            where = "marginal row [1e+308, 1e+308]"
+            cases = []
+            overflow = ([OVERFLOW, OVERFLOW], FAULTY_ROWS["overflow"][1])
+            for row, message in [overflow, *FAULTY_ROWS.values()]:
+                doc = copy.deepcopy(PAIR)
+                doc["ordering_1"][0] = row
+                cases.append((doc, f"marginal row {row!r}", message))
             argv = ["check-order", str(path), "--tol", "0.05"]
-        path.write_text(json.dumps(doc))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(argv)
-        captured = capsys.readouterr()
-        assert (code, captured.out, caught) == (1, "", [])
-        assert captured.err == (f"error: {path}: {where}: percentages sum "
-                                f"to inf, outside [99, 101]\n")
+        for doc, where, message in cases:
+            path.write_text(json.dumps(doc))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out, caught) == (1, "", [])
+            assert captured.err == f"error: {path}: {where}: {message}\n"
 
     def test_moore_pair(self, moore):
         pair = load_order_pair(moore)
@@ -647,6 +679,15 @@ class TestRenderJson:
             reference_json(wrap(bad))
         with pytest.raises(ValueError, match="not JSON compliant"):
             cli.render_json(wrap(bad))
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"a": [0.5, {1, 2}]}, "Object of type set is not JSON serializable"),
+        ({"a": {1: 0.5}}, "keys must be str, not int"),
+    ], ids=["set", "int-key"])
+    def test_other_types_raise_type_error(self, payload, message):
+        with pytest.raises(TypeError) as err:
+            cli.render_json(payload)
+        assert str(err.value) == message
 
 
 class TestScanCsv:

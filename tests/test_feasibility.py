@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcog.feasibility import (Polarity, PolarityError, Question,
+from qcog.feasibility import (Polarity, PolarityError, Question, SurveyChain,
                               chain_feasibility, classical_consistency_check,
                               contraction_check, majorization_check,
                               order_effect_check)
@@ -72,6 +72,24 @@ class TestOrderEffect:
         with pytest.raises(ValueError):
             order_effect_check([pv(0.5, 0.5), pv(0.6, 0.4)],
                                [pv(0.3, 0.3, 0.4), pv(0.5, 0.5)], 0.01)
+
+
+@pytest.mark.parametrize("entry, message", [
+    (lambda: SurveyChain("empty", ()),
+     "a survey chain needs at least one question"),
+    (lambda: SurveyChain("mixed", (Question("a", pv(0.5, 0.5)),
+                                   Question("b", pv(0.5, 0.3, 0.2)))),
+     "all questions must share one dimension"),
+    (lambda: order_effect_check([pv(0.5, 0.5)] * 3, [pv(0.5, 0.5)] * 2, 0.01),
+     "each ordering must contain exactly two questions"),
+    (lambda: majorization_check([0.5, 0.5], [0.5, 0.3, 0.2]),
+     "distributions have different dimensions"),
+], ids=["empty-chain", "mixed-dims-chain", "three-question-ordering",
+        "majorization-shapes"])
+def test_fault_message(entry, message):
+    with pytest.raises(ValueError) as err:
+        entry()
+    assert str(err.value) == message
 
 
 class TestContraction:
@@ -203,7 +221,7 @@ class TestChainReportOnePass:
             return
         report = chain_feasibility(chain, isolate_first, tol)
         assert len(report.transitions) == len(rows) - 1
-        dists = chain.distributions()
+        dists = [q.probs.probs for q in chain.questions]
         for i, t in enumerate(report.transitions):
             max_inc, min_dec, slack, feasible = transition_oracle(
                 dists[i], dists[i + 1], tol)

@@ -153,6 +153,11 @@ class TestFitTransition:
                                  for j in range(dim)])
             assert np.max(np.abs(achieved - target.probs)) < 1e-12
 
+    def test_rejects_target_of_other_dimension(self):
+        with pytest.raises(ValueError) as err:
+            fit_transition(diag_state(0.5, 0.5), pv(0.5, 0.3, 0.2))
+        assert str(err.value) == "distributions have different dimensions"
+
 
 class TestProjection:
     def test_table2_q3(self):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qcog.hilbert import (frame_projectors, is_hermitian, is_psd, is_unitary,
-                          partial_trace)
+from qcog.hilbert import (_orthonormal_columns, frame_projectors, is_hermitian,
+                          is_psd, partial_trace)
 
 from .conftest import haar_unitary, random_density
 
@@ -13,13 +13,14 @@ class TestPredicates:
         assert not is_hermitian(np.array([[1.0, 1j], [1j, 2.0]]))
 
     def test_unitary(self):
+        # the frame rule outcome_probabilities applies to a square frame
         rng = np.random.default_rng(3)
         u = haar_unitary(rng, 4)
-        assert is_unitary(u)
+        assert _orthonormal_columns(u)
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
-        assert not is_unitary(np.diag([1.0, 2.0]))
+        assert not _orthonormal_columns(np.diag([1.0, 2.0]))
         # an overflow in the Gram matrix fails with no RuntimeWarning
-        assert not is_unitary(np.diag([1e200, 1.0]))
+        assert not _orthonormal_columns(np.diag([1e200, 1.0]))
 
     def test_psd(self):
         assert is_psd(np.diag([0.0, 1.0]))
@@ -34,7 +35,8 @@ class TestPredicates:
         assert not is_psd(np.array([[1.0, 1e200], [1e200, 1.0]]))
         assert not is_psd(np.array([[1e-300, 1.0], [1.0, 0.0]]))
 
-    @pytest.mark.parametrize("predicate", [is_hermitian, is_unitary, is_psd])
+    @pytest.mark.parametrize("predicate",
+                             [is_hermitian, _orthonormal_columns, is_psd])
     def test_empty_matrix_gets_a_verdict(self, predicate):
         # the verdict a non-square matrix gets, not numpy's zero-size error
         assert predicate(np.zeros((0, 0))) is False
@@ -92,6 +94,17 @@ class TestPartialTrace:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             partial_trace(np.eye(5), [2, 3], keep=0)
+
+    @pytest.mark.parametrize("entry, message", [
+        (lambda: partial_trace(np.ones(4), [2, 2], 0),
+         "expected a matrix, got ndim=1"),
+        (lambda: partial_trace(np.eye(4) / 4, [2, 2], 2),
+         "keep index 2 out of range for 2 factors"),
+    ], ids=["not-a-matrix", "keep-out-of-range"])
+    def test_fault_message(self, entry, message):
+        with pytest.raises(ValueError) as err:
+            entry()
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("dims", [(-3, -3), (9, 0), (1, 9, -1)])
     def test_rejects_non_positive_dims(self, dims):

@@ -389,6 +389,12 @@ class TestNoSignalling:
             with pytest.raises(ValueError, match="different factor dims"):
                 no_signalling_check(state, *pair)
 
+    def test_rejects_state_of_other_dimension(self):
+        state = DensityMatrix(np.eye(4) / 4)
+        with pytest.raises(ValueError) as err:
+            apply_series(state, LocalSeries((), (3, 2)))
+        assert str(err.value) == "state dim 4 does not match (3, 2)"
+
 
 class TestMixedDims:
     DIMS = (2, 3, 3)

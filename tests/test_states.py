@@ -53,25 +53,25 @@ class TestProbabilityVector:
             with pytest.raises(StateError, match="non-finite"):
                 ProbabilityVector(np.array(values))
         with pytest.raises(StateError):
-            ProbabilityVector.from_percents([np.nan, 50, 50])
+            ProbabilityVector.rows_from_percents([[np.nan, 50, 50]])
 
     def test_from_percents_rejects_bad_sum(self):
         with pytest.raises(StateError):
-            ProbabilityVector.from_percents([50, 30, 17])  # sums to 97
+            ProbabilityVector.rows_from_percents([[50, 30, 17]])  # sums to 97
 
     def test_from_percents_rejects_empty(self):
         with pytest.raises(StateError):
-            ProbabilityVector.from_percents([])
+            ProbabilityVector.rows_from_percents([[]])
 
     def test_from_percents_renormalizes(self):
-        p = ProbabilityVector.from_percents([50, 30, 20.5])
+        p = ProbabilityVector.rows_from_percents([[50, 30, 20.5]])[0]
         assert abs(p.probs.sum() - 1.0) < 1e-15
 
     @pytest.mark.parametrize("values", [[1e308] * 3, [1e308, 1e308]])
     def test_overflowing_percentages_give_a_typed_error(self, values):
         # the sum overflows to inf inside the rule, with no RuntimeWarning
         with pytest.raises(StateError, match="percentages sum to inf"):
-            ProbabilityVector.from_percents(values)
+            ProbabilityVector.rows_from_percents([values])
 
     @settings(max_examples=300, deadline=None)
     @given(rows=percent_rows())
@@ -87,14 +87,14 @@ class TestProbabilityVector:
                     ProbabilityVector.rows_from_percents(rows)
                 assert (err.value.row, str(err.value)) == (i, str(exc))
                 with pytest.raises(StateError) as err:
-                    ProbabilityVector.from_percents(row)
+                    ProbabilityVector.rows_from_percents([row])
                 assert str(err.value) == str(exc)
                 return
         got = ProbabilityVector.rows_from_percents(rows)
         assert [p.probs.tobytes() for p in got] == [
             p.tobytes() for p in expected]
-        assert ProbabilityVector.from_percents(rows[0]).probs.tobytes() == (
-            expected[0].tobytes())
+        assert ProbabilityVector.rows_from_percents(
+            [rows[0]])[0].probs.tobytes() == expected[0].tobytes()
         assert not any(p.probs.flags.writeable for p in got)
 
     @settings(max_examples=200, deadline=None)
@@ -362,7 +362,7 @@ class TestRankOneCertificate:
         e[j, :] = e[:, j] = 0
         e *= edge * STRUCTURAL_TOL / (2 * np.sqrt(2)) / np.linalg.norm(e)
         m = np.outer(psi, psi.conj()) + e
-        accepted = hilbert._rank_one_certificate(m)
+        accepted = hilbert._rank_one_certificate(m, np.empty_like(m))
         assert accepted == (edge < 1)
         if accepted:
             assert hilbert.is_hermitian(m)
@@ -520,6 +520,27 @@ def test_non_finite_measurement_gives_typed_error(entry, error, bad):
     # silent wrong answer
     with pytest.raises(error):
         entry(np.diag([bad, 1.0]))
+
+
+@pytest.mark.parametrize("entry, error, message", [
+    (lambda: ProbabilityVector(np.array([])), StateError,
+     "probabilities must form a nonempty 1-d vector"),
+    (lambda: ProbabilityVector(np.full((1, 2), 0.5)), StateError,
+     "probabilities must form a nonempty 1-d vector"),
+    (lambda: PureState(np.array([])), StateError,
+     "amplitudes must form a nonempty 1-d vector"),
+    (lambda: PureState(np.eye(2)), StateError,
+     "amplitudes must form a nonempty 1-d vector"),
+    (lambda: PureState(np.array([0.0, 1.0 + 2e-6])), StateError,
+     "amplitude norm 1.000002 too far from 1"),
+    (lambda: lueders_update(_MIXED, [np.eye(3)]), MeasurementError,
+     "projector dimension mismatch"),
+], ids=["probs-empty", "probs-2d", "amplitudes-empty", "amplitudes-2d",
+        "amplitude-norm", "projector-shape"])
+def test_structural_fault_message(entry, error, message):
+    with pytest.raises(error) as err:
+        entry()
+    assert type(err.value) is error and str(err.value) == message
 
 
 class TestDegenerateQuestion:
