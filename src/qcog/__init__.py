@@ -5,7 +5,7 @@ from .feasibility import (FeasibilityReport, Polarity, Question, SurveyChain,
                           contraction_check, majorization_check,
                           order_effect_check)
 from .framefit import FitResult, fit_chain, fit_transition, replay
-from .hilbert import frame_projectors, partial_trace
+from .hilbert import partial_trace
 from .ingest import fixture_path, load_order_pair, load_survey
 from .nosignal import (LocalSeries, apply_series, fifth_marginal,
                        no_signalling_check)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .feasibility import (SurveyChain, _majorization_slack,
                           _require_transition, majorization_check)
-from .hilbert import RESIDUAL_LIMIT, frame_projectors
+from .hilbert import RESIDUAL_LIMIT
 from .states import (DensityMatrix, ProbabilityVector, lueders_update,
                      outcome_probabilities, square_root_embed)
 
@@ -230,14 +230,15 @@ def replay(fit: FitResult, chain: SurveyChain) -> list[ProbabilityVector]:
 
     Uses only the state machinery: embed the base distribution, then for
     each frame read off the outcome probabilities and apply the measurement
-    update.  The isolated first question, if any, is reproduced verbatim.
+    update, one answer per column.  The isolated first question, if any, is
+    reproduced verbatim.
     """
     base = chain.questions[int(fit.isolate_first)]
     rho = DensityMatrix.from_pure(square_root_embed(base.probs))
     out = [chain.questions[0].probs] if fit.isolate_first else []
     for frame in fit.frames:
         out.append(outcome_probabilities(rho, frame))
-        rho = lueders_update(rho, frame_projectors(frame))
+        rho = lueders_update(rho, np.hsplit(frame, chain.dim))
     return out
 
 

@@ -13,7 +13,7 @@ import numpy as np
 # Tolerances, in one table.  Each value is fixed; changing one moves verdicts.
 # structural checks on states, frames and measurements: Hermiticity, trace,
 # positivity (one rule, _psd_fault, for DensityMatrix and is_psd), unitarity,
-# projectors
+# answer bases
 STRUCTURAL_TOL = 1e-10
 # largest accepted squared residual of a constructed frame (it reaches ~1e-31)
 RESIDUAL_LIMIT = 1e-18
@@ -165,6 +165,7 @@ def partial_trace(rho, dims, keep: int) -> np.ndarray:
 
 
 def frame_projectors(frame) -> list[np.ndarray]:
-    """Rank-1 projectors onto the columns of ``frame``."""
+    """Rank-1 projectors onto the columns of ``frame``; kept for the tests'
+    Lueders oracle and ``benchmarks/tracer.py``, not used by the library."""
     u = as_matrix(frame)
     return [np.outer(u[:, k], u[:, k].conj()) for k in range(u.shape[1])]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import _index, frame_projectors
+from .hilbert import _index
 from .states import (DensityMatrix, ProbabilityVector, lueders_update,
                      outcome_probabilities, square_root_embed)
 
@@ -75,7 +75,7 @@ def sequential_probability_via_states(p: float, q: float) -> float:
     q = float(_check_unit_interval("q", q))
     psi = square_root_embed(ProbabilityVector(np.array([p, 1.0 - p])))
     rho = DensityMatrix.from_pure(psi)
-    rho = lueders_update(rho, frame_projectors(np.eye(2)))
+    rho = lueders_update(rho, np.hsplit(np.eye(2), 2))
     frame = _second_question_frame(p, q)
     return float(outcome_probabilities(rho, frame).probs[0])
 
@@ -119,8 +119,8 @@ def interference_region_scan(grid_n: int) -> InterferenceResult:
 
 
 def spin_order_demo() -> tuple[float, float]:
-    """P(X=UP) for a spin-1/2 prepared as the x-up state, with and without
-    an intervening y-spin measurement.  Returns (1, 1/2) up to rounding."""
+    """P(X=UP) of the x-up spin-1/2, direct and after a y-spin measurement
+    (answers: the y frame's columns); (1, 1/2) up to rounding."""
     s = 1.0 / np.sqrt(2.0)
     x_frame = np.array([[s, s], [s, -s]], dtype=np.complex128)
     y_frame = np.array([[s, s], [1j * s, -1j * s]], dtype=np.complex128)
@@ -129,6 +129,6 @@ def spin_order_demo() -> tuple[float, float]:
     rho = DensityMatrix(np.outer(x_up, x_up.conj()))
     direct = float(outcome_probabilities(rho, x_frame).probs[0])
 
-    rho_after_y = lueders_update(rho, frame_projectors(y_frame))
+    rho_after_y = lueders_update(rho, np.hsplit(y_frame, 2))
     after = float(outcome_probabilities(rho_after_y, x_frame).probs[0])
     return direct, after

@@ -2,7 +2,7 @@
 
 Implements the square-root embedding of answer distributions and the
 projective, possibly degenerate, measurement update of the von
-Neumann-Lueders type.
+Neumann-Lueders type on a question's answer bases.
 """
 from __future__ import annotations
 
@@ -12,8 +12,7 @@ import numpy as np
 
 from .hilbert import (_AMPLITUDE_NORM_TOL, _NEGATIVE_PROB_TOL,
                       _PERCENT_SUM_TOL, _PROB_SUM_TOL, STRUCTURAL_TOL,
-                      _orthonormal_columns, _psd_fault, as_matrix,
-                      is_hermitian)
+                      _orthonormal_columns, _psd_fault, as_matrix)
 
 
 class StateError(ValueError):
@@ -201,34 +200,29 @@ def outcome_probabilities(state: DensityMatrix, frame) -> ProbabilityVector:
     return ProbabilityVector(p)
 
 
-def _check_projective(projectors, dim: int) -> None:
-    # Hermitian idempotents that sum to the identity are pairwise orthogonal:
-    # P_j = sum_i P_j P_i P_j = P_j + sum_{i != j} (P_i P_j)^H (P_i P_j)
-    # overflow or NaN in a wild entry fails the comparisons, with no
-    # RuntimeWarning
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, p in enumerate(projectors):
-            if p.shape != (dim, dim):
-                raise MeasurementError("projector dimension mismatch")
-            if not is_hermitian(p) or np.max(np.abs(p @ p - p)) > STRUCTURAL_TOL:
-                raise MeasurementError(
-                    f"projector {i} is not a Hermitian idempotent")
-            total += p
-        if np.max(np.abs(total - np.eye(dim))) > STRUCTURAL_TOL:
-            raise MeasurementError("projectors do not sum to the identity")
-
-
-def lueders_update(state: DensityMatrix, projectors) -> DensityMatrix:
-    """Post-measurement state sum_i P_i rho P_i for a complete orthogonal set.
-
-    Projectors may have rank > 1 (degenerate questions).
-    """
-    projs = [as_matrix(p) for p in projectors]
-    _check_projective(projs, state.dim)
-    out = sum(p @ state.matrix @ p for p in projs)
-    out = (out + out.conj().T) / 2
-    return DensityMatrix(out)
+def lueders_update(state: DensityMatrix, answers) -> DensityMatrix:
+    """Post-measurement state U blockdiag(U^H rho U) U^H of a question whose
+    answers have the orthonormal bases ``answers``: (d, r) arrays, degenerate
+    when r > 1, whose columns form the unitary U.  A question asked in frame
+    u is ``np.hsplit(u, d)``."""
+    d = state.dim
+    blocks = [np.asarray(b, dtype=np.complex128) for b in answers]
+    for i, b in enumerate(blocks):
+        if b.ndim != 2 or len(b) != d:
+            raise MeasurementError(
+                f"answer {i} has shape {b.shape}, not ({d}, r)")
+    answer = np.repeat(np.arange(len(blocks)), [b.shape[1] for b in blocks])
+    if answer.size != d:
+        raise MeasurementError(f"the answer bases' column count {answer.size}"
+                               f" is not the state dimension {d}")
+    # a unitary U makes the answers' projectors Hermitian, idempotent,
+    # orthogonal and complete; NaN, inf or overflow fails it, with no warning
+    u = np.hstack(blocks)
+    if not _orthonormal_columns(u):
+        raise MeasurementError("answer bases are not orthonormal")
+    m = u.conj().T @ state.matrix @ u
+    out = u @ (m * (answer[:, None] == answer)) @ u.conj().T
+    return DensityMatrix((out + out.conj().T) / 2)
 
 
 def degenerate_yes_probability(state: DensityMatrix, subspace_basis) -> float:

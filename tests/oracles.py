@@ -10,7 +10,7 @@ from qcog.hilbert import (_MAJORIZATION_NOISE, _NEGATIVE_PROB_TOL,
                           _PERCENT_SUM_TOL, _PROB_SUM_TOL, as_matrix,
                           frame_projectors)
 from qcog.nosignal import FIVE_QUESTIONS
-from qcog.states import DensityMatrix, StateError, lueders_update
+from qcog.states import DensityMatrix, StateError
 
 
 def embed_local(frame, factor_index: int,
@@ -28,9 +28,17 @@ def embed_local(frame, factor_index: int,
     return [np.kron(np.kron(pre, p), post) for p in frame_projectors(u)]
 
 
+def lueders_projectors(rho, projectors) -> np.ndarray:
+    """Lueders update sum_i P_i rho P_i of the matrix ``rho``, summed one
+    projector at a time; the projectors are taken as given, unchecked."""
+    rho = np.asarray(rho, dtype=np.complex128)
+    return sum(p @ rho @ p for p in projectors)
+
+
 def measure_frame(state: DensityMatrix, frame) -> DensityMatrix:
     """Lueders update for a non-degenerate question given as a frame."""
-    return lueders_update(state, frame_projectors(frame))
+    return DensityMatrix(lueders_projectors(state.matrix,
+                                            frame_projectors(frame)))
 
 
 def survey_to_dict(chain: SurveyChain) -> dict:

@@ -11,7 +11,6 @@ from qcog.feasibility import chain_feasibility, majorization_check
 from qcog.framefit import (RESIDUAL_LIMIT, InfeasibleTargetError, fit_chain,
                            fit_result_to_dict, fit_transition,
                            project_to_majorized, replay)
-from qcog.hilbert import frame_projectors
 from qcog.states import (DensityMatrix, ProbabilityVector, lueders_update,
                          outcome_probabilities, square_root_embed)
 
@@ -33,11 +32,11 @@ def five_answer_rows():
     rng = np.random.default_rng(101)
     rows = [rng.dirichlet(np.ones(5)), rng.dirichlet(np.ones(5))]
     rho = DensityMatrix.from_pure(square_root_embed(pv(*rows[1])))
-    rho = lueders_update(rho, frame_projectors(np.eye(5)))
+    rho = lueders_update(rho, np.hsplit(np.eye(5), 5))
     for _ in range(3):
         u = haar_unitary(rng, 5)
         rows.append(outcome_probabilities(rho, u).probs)
-        rho = lueders_update(rho, frame_projectors(u))
+        rho = lueders_update(rho, np.hsplit(u, 5))
     return rows
 
 

@@ -183,7 +183,6 @@ class TestSpinOrderDemo:
         assert abs(after - 0.5) < 1e-12
 
     def test_swapped_pauli_bases_by_symmetry(self):
-        from qcog.hilbert import frame_projectors
         from qcog.states import (DensityMatrix, lueders_update,
                                  outcome_probabilities)
         s = 1 / np.sqrt(2)
@@ -193,7 +192,7 @@ class TestSpinOrderDemo:
         y_up = y_frame[:, 0]
         rho = DensityMatrix(np.outer(y_up, y_up.conj()))
         direct = outcome_probabilities(rho, y_frame).probs[0]
-        rho_after = lueders_update(rho, frame_projectors(x_frame))
+        rho_after = lueders_update(rho, np.hsplit(x_frame, 2))
         after = outcome_probabilities(rho_after, y_frame).probs[0]
         assert abs(direct - 1.0) < 1e-12
         assert abs(after - 0.5) < 1e-12

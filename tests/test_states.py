@@ -12,7 +12,7 @@ from qcog.states import (DensityMatrix, MeasurementError, ProbabilityVector,
                          outcome_probabilities, square_root_embed)
 
 from .conftest import haar_unitary, random_density, random_probs
-from .oracles import (measure_frame, percent_row_oracle,
+from .oracles import (lueders_projectors, percent_row_oracle,
                       probability_row_oracle)
 
 
@@ -175,7 +175,7 @@ class TestDensityMatrix:
         def forbidden(*args, **kwargs):
             raise AssertionError("validated")
 
-        monkeypatch.setattr(states, "is_hermitian", forbidden)
+        monkeypatch.setattr(hilbert, "is_hermitian", forbidden)
         monkeypatch.setattr(states, "_psd_fault", forbidden)
         monkeypatch.setattr(np.linalg, "cholesky", forbidden)
         rng = np.random.default_rng(43)
@@ -202,7 +202,6 @@ class TestDensityMatrix:
             return original(m)
 
         monkeypatch.setattr(hilbert, "is_hermitian", counted)
-        monkeypatch.setattr(states, "is_hermitian", counted)
         DensityMatrix(np.eye(4) / 4)
         assert len(calls) == 1
 
@@ -430,12 +429,12 @@ class TestLuedersUpdate:
         p = 0.7
         psi = square_root_embed(ProbabilityVector(np.array([p, 1 - p])))
         rho = DensityMatrix.from_pure(psi)
-        out = lueders_update(rho, frame_projectors(np.eye(2)))
+        out = lueders_update(rho, np.hsplit(np.eye(2), 2))
         assert np.allclose(out.matrix, np.diag([p, 1 - p]), atol=1e-14)
 
     def test_commuting_case_unchanged(self):
         rho = DensityMatrix(np.diag([0.5, 0.3, 0.2]).astype(complex))
-        out = lueders_update(rho, frame_projectors(np.eye(3)))
+        out = lueders_update(rho, np.hsplit(np.eye(3), 3))
         assert np.allclose(out.matrix, rho.matrix, atol=1e-14)
 
     def test_idempotent(self):
@@ -443,30 +442,29 @@ class TestLuedersUpdate:
         rho = DensityMatrix.from_pure(PureState(
             (lambda a: a / np.linalg.norm(a))(
                 rng.standard_normal(3) + 1j * rng.standard_normal(3))))
-        projs = frame_projectors(haar_unitary(rng, 3))
-        once = lueders_update(rho, projs)
-        twice = lueders_update(once, projs)
+        answers = np.hsplit(haar_unitary(rng, 3), 3)
+        once = lueders_update(rho, answers)
+        twice = lueders_update(once, answers)
         assert np.max(np.abs(once.matrix - twice.matrix)) < 1e-12
 
     def test_rejects_incomplete_projectors(self):
+        # one answer, spanned by e_0, leaves e_1 unanswered
         rho = DensityMatrix(np.eye(2) / 2)
-        p0 = np.diag([1.0, 0.0]).astype(complex)
-        with pytest.raises(MeasurementError):
-            lueders_update(rho, [p0])
+        with pytest.raises(MeasurementError, match="column count 1 "):
+            lueders_update(rho, [np.array([[1.0], [0.0]])])
 
     def test_rejects_non_orthogonal(self):
         rho = DensityMatrix(np.eye(2) / 2)
-        v = np.array([1.0, 1.0]) / np.sqrt(2)
-        p1 = np.outer(v, v)
-        with pytest.raises(MeasurementError):
-            lueders_update(rho, [p1, np.diag([1.0, 0.0]).astype(complex)])
+        v = np.array([[1.0], [1.0]]) / np.sqrt(2)
+        with pytest.raises(MeasurementError, match="not orthonormal"):
+            lueders_update(rho, [v, np.array([[1.0], [0.0]])])
 
     def test_rejects_oblique_projectors(self):
-        # idempotent, mutually annihilating and complete, but not Hermitian
+        # one degenerate answer whose basis spans the space but is oblique:
+        # its projector would be idempotent and complete, but not Hermitian
         rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
-        p = np.array([[1.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(MeasurementError, match="Hermitian"):
-            lueders_update(rho, [p, np.eye(2) - p])
+        with pytest.raises(MeasurementError, match="not orthonormal"):
+            lueders_update(rho, [np.array([[1.0, 1.0], [0.0, 1.0]])])
 
     def test_purity_never_increases(self):
         rng = np.random.default_rng(37)
@@ -474,7 +472,7 @@ class TestLuedersUpdate:
             psi = (lambda a: a / np.linalg.norm(a))(
                 rng.standard_normal(3) + 1j * rng.standard_normal(3))
             rho = DensityMatrix.from_pure(PureState(psi))
-            out = measure_frame(rho, haar_unitary(rng, 3))
+            out = lueders_update(rho, np.hsplit(haar_unitary(rng, 3), 3))
             assert out.purity() <= rho.purity() + 1e-12
 
     def test_contraction_of_subsequent_statistics(self):
@@ -482,7 +480,7 @@ class TestLuedersUpdate:
         for _ in range(100):
             p = random_probs(rng, 3)
             rho = DensityMatrix(np.diag(p).astype(complex))
-            out = measure_frame(rho, haar_unitary(rng, 3))
+            out = lueders_update(rho, np.hsplit(haar_unitary(rng, 3), 3))
             stats = outcome_probabilities(out, haar_unitary(rng, 3)).probs
             assert np.max(stats) <= np.max(p) + 1e-12
             assert np.min(stats) >= np.min(p) - 1e-12
@@ -494,20 +492,52 @@ class TestLuedersUpdate:
         pure = DensityMatrix.from_pure(square_root_embed(p))
         mixed = DensityMatrix(np.diag(p.probs))
         frame = np.eye(3)
+        answers = np.hsplit(frame, 3)
         for _ in range(3):
-            sp = outcome_probabilities(measure_frame(pure, frame), frame)
-            sm = outcome_probabilities(measure_frame(mixed, frame), frame)
+            sp = outcome_probabilities(lueders_update(pure, answers), frame)
+            sm = outcome_probabilities(lueders_update(mixed, answers), frame)
             assert np.allclose(sp.probs, sm.probs, atol=1e-12)
-            pure = measure_frame(pure, frame)
-            mixed = measure_frame(mixed, frame)
+            pure = lueders_update(pure, answers)
+            mixed = lueders_update(mixed, answers)
+
+    def test_matches_projector_oracle(self):
+        # random rank patterns at d = 2..9, on pure and mixed states: one
+        # answer spanning the space, every answer of rank 1, and ten random
+        # patterns with at least one degenerate answer unless k = d
+        rng = np.random.default_rng(47)
+        for d in range(2, 10):
+            for k in (1, d, *rng.integers(1, d + 1, size=10)):
+                cuts = np.sort(rng.choice(np.arange(1, d), k - 1,
+                                          replace=False))
+                answers = np.hsplit(haar_unitary(rng, d), cuts)
+                psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                for rho in (DensityMatrix.from_pure(PureState(
+                                psi / np.linalg.norm(psi))),
+                            DensityMatrix(random_density(rng, d))):
+                    got = lueders_update(rho, answers).matrix
+                    want = lueders_projectors(
+                        rho.matrix, [b @ b.conj().T for b in answers])
+                    assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_one_answer_leaves_state_unchanged(self):
+        rng = np.random.default_rng(59)
+        for d in range(1, 10):
+            rho = DensityMatrix(random_density(rng, d))
+            out = lueders_update(rho, [np.eye(d)])
+            assert np.max(np.abs(out.matrix - rho.matrix)) <= 1e-16
 
 
 _MIXED = DensityMatrix(np.eye(2) / 2)
+# a question is its answers' bases: a projector list, a bare frame or a list
+# of its columns is rejected, never read as one
+_HAAR3 = haar_unitary(np.random.default_rng(53), 3)
+_RANK_ONE = np.outer(_HAAR3[:, 0], _HAAR3[:, 0].conj())
+_MIXED3 = DensityMatrix(np.eye(3) / 3)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200])
 @pytest.mark.parametrize("entry, error", [
-    (lambda m: lueders_update(_MIXED, [m, np.eye(2) - m]), MeasurementError),
+    (lambda m: lueders_update(_MIXED, [m]), MeasurementError),
     (lambda m: outcome_probabilities(_MIXED, m), MeasurementError),
     (lambda m: LocalSeries(((0, m),), (2, 2)), ValueError),
     (lambda m: degenerate_yes_probability(_MIXED, list(m.T)), MeasurementError),
@@ -533,10 +563,21 @@ def test_non_finite_measurement_gives_typed_error(entry, error, bad):
      "amplitudes must form a nonempty 1-d vector"),
     (lambda: PureState(np.array([0.0, 1.0 + 2e-6])), StateError,
      "amplitude norm 1.000002 too far from 1"),
-    (lambda: lueders_update(_MIXED, [np.eye(3)]), MeasurementError,
-     "projector dimension mismatch"),
+    (lambda: lueders_update(_MIXED, np.hsplit(np.eye(3), 3)),
+     MeasurementError, "answer 0 has shape (3, 1), not (2, r)"),
+    (lambda: lueders_update(_MIXED3, [_RANK_ONE, np.eye(3) - _RANK_ONE]),
+     MeasurementError,
+     "the answer bases' column count 6 is not the state dimension 3"),
+    (lambda: lueders_update(_MIXED3, frame_projectors(_HAAR3)),
+     MeasurementError,
+     "the answer bases' column count 9 is not the state dimension 3"),
+    (lambda: lueders_update(_MIXED3, _HAAR3), MeasurementError,
+     "answer 0 has shape (3,), not (3, r)"),
+    (lambda: lueders_update(_MIXED3, list(_HAAR3.T)), MeasurementError,
+     "answer 0 has shape (3,), not (3, r)"),
 ], ids=["probs-empty", "probs-2d", "amplitudes-empty", "amplitudes-2d",
-        "amplitude-norm", "projector-shape"])
+        "amplitude-norm", "answer-shape", "projector-pair",
+        "frame-projectors", "bare-frame", "column-list"])
 def test_structural_fault_message(entry, error, message):
     with pytest.raises(error) as err:
         entry()
@@ -579,9 +620,8 @@ class TestDegenerateQuestion:
             degenerate_yes_probability(rho, [np.array([1, 0])])
 
     def test_degenerate_lueders_same_code_path(self):
-        # rank-2 + rank-1 projectors form a valid degenerate measurement
+        # a rank-2 and a rank-1 answer form a valid degenerate measurement
         rho = DensityMatrix(np.diag([0.5, 0.3, 0.2]).astype(complex))
-        p_yes = np.diag([1.0, 1.0, 0.0]).astype(complex)
-        p_no = np.diag([0.0, 0.0, 1.0]).astype(complex)
-        out = lueders_update(rho, [p_yes, p_no])
+        yes, no = np.eye(3)[:, :2], np.eye(3)[:, 2:]
+        out = lueders_update(rho, [yes, no])
         assert np.allclose(out.matrix, rho.matrix, atol=1e-14)
