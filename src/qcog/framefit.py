@@ -230,15 +230,16 @@ def replay(fit: FitResult, chain: SurveyChain) -> list[ProbabilityVector]:
 
     Uses only the state machinery: embed the base distribution, then for
     each frame read off the outcome probabilities and apply the measurement
-    update, one answer per column.  The isolated first question, if any, is
-    reproduced verbatim.
+    update, both on one question: its answers, one per column of the frame.
+    The isolated first question, if any, is reproduced verbatim.
     """
     base = chain.questions[int(fit.isolate_first)]
     rho = DensityMatrix.from_pure(square_root_embed(base.probs))
     out = [chain.questions[0].probs] if fit.isolate_first else []
     for frame in fit.frames:
-        out.append(outcome_probabilities(rho, frame))
-        rho = lueders_update(rho, np.hsplit(frame, chain.dim))
+        answers = np.hsplit(frame, chain.dim)
+        out.append(outcome_probabilities(rho, answers))
+        rho = lueders_update(rho, answers)
     return out
 
 

@@ -1,8 +1,8 @@
 """Dense complex linear algebra on small Hilbert spaces (dimensions 2 to 243).
 
-Matrices and frames are plain numpy arrays of dtype complex128.  An
-orthonormal frame is stored as a unitary matrix whose *columns* are the
-frame vectors.  Everything here is a pure function over immutable inputs.
+Matrices and frames are complex128 numpy arrays; a frame is a unitary
+matrix whose *columns* are the frame vectors, and a question's answers are
+blocks of them.  Everything here is a pure function over immutable inputs.
 """
 from __future__ import annotations
 
@@ -11,9 +11,8 @@ import operator
 import numpy as np
 
 # Tolerances, in one table.  Each value is fixed; changing one moves verdicts.
-# structural checks on states, frames and measurements: Hermiticity, trace,
-# positivity (one rule, _psd_fault, for DensityMatrix and is_psd), unitarity,
-# answer bases
+# structural checks on states and questions: trace, Hermiticity and positivity
+# (_psd_fault), and orthonormal answer bases and frames (_orthonormal_columns)
 STRUCTURAL_TOL = 1e-10
 # largest accepted squared residual of a constructed frame (it reaches ~1e-31)
 RESIDUAL_LIMIT = 1e-18
@@ -97,21 +96,6 @@ def _orthonormal_columns(a: np.ndarray) -> bool:
         return bool(np.max(np.abs(gram - np.eye(a.shape[-1]))) <= STRUCTURAL_TOL)
 
 
-def is_hermitian(m) -> bool:
-    a = as_matrix(m)
-    # a 0x0 matrix gets a non-square matrix's verdict; numpy's max of an
-    # empty array would raise
-    if a.shape[0] != a.shape[1] or a.size == 0:
-        return False
-    # |a_ij - conj(a_ji)| in one temporary: a fresh ~1 MB array at n = 243
-    # costs more in page faults than the arithmetic.  NaN (inf - inf) fails
-    d = a.T.copy()
-    np.conjugate(d, out=d)
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.subtract(a, d, out=d)
-        return bool(np.max(np.abs(d)) <= STRUCTURAL_TOL)
-
-
 def _psd_fault(a: np.ndarray, out: np.ndarray) -> str | None:
     # the one positivity rule, of DensityMatrix and is_psd: None when the
     # square, nonempty a is Hermitian and PSD within STRUCTURAL_TOL, else the
@@ -122,8 +106,12 @@ def _psd_fault(a: np.ndarray, out: np.ndarray) -> str | None:
     # for a trace-1 matrix at n = 243, so it accepts what the certificate does
     if _rank_one_certificate(a, out):
         return None
-    if not is_hermitian(a):
-        return "not Hermitian"
+    # max|a - a^H| <= tol, written into out; NaN (inf - inf) fails
+    np.conjugate(a.T, out=out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(a, out, out=out)
+        if not np.max(np.abs(out)) <= STRUCTURAL_TOL:
+            return "not Hermitian"
     np.copyto(out, a)
     out.flat[::a.shape[0] + 1] += STRUCTURAL_TOL  # the diagonal
     try:

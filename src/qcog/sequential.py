@@ -55,29 +55,33 @@ def sequential_probability(p, q):
                       p, q)
 
 
-def _second_question_frame(p: float, q: float) -> np.ndarray:
+def _second_question_answers(p: float, q: float) -> list[np.ndarray]:
     # angle of the second question's yes-state relative to the first basis,
     # branch chosen so both amplitude overlaps are nonnegative square roots
     a = np.arccos(np.clip(np.sqrt(p), 0.0, 1.0))
     c = a - np.arccos(np.clip(np.sqrt(q), 0.0, 1.0))
-    return np.array([[np.cos(c), -np.sin(c)],
-                     [np.sin(c), np.cos(c)]], dtype=np.complex128)
+    u = np.array([[np.cos(c), -np.sin(c)],
+                  [np.sin(c), np.cos(c)]], dtype=np.complex128)
+    return [u[:, :1], u[:, 1:]]
 
 
 def sequential_probability_via_states(p: float, q: float) -> float:
     """Same quantity through the explicit state pipeline (the ground truth).
 
-    Builds the initial pure state by the square-root embedding, applies the
-    measurement update of the first question, and reads off the second
-    question's statistics from the updated density matrix.
+    Embeds the initial pure state by square roots, applies the first
+    question's update and reads off the second question's distribution,
+    each question given as its answers' bases (its frame's columns).
     """
     p = float(_check_unit_interval("p", p))
     q = float(_check_unit_interval("q", q))
     psi = square_root_embed(ProbabilityVector(np.array([p, 1.0 - p])))
     rho = DensityMatrix.from_pure(psi)
-    rho = lueders_update(rho, np.hsplit(np.eye(2), 2))
-    frame = _second_question_frame(p, q)
-    return float(outcome_probabilities(rho, frame).probs[0])
+    # each question's answers are its frame's columns, sliced: this runs
+    # once per scan cell, and np.hsplit costs about fifteen slices
+    e = np.eye(2, dtype=np.complex128)
+    rho = lueders_update(rho, [e[:, :1], e[:, 1:]])
+    answers = _second_question_answers(p, q)
+    return float(outcome_probabilities(rho, answers).probs[0])
 
 
 @dataclass(frozen=True)
@@ -120,15 +124,14 @@ def interference_region_scan(grid_n: int) -> InterferenceResult:
 
 def spin_order_demo() -> tuple[float, float]:
     """P(X=UP) of the x-up spin-1/2, direct and after a y-spin measurement
-    (answers: the y frame's columns); (1, 1/2) up to rounding."""
+    (each question's answers: its frame's columns); (1, 1/2) up to rounding."""
     s = 1.0 / np.sqrt(2.0)
-    x_frame = np.array([[s, s], [s, -s]], dtype=np.complex128)
-    y_frame = np.array([[s, s], [1j * s, -1j * s]], dtype=np.complex128)
+    x = np.hsplit(np.array([[s, s], [s, -s]], dtype=np.complex128), 2)
+    y = np.hsplit(np.array([[s, s], [1j * s, -1j * s]], dtype=np.complex128), 2)
 
-    x_up = x_frame[:, 0]
-    rho = DensityMatrix(np.outer(x_up, x_up.conj()))
-    direct = float(outcome_probabilities(rho, x_frame).probs[0])
+    rho = DensityMatrix(x[0] @ x[0].conj().T)  # the x-up state
+    direct = float(outcome_probabilities(rho, x).probs[0])
 
-    rho_after_y = lueders_update(rho, np.hsplit(y_frame, 2))
-    after = float(outcome_probabilities(rho_after_y, x_frame).probs[0])
+    rho_after_y = lueders_update(rho, y)
+    after = float(outcome_probabilities(rho_after_y, x).probs[0])
     return direct, after

@@ -1,8 +1,8 @@
 """States of mind as probability vectors, pure states and density matrices.
 
-Implements the square-root embedding of answer distributions and the
-projective, possibly degenerate, measurement update of the von
-Neumann-Lueders type on a question's answer bases.
+Implements the square-root embedding of answer distributions, and a
+question's answer distribution and projective, possibly degenerate, update
+of the von Neumann-Lueders type, both read from its answers' bases.
 """
 from __future__ import annotations
 
@@ -188,25 +188,12 @@ def square_root_embed(p: ProbabilityVector) -> PureState:
     return PureState(np.sqrt(p.probs).astype(np.complex128))
 
 
-def outcome_probabilities(state: DensityMatrix, frame) -> ProbabilityVector:
-    """Answer distribution <Q_i|rho|Q_i> of a question asked in ``frame``."""
-    u = as_matrix(frame)
-    if u.shape != (state.dim, state.dim):
-        raise MeasurementError(
-            f"frame shape {u.shape} does not match state dim {state.dim}")
-    if not _orthonormal_columns(u):
-        raise MeasurementError("frame is not orthonormal")
-    p = np.einsum("ij,ik,kj->j", u.conj(), state.matrix, u).real
-    return ProbabilityVector(p)
-
-
-def lueders_update(state: DensityMatrix, answers) -> DensityMatrix:
-    """Post-measurement state U blockdiag(U^H rho U) U^H of a question whose
-    answers have the orthonormal bases ``answers``: (d, r) arrays, degenerate
-    when r > 1, whose columns form the unitary U.  A question asked in frame
-    u is ``np.hsplit(u, d)``."""
-    d = state.dim
-    blocks = [np.asarray(b, dtype=np.complex128) for b in answers]
+def _question(answers, d: int) -> tuple[np.ndarray, np.ndarray, int]:
+    # the one question rule: U, each column's answer, and the answer count
+    try:
+        blocks = [np.asarray(b, dtype=np.complex128) for b in answers]
+    except (TypeError, ValueError):
+        raise MeasurementError("answer bases are not numeric arrays") from None
     for i, b in enumerate(blocks):
         if b.ndim != 2 or len(b) != d:
             raise MeasurementError(
@@ -220,6 +207,23 @@ def lueders_update(state: DensityMatrix, answers) -> DensityMatrix:
     u = np.hstack(blocks)
     if not _orthonormal_columns(u):
         raise MeasurementError("answer bases are not orthonormal")
+    return u, answer, len(blocks)
+
+
+def outcome_probabilities(state: DensityMatrix, answers) -> ProbabilityVector:
+    """Answer distribution tr(B_i^H rho B_i) of a question whose answers have
+    the bases B_i (as for :func:`lueders_update`): each block's trace."""
+    u, answer, k = _question(answers, state.dim)
+    p = np.einsum("ij,ik,kj->j", u.conj(), state.matrix, u).real
+    return ProbabilityVector(np.bincount(answer, weights=p, minlength=k))
+
+
+def lueders_update(state: DensityMatrix, answers) -> DensityMatrix:
+    """Post-measurement state U blockdiag(U^H rho U) U^H of a question whose
+    answers have the orthonormal bases ``answers``: (d, r) arrays, degenerate
+    when r > 1, whose columns form the unitary U.  A question asked in frame
+    u is ``np.hsplit(u, d)``."""
+    u, answer, _ = _question(answers, state.dim)
     m = u.conj().T @ state.matrix @ u
     out = u @ (m * (answer[:, None] == answer)) @ u.conj().T
     return DensityMatrix((out + out.conj().T) / 2)
@@ -230,7 +234,10 @@ def degenerate_yes_probability(state: DensityMatrix, subspace_basis) -> float:
 
     ``subspace_basis`` spans the subspace whose projector defines 'yes'.
     """
-    vecs = [np.asarray(v, dtype=np.complex128) for v in subspace_basis]
+    try:
+        vecs = [np.asarray(v, dtype=np.complex128) for v in subspace_basis]
+    except (TypeError, ValueError):
+        raise MeasurementError("subspace basis is not numeric") from None
     if not vecs:
         raise MeasurementError("subspace basis is empty")
     if any(v.shape != (state.dim,) for v in vecs):

@@ -35,6 +35,13 @@ def lueders_projectors(rho, projectors) -> np.ndarray:
     return sum(p @ rho @ p for p in projectors)
 
 
+def block_probabilities(rho, answers) -> np.ndarray:
+    """Answer distribution tr(P_i rho) of the matrix ``rho`` for answers with
+    the bases B_i, P_i = B_i B_i^H, one projector at a time; unchecked."""
+    rho = np.asarray(rho, dtype=np.complex128)
+    return np.array([np.trace(b @ b.conj().T @ rho).real for b in answers])
+
+
 def measure_frame(state: DensityMatrix, frame) -> DensityMatrix:
     """Lueders update for a non-degenerate question given as a frame."""
     return DensityMatrix(lueders_projectors(state.matrix,

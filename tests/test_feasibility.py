@@ -166,7 +166,8 @@ class TestMajorization:
         for _ in range(200):
             p = random_probs(rng, 3)
             rho = DensityMatrix(np.diag(p).astype(complex))
-            stats = outcome_probabilities(rho, haar_unitary(rng, 3))
+            stats = outcome_probabilities(
+                rho, np.hsplit(haar_unitary(rng, 3), 3))
             feasible, _ = majorization_check(p, stats.probs, tol=1e-10)
             assert feasible
 

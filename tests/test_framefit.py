@@ -34,9 +34,9 @@ def five_answer_rows():
     rho = DensityMatrix.from_pure(square_root_embed(pv(*rows[1])))
     rho = lueders_update(rho, np.hsplit(np.eye(5), 5))
     for _ in range(3):
-        u = haar_unitary(rng, 5)
-        rows.append(outcome_probabilities(rho, u).probs)
-        rho = lueders_update(rho, np.hsplit(u, 5))
+        answers = np.hsplit(haar_unitary(rng, 5), 5)
+        rows.append(outcome_probabilities(rho, answers).probs)
+        rho = lueders_update(rho, answers)
     return rows
 
 
@@ -124,7 +124,7 @@ class TestFitTransition:
     def test_achieved_majorized_by_spectrum(self):
         rho = diag_state(0.7, 0.2, 0.1)
         fit = fit_transition(rho, pv(0.5, 0.25, 0.25))
-        achieved = outcome_probabilities(rho, fit.frame)
+        achieved = outcome_probabilities(rho, np.hsplit(fit.frame, 3))
         feasible, _ = majorization_check(np.array([0.7, 0.2, 0.1]),
                                          achieved.probs, tol=1e-10)
         assert feasible
@@ -143,7 +143,8 @@ class TestFitTransition:
         rng = np.random.default_rng(89 + dim)
         for _ in range(5):
             rho = DensityMatrix(random_density(rng, dim))
-            target = outcome_probabilities(rho, haar_unitary(rng, dim))
+            target = outcome_probabilities(
+                rho, np.hsplit(haar_unitary(rng, dim), dim))
             fit = fit_transition(rho, target)
             assert fit.residual < 1e-18
             u = fit.frame

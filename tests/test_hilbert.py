@@ -1,19 +1,27 @@
 import numpy as np
 import pytest
 
-from qcog.hilbert import (_orthonormal_columns, frame_projectors, is_hermitian,
-                          is_psd, partial_trace)
+from qcog.hilbert import (_orthonormal_columns, frame_projectors, is_psd,
+                          partial_trace)
+from qcog.states import DensityMatrix, StateError
 
 from .conftest import haar_unitary, random_density
 
 
 class TestPredicates:
     def test_hermitian(self):
-        assert is_hermitian(np.array([[1.0, 1j], [-1j, 2.0]]))
-        assert not is_hermitian(np.array([[1.0, 1j], [1j, 2.0]]))
+        # neither matrix is pure, so each verdict comes from the Hermiticity
+        # check of the positivity rule
+        hermitian = np.array([[1.0, 1j], [-1j, 2.0]]) / 3
+        skewed = np.array([[1.0, 1j], [1j, 2.0]]) / 3
+        assert is_psd(hermitian)
+        DensityMatrix(hermitian)
+        assert not is_psd(skewed)
+        with pytest.raises(StateError, match="^density matrix is not Hermitian$"):
+            DensityMatrix(skewed)
 
     def test_unitary(self):
-        # the frame rule outcome_probabilities applies to a square frame
+        # the rule a question's answer bases are held to, on one square frame
         rng = np.random.default_rng(3)
         u = haar_unitary(rng, 4)
         assert _orthonormal_columns(u)
@@ -35,8 +43,7 @@ class TestPredicates:
         assert not is_psd(np.array([[1.0, 1e200], [1e200, 1.0]]))
         assert not is_psd(np.array([[1e-300, 1.0], [1.0, 0.0]]))
 
-    @pytest.mark.parametrize("predicate",
-                             [is_hermitian, _orthonormal_columns, is_psd])
+    @pytest.mark.parametrize("predicate", [_orthonormal_columns, is_psd])
     def test_empty_matrix_gets_a_verdict(self, predicate):
         # the verdict a non-square matrix gets, not numpy's zero-size error
         assert predicate(np.zeros((0, 0))) is False

@@ -191,8 +191,9 @@ class TestSpinOrderDemo:
         # start in the y-up eigenstate and let the x question intervene
         y_up = y_frame[:, 0]
         rho = DensityMatrix(np.outer(y_up, y_up.conj()))
-        direct = outcome_probabilities(rho, y_frame).probs[0]
-        rho_after = lueders_update(rho, np.hsplit(x_frame, 2))
-        after = outcome_probabilities(rho_after, y_frame).probs[0]
+        x_answers, y_answers = np.hsplit(x_frame, 2), np.hsplit(y_frame, 2)
+        direct = outcome_probabilities(rho, y_answers).probs[0]
+        rho_after = lueders_update(rho, x_answers)
+        after = outcome_probabilities(rho_after, y_answers).probs[0]
         assert abs(direct - 1.0) < 1e-12
         assert abs(after - 0.5) < 1e-12

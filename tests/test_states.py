@@ -12,8 +12,8 @@ from qcog.states import (DensityMatrix, MeasurementError, ProbabilityVector,
                          outcome_probabilities, square_root_embed)
 
 from .conftest import haar_unitary, random_density, random_probs
-from .oracles import (lueders_projectors, percent_row_oracle,
-                      probability_row_oracle)
+from .oracles import (block_probabilities, lueders_projectors,
+                      percent_row_oracle, probability_row_oracle)
 
 
 # the entries a faulty answer row may carry
@@ -175,7 +175,6 @@ class TestDensityMatrix:
         def forbidden(*args, **kwargs):
             raise AssertionError("validated")
 
-        monkeypatch.setattr(hilbert, "is_hermitian", forbidden)
         monkeypatch.setattr(states, "_psd_fault", forbidden)
         monkeypatch.setattr(np.linalg, "cholesky", forbidden)
         rng = np.random.default_rng(43)
@@ -195,13 +194,13 @@ class TestDensityMatrix:
 
     def test_hermiticity_checked_once(self, monkeypatch):
         calls = []
-        original = hilbert.is_hermitian
+        original = states._psd_fault
 
-        def counted(m):
+        def counted(a, out):
             calls.append(1)
-            return original(m)
+            return original(a, out)
 
-        monkeypatch.setattr(hilbert, "is_hermitian", counted)
+        monkeypatch.setattr(states, "_psd_fault", counted)
         DensityMatrix(np.eye(4) / 4)
         assert len(calls) == 1
 
@@ -364,7 +363,7 @@ class TestRankOneCertificate:
         accepted = hilbert._rank_one_certificate(m, np.empty_like(m))
         assert accepted == (edge < 1)
         if accepted:
-            assert hilbert.is_hermitian(m)
+            assert np.max(np.abs(m - m.conj().T)) <= STRUCTURAL_TOL
             for uplo in "LU":
                 assert np.min(np.linalg.eigvalsh(m, UPLO=uplo)) >= -STRUCTURAL_TOL
 
@@ -384,10 +383,26 @@ class TestSquareRootEmbed:
         assert np.max(np.abs(np.abs(psi.amplitudes) ** 2 - p.probs)) < 1e-12
 
 
+def _questions_and_states(seed):
+    # random rank patterns at d = 2..9, on pure and mixed states: one answer
+    # spanning the space, every answer of rank 1, and ten random patterns
+    # with at least one degenerate answer unless k = d
+    rng = np.random.default_rng(seed)
+    for d in range(2, 10):
+        for k in (1, d, *rng.integers(1, d + 1, size=10)):
+            cuts = np.sort(rng.choice(np.arange(1, d), k - 1, replace=False))
+            answers = np.hsplit(haar_unitary(rng, d), cuts)
+            psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            for rho in (DensityMatrix.from_pure(PureState(
+                            psi / np.linalg.norm(psi))),
+                        DensityMatrix(random_density(rng, d))):
+                yield answers, rho
+
+
 class TestOutcomeProbabilities:
     def test_eigenbasis_case(self):
         rho = DensityMatrix(np.diag([0.81, 0.04, 0.15]).astype(complex))
-        got = outcome_probabilities(rho, np.eye(3))
+        got = outcome_probabilities(rho, np.hsplit(np.eye(3), 3))
         assert np.allclose(got.probs, [0.81, 0.04, 0.15], atol=1e-15)
 
     def test_sums_to_one(self):
@@ -395,7 +410,7 @@ class TestOutcomeProbabilities:
         psi = PureState((lambda a: a / np.linalg.norm(a))(
             rng.standard_normal(3) + 1j * rng.standard_normal(3)))
         rho = DensityMatrix.from_pure(psi)
-        got = outcome_probabilities(rho, haar_unitary(rng, 3))
+        got = outcome_probabilities(rho, np.hsplit(haar_unitary(rng, 3), 3))
         assert abs(got.probs.sum() - 1.0) < 1e-12
 
     def test_convex_combination_oracle(self):
@@ -404,7 +419,7 @@ class TestOutcomeProbabilities:
         rho = DensityMatrix(np.diag([0.81, 0.04, 0.15]).astype(complex))
         for _ in range(50):
             u = haar_unitary(rng, 3)
-            got = outcome_probabilities(rho, u).probs
+            got = outcome_probabilities(rho, np.hsplit(u, 3)).probs
             oracle = np.array(
                 [sum(abs(u[k, j]) ** 2 * d
                      for k, d in enumerate([0.81, 0.04, 0.15]))
@@ -415,13 +430,49 @@ class TestOutcomeProbabilities:
 
     def test_dimension_mismatch(self):
         rho = DensityMatrix(np.eye(3) / 3)
-        with pytest.raises(MeasurementError):
-            outcome_probabilities(rho, np.eye(2))
+        with pytest.raises(MeasurementError,
+                           match=r"^answer 0 has shape \(2, 1\), not \(3, r\)$"):
+            outcome_probabilities(rho, np.hsplit(np.eye(2), 2))
 
     def test_rejects_non_orthonormal_frame(self):
         rho = DensityMatrix(np.eye(2) / 2)
         with pytest.raises(MeasurementError, match="orthonormal"):
-            outcome_probabilities(rho, [[1, 1], [0, 0]])
+            outcome_probabilities(rho, np.hsplit(np.array([[1, 1], [0, 0]]), 2))
+
+    def test_matches_block_oracle(self):
+        # a degenerate answer's probability is its block's trace, summed
+        # by the oracle one projector B B^H at a time
+        for answers, rho in _questions_and_states(61):
+            got = outcome_probabilities(rho, answers).probs
+            want = block_probabilities(rho.matrix, answers)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_rank_one_answers_give_the_frame_einsum_bitwise(self):
+        # one answer per column returns each column's expectation as is
+        rng = np.random.default_rng(67)
+        for d in range(1, 10):
+            for rho in (DensityMatrix.from_pure(PureState(_pure(rng, d))),
+                        DensityMatrix(random_density(rng, d))):
+                u = haar_unitary(rng, d)
+                got = outcome_probabilities(rho, np.hsplit(u, d)).probs
+                want = ProbabilityVector(np.einsum(
+                    "ij,ik,kj->j", u.conj(), rho.matrix, u).real).probs
+                assert np.array_equal(got, want)
+
+    def test_repeating_a_question_repeats_its_answers(self):
+        for answers, rho in _questions_and_states(71):
+            once = outcome_probabilities(rho, answers).probs
+            after = outcome_probabilities(lueders_update(rho, answers),
+                                          answers).probs
+            assert np.max(np.abs(after - once)) <= 1e-14
+
+    def test_empty_answer_gets_probability_zero(self):
+        # an answer of rank 0 is never given, wherever it sits
+        rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
+        empty = np.zeros((2, 0))
+        got = outcome_probabilities(rho, [empty, np.eye(2), empty]).probs
+        assert np.array_equal(got, [0.0, 1.0, 0.0])
 
 
 class TestLuedersUpdate:
@@ -481,7 +532,8 @@ class TestLuedersUpdate:
             p = random_probs(rng, 3)
             rho = DensityMatrix(np.diag(p).astype(complex))
             out = lueders_update(rho, np.hsplit(haar_unitary(rng, 3), 3))
-            stats = outcome_probabilities(out, haar_unitary(rng, 3)).probs
+            stats = outcome_probabilities(
+                out, np.hsplit(haar_unitary(rng, 3), 3)).probs
             assert np.max(stats) <= np.max(p) + 1e-12
             assert np.min(stats) >= np.min(p) - 1e-12
 
@@ -494,30 +546,18 @@ class TestLuedersUpdate:
         frame = np.eye(3)
         answers = np.hsplit(frame, 3)
         for _ in range(3):
-            sp = outcome_probabilities(lueders_update(pure, answers), frame)
-            sm = outcome_probabilities(lueders_update(mixed, answers), frame)
+            sp = outcome_probabilities(lueders_update(pure, answers), answers)
+            sm = outcome_probabilities(lueders_update(mixed, answers), answers)
             assert np.allclose(sp.probs, sm.probs, atol=1e-12)
             pure = lueders_update(pure, answers)
             mixed = lueders_update(mixed, answers)
 
     def test_matches_projector_oracle(self):
-        # random rank patterns at d = 2..9, on pure and mixed states: one
-        # answer spanning the space, every answer of rank 1, and ten random
-        # patterns with at least one degenerate answer unless k = d
-        rng = np.random.default_rng(47)
-        for d in range(2, 10):
-            for k in (1, d, *rng.integers(1, d + 1, size=10)):
-                cuts = np.sort(rng.choice(np.arange(1, d), k - 1,
-                                          replace=False))
-                answers = np.hsplit(haar_unitary(rng, d), cuts)
-                psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-                for rho in (DensityMatrix.from_pure(PureState(
-                                psi / np.linalg.norm(psi))),
-                            DensityMatrix(random_density(rng, d))):
-                    got = lueders_update(rho, answers).matrix
-                    want = lueders_projectors(
-                        rho.matrix, [b @ b.conj().T for b in answers])
-                    assert np.max(np.abs(got - want)) <= 1e-14
+        for answers, rho in _questions_and_states(47):
+            got = lueders_update(rho, answers).matrix
+            want = lueders_projectors(
+                rho.matrix, [b @ b.conj().T for b in answers])
+            assert np.max(np.abs(got - want)) <= 1e-14
 
     def test_one_answer_leaves_state_unchanged(self):
         rng = np.random.default_rng(59)
@@ -533,12 +573,14 @@ _MIXED = DensityMatrix(np.eye(2) / 2)
 _HAAR3 = haar_unitary(np.random.default_rng(53), 3)
 _RANK_ONE = np.outer(_HAAR3[:, 0], _HAAR3[:, 0].conj())
 _MIXED3 = DensityMatrix(np.eye(3) / 3)
+# an answer that is not a numeric array: its rows differ in length
+_RAGGED = [[[1], [0]], [[0], [1, 2]]]
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200])
 @pytest.mark.parametrize("entry, error", [
     (lambda m: lueders_update(_MIXED, [m]), MeasurementError),
-    (lambda m: outcome_probabilities(_MIXED, m), MeasurementError),
+    (lambda m: outcome_probabilities(_MIXED, [m]), MeasurementError),
     (lambda m: LocalSeries(((0, m),), (2, 2)), ValueError),
     (lambda m: degenerate_yes_probability(_MIXED, list(m.T)), MeasurementError),
 ], ids=["lueders_update", "outcome_probabilities", "LocalSeries",
@@ -575,9 +617,32 @@ def test_non_finite_measurement_gives_typed_error(entry, error, bad):
      "answer 0 has shape (3,), not (3, r)"),
     (lambda: lueders_update(_MIXED3, list(_HAAR3.T)), MeasurementError,
      "answer 0 has shape (3,), not (3, r)"),
+    (lambda: outcome_probabilities(_MIXED3, frame_projectors(_HAAR3)),
+     MeasurementError,
+     "the answer bases' column count 9 is not the state dimension 3"),
+    (lambda: outcome_probabilities(_MIXED3, _HAAR3), MeasurementError,
+     "answer 0 has shape (3,), not (3, r)"),
+    (lambda: outcome_probabilities(_MIXED3, list(_HAAR3.T)), MeasurementError,
+     "answer 0 has shape (3,), not (3, r)"),
+    (lambda: lueders_update(_MIXED, _RAGGED), MeasurementError,
+     "answer bases are not numeric arrays"),
+    (lambda: lueders_update(_MIXED, ["ab", "cd"]), MeasurementError,
+     "answer bases are not numeric arrays"),
+    (lambda: outcome_probabilities(_MIXED, _RAGGED), MeasurementError,
+     "answer bases are not numeric arrays"),
+    (lambda: outcome_probabilities(_MIXED, ["ab", "cd"]), MeasurementError,
+     "answer bases are not numeric arrays"),
+    (lambda: degenerate_yes_probability(_MIXED3, ["abc"]), MeasurementError,
+     "subspace basis is not numeric"),
+    (lambda: degenerate_yes_probability(_MIXED3, [[1, [0], 0]]),
+     MeasurementError, "subspace basis is not numeric"),
 ], ids=["probs-empty", "probs-2d", "amplitudes-empty", "amplitudes-2d",
         "amplitude-norm", "answer-shape", "projector-pair",
-        "frame-projectors", "bare-frame", "column-list"])
+        "frame-projectors", "bare-frame", "column-list",
+        "probabilities-frame-projectors", "probabilities-bare-frame",
+        "probabilities-column-list", "ragged-answer", "string-answers",
+        "probabilities-ragged-answer", "probabilities-string-answers",
+        "string-subspace-basis", "ragged-subspace-basis"])
 def test_structural_fault_message(entry, error, message):
     with pytest.raises(error) as err:
         entry()
