@@ -144,39 +144,29 @@ def order_effect_check(ordering_1, ordering_2, tol: float) -> OrderEffectReport:
     return OrderEffectReport(tuple(entries))
 
 
-def _sorted_cumsum(p: np.ndarray) -> np.ndarray:
-    # partial sums of each row sorted largest first
-    return np.sort(p, axis=-1)[..., ::-1].cumsum(axis=-1)
-
-
-def _slack(current_cumsum: np.ndarray,
-           target_cumsum: np.ndarray) -> np.ndarray:
-    """Majorization slack from :func:`_sorted_cumsum` rows: the worst excess
-    of the target's partial sums over the current ones, clamped at zero and
-    with float noise below ``_MAJORIZATION_NOISE`` read as zero."""
-    excess = (target_cumsum - current_cumsum).max(axis=-1)
+def _slack(current: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Majorization slack of each pair of rows, answers on the last axis of
+    two arrays of one shape: the worst excess of the target's partial sums
+    (rows sorted largest first) over the current ones, 0 below the noise."""
+    c, t = np.sort((current, target), axis=-1)[..., ::-1].cumsum(axis=-1)
+    excess = (t - c).max(axis=-1)
     return np.where(excess >= _MAJORIZATION_NOISE, excess, 0.0)
-
-
-def _majorization_slack(current: np.ndarray, target: np.ndarray) -> float:
-    # the slack of two validated 1-d distributions of one dimension
-    return float(_slack(_sorted_cumsum(current), _sorted_cumsum(target)))
 
 
 def majorization_check(current, target, tol: float = 0.0) -> tuple[bool, float]:
     """Is the array ``target`` majorized by the array ``current`` (so
     reachable as frame expectations of a state with spectrum ``current``)?
-
-    The slack is the worst excess of the target's sorted partial sums over
-    the current ones, clamped at zero; feasible iff slack <= tol.
-    """
+    Feasible iff the pair's :func:`_slack`, the slack the chain check and the
+    frame fit read too, is at most ``tol``."""
     c = np.asarray(current, dtype=float)
     t = np.asarray(target, dtype=float)
     if c.shape != t.shape:
         raise ValueError("distributions have different dimensions")
+    if c.ndim != 1:  # _slack would read a scalar pair as one row
+        raise ValueError("distributions must be 1-d arrays")
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(t))):
         raise ValueError("non-finite probability in a majorization check")
-    slack = _majorization_slack(c, t)
+    slack = float(_slack(c, t))
     return slack <= tol, slack
 
 
@@ -230,8 +220,7 @@ def chain_feasibility(chain: SurveyChain, isolate_first: bool,
     highs, lows = d.max(axis=1), d.min(axis=1)
     increase = highs[1:] - highs[:-1]
     decrease = lows[:-1] - lows[1:]
-    cumsum = _sorted_cumsum(d)
-    slack = _slack(cumsum[:-1], cumsum[1:])
+    slack = _slack(d[:-1], d[1:])
     exempt = np.zeros(n - 1, dtype=bool)
     exempt[0] = isolate_first
     return FeasibilityReport(tuple(map(

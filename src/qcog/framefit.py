@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feasibility import (SurveyChain, _majorization_slack,
-                          _require_transition, majorization_check)
+from .feasibility import (SurveyChain, _require_transition, _slack,
+                          majorization_check)
 from .hilbert import RESIDUAL_LIMIT
 from .states import (DensityMatrix, ProbabilityVector, lueders_update,
                      outcome_probabilities, square_root_embed)
@@ -83,7 +83,7 @@ def _fit_row(lam: np.ndarray, target: ProbabilityVector, tol: float,
     one row step of :func:`fit_chain` and :func:`fit_transition`.  A row
     whose slack exceeds ``tol`` is infeasible (``what`` names it), one
     within it is first projected, and the frame's residual is checked."""
-    slack = _majorization_slack(lam, target.probs)
+    slack = float(_slack(lam, target.probs))
     if not slack <= tol:
         raise InfeasibleTargetError(
             f"{what} is infeasible: majorization slack {slack:.4g} "

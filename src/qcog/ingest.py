@@ -6,8 +6,9 @@ Survey schema (JSON)::
      "questions": [{"text": str, "yes": number, "unsure": number,
                     "no": number, "polarity": "favour"|"oppose"|"neutral"}]}
 
-Percentages are JSON numbers, divided by 100 and renormalized; a question
-whose percentages sum outside [99, 101] is rejected with the offending row.
+Percentages are JSON numbers; each row is divided by its sum.  A negative
+entry, a sum outside [99, 101] or a bare NaN is rejected with the row as
+written, as in ``non-finite percentage in [nan, 30.0, 20.0]``.
 
 Order-effect pair schema (JSON)::
 
@@ -68,9 +69,8 @@ def _numbers(path, values, where: str) -> list[float]:
 
 
 def _percent_rows(path, rows, where) -> list[ProbabilityVector]:
-    # the answer-row rule of every ingest path, on the 2-d array rows of
-    # percentages; where(i) names the failing row i, and is called for it
-    # alone
+    # rows_from_percents on the 2-d array rows, for every ingest path;
+    # where(i) names the failing row i, and is called for it alone
     try:
         return ProbabilityVector.rows_from_percents(rows)
     except RowError as exc:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .hilbert import (_AMPLITUDE_NORM_TOL, _NEGATIVE_PROB_TOL,
                       _PERCENT_SUM_TOL, _PROB_SUM_TOL, STRUCTURAL_TOL,
-                      _orthonormal_columns, _psd_fault, as_matrix)
+                      _orthonormal_columns, _psd_fault)
 
 
 class StateError(ValueError):
@@ -32,48 +32,16 @@ class RowError(StateError):
         self.row = row
 
 
-def _answer_rows(v: np.ndarray, percents: bool) -> np.ndarray:
-    """The one rule for answer rows, on every row of the 2-d float array
-    ``v`` at once; returns the rows as probabilities.
-
-    Percentage rows (``percents``) must be nonnegative, with a sum within
-    ``_PERCENT_SUM_TOL`` of 100 that each row is divided by.  Probability
-    rows must be finite, with no entry below ``-_NEGATIVE_PROB_TOL`` and,
-    clipped at zero, a sum within ``_PROB_SUM_TOL`` of 1.  The first faulty
-    row raises :class:`RowError` with the message of its first failed check.
-    """
-    # a faulty row may overflow its sum or divide by zero: it is rejected
-    # below, with no RuntimeWarning.  NaN compares false, so the >= and <=
-    # tests flag its row, and the message names the check it fails first
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if percents:
-            total = np.add.reduce(v, axis=1)
-            bad = ((np.minimum.reduce(v, axis=1, initial=np.inf) < 0)
-                   | (np.abs(total - 100.0) > _PERCENT_SUM_TOL))
-            p = v / total[:, None]
-        else:
-            bad, p = False, v
-        q = np.maximum(p, 0.0)  # np.clip(p, 0.0, None), without its wrapper
-        s = np.add.reduce(q, axis=1)
-        bad = bad | ~((np.minimum.reduce(p, axis=1, initial=np.inf)
-                       >= -_NEGATIVE_PROB_TOL)
-                      & (np.abs(s - 1.0) <= _PROB_SUM_TOL))
-    if bad.any():
-        i = int(bad.argmax())
-        if percents and np.any(v[i] < 0):
-            message = f"negative percentage in {v[i].tolist()}"
-        elif percents and abs(total[i] - 100.0) > _PERCENT_SUM_TOL:
-            lo, hi = 100 - _PERCENT_SUM_TOL, 100 + _PERCENT_SUM_TOL
-            message = (f"percentages sum to {total[i]}, "
-                       f"outside [{lo:g}, {hi:g}]")
-        elif not np.all(np.isfinite(p[i])):
-            message = f"non-finite probability in {p[i].tolist()}"
-        elif np.min(p[i]) < -_NEGATIVE_PROB_TOL:
-            message = f"negative probability {np.min(p[i])}"
-        else:
-            message = f"probabilities sum to {s[i]}, not 1"
-        raise RowError(message, i)
-    return q
+def _numeric(values, dtype, what: str) -> np.ndarray:
+    # the one coercion of the state constructors: a StateError for a ragged
+    # or non-numeric input, and for a complex one where reals are due
+    try:
+        a = np.asarray(values)
+        if a.dtype.kind != "c" or dtype is np.complex128:
+            return a.astype(dtype, copy=False)
+    except (TypeError, ValueError):
+        raise StateError(f"{what} must form a numeric array") from None
+    raise StateError(f"{what} must be real, not complex")
 
 
 @dataclass(frozen=True)
@@ -83,18 +51,25 @@ class ProbabilityVector:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
+        p = _numeric(self.probs, float, "probabilities")
         if p.ndim != 1 or p.size == 0:
             raise StateError("probabilities must form a nonempty 1-d vector")
-        q = _answer_rows(p[None], percents=False)[0]
+        if not np.all(np.isfinite(p)):
+            raise StateError(f"non-finite probability in {p.tolist()}")
+        if np.min(p) < -_NEGATIVE_PROB_TOL:
+            raise StateError(f"negative probability {np.min(p)}")
+        q = np.maximum(p, 0.0)  # np.clip(p, 0.0, None), without its wrapper
+        with np.errstate(over="ignore"):  # a sum beyond float range fails
+            s = np.add.reduce(q)
+        if abs(s - 1.0) > _PROB_SUM_TOL:
+            raise StateError(f"probabilities sum to {s}, not 1")
         q.setflags(write=False)
         object.__setattr__(self, "probs", q)
 
     @classmethod
     def _unchecked(cls, p: np.ndarray) -> "ProbabilityVector":
-        # for rows that passed the answer-row rule, and distributions valid
-        # by construction; takes ownership of the float array p, freezes it
-        # and checks nothing
+        # for rows that passed rows_from_percents, and distributions valid by
+        # construction; takes ownership of p, freezes it and checks nothing
         p.setflags(write=False)
         vector = object.__new__(cls)
         object.__setattr__(vector, "probs", p)
@@ -102,11 +77,33 @@ class ProbabilityVector:
 
     @classmethod
     def rows_from_percents(cls, rows) -> list["ProbabilityVector"]:
-        """Each row of the 2-d array ``rows`` of nonnegative percentages,
-        divided by its sum, which must lie within 1 of 100.  The rows are
-        checked as one array; the first faulty row raises :class:`RowError`."""
-        probs = _answer_rows(np.asarray(rows, dtype=float), percents=True)
-        return [cls._unchecked(p) for p in probs]
+        """Each row of the 2-d array ``rows`` of percentages, divided by its
+        sum and clipped at 0: a probability row, with no further check.  The
+        rows are checked as one array; the first faulty row raises
+        :class:`RowError`, naming the row as given, for a negative entry,
+        else a sum off 100 by more than ``_PERCENT_SUM_TOL``, else a NaN."""
+        v = _numeric(rows, float, "percentages")
+        if v.ndim != 2:
+            raise StateError("percentages must form a 2-d array of rows")
+        # a faulty row may overflow its sum or divide by zero, and NaN makes
+        # its sum NaN: each fails the <= test, with no RuntimeWarning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            total = np.add.reduce(v, axis=1)
+            bad = ((np.minimum.reduce(v, axis=1, initial=np.inf) < 0)
+                   | ~(np.abs(total - 100.0) <= _PERCENT_SUM_TOL))
+            p = v / total[:, None]
+        if bad.any():
+            i = int(bad.argmax())
+            if np.any(v[i] < 0):
+                message = f"negative percentage in {v[i].tolist()}"
+            elif abs(total[i] - 100.0) > _PERCENT_SUM_TOL:
+                lo, hi = 100 - _PERCENT_SUM_TOL, 100 + _PERCENT_SUM_TOL
+                message = (f"percentages sum to {total[i]}, "
+                           f"outside [{lo:g}, {hi:g}]")
+            else:
+                message = f"non-finite percentage in {v[i].tolist()}"
+            raise RowError(message, i)
+        return [cls._unchecked(q) for q in np.maximum(p, 0.0)]  # -0.0 to 0
 
     @property
     def dim(self) -> int:
@@ -120,7 +117,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=np.complex128).copy()
+        a = _numeric(self.amplitudes, np.complex128, "amplitudes").copy()
         if a.ndim != 1 or a.size == 0:
             raise StateError("amplitudes must form a nonempty 1-d vector")
         if not np.all(np.isfinite(a)):
@@ -140,8 +137,8 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        a = as_matrix(self.matrix)
-        if a.shape[0] != a.shape[1]:
+        a = _numeric(self.matrix, np.complex128, "density matrix")
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise StateError("density matrix must be square")
         if a.size == 0:
             raise StateError("density matrix must be nonempty")

@@ -60,8 +60,9 @@ def survey_to_dict(chain: SurveyChain) -> dict:
 
 def percent_row_oracle(values) -> np.ndarray:
     """One answer row in percent, checked and normalized row by row: the
-    percentage checks, then the probability checks on the row divided by its
-    sum.  Raises StateError with the message of the first failed check."""
+    percentage checks (negative, sum, non-finite), then the probability
+    checks on the row divided by its sum.  Raises StateError with the
+    message of the first failed check."""
     v = np.asarray(values, dtype=float)
     if np.any(v < 0):
         raise StateError(f"negative percentage in {v.tolist()}")
@@ -70,6 +71,8 @@ def percent_row_oracle(values) -> np.ndarray:
         p = v / s
     if abs(s - 100.0) > _PERCENT_SUM_TOL:
         raise StateError(f"percentages sum to {s}, outside [99, 101]")
+    if not all(np.isfinite(x) for x in v):
+        raise StateError(f"non-finite percentage in {v.tolist()}")
     return probability_row_oracle(p)
 
 

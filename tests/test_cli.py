@@ -52,6 +52,8 @@ FAULTY_ROWS = {
                     "expected a list of numbers, got ['50', 30, 20]"),
     "overflow": ([1e308] * 3, "percentages sum to inf, outside [99, 101]"),
     "huge integer": ([10 ** 400, 0, 0], "int too large to convert to float"),
+    "nan": ([float("nan"), 30, 20],
+            "non-finite percentage in [nan, 30.0, 20.0]"),
 }
 
 
@@ -311,6 +313,9 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 1
         assert "non-finite" in captured.err
+        assert captured.err == (
+            f"error: {path}: question 2 ('broken'): "
+            "non-finite percentage in [nan, 30.0, 20.0]\n")
         assert captured.out == ""
 
     def test_failed_post_check(self, t1, capsys, monkeypatch):

@@ -84,8 +84,11 @@ class TestOrderEffect:
      "each ordering must contain exactly two questions"),
     (lambda: majorization_check([0.5, 0.5], [0.5, 0.3, 0.2]),
      "distributions have different dimensions"),
+    (lambda: majorization_check(0.5, 0.5), "distributions must be 1-d arrays"),
+    (lambda: majorization_check([[0.5, 0.5], [0.9, 0.1]], [[0.5, 0.5]] * 2),
+     "distributions must be 1-d arrays"),
 ], ids=["empty-chain", "mixed-dims-chain", "three-question-ordering",
-        "majorization-shapes"])
+        "majorization-shapes", "majorization-scalars", "majorization-2d"])
 def test_fault_message(entry, message):
     with pytest.raises(ValueError) as err:
         entry()

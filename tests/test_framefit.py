@@ -236,11 +236,16 @@ class TestFitChain:
         chain = make_chain([np.divide(w, sum(w)) for w in rows])
         c, t = (q.probs.probs for q in chain.questions)
         feasible, slack = majorization_check(c, t, 0.0)
+        # one slack rule: the chain check's and the fit's slack of the pair
+        # are the pair check's, bit for bit
+        report = chain_feasibility(chain, False, 0.0)
+        assert report.transitions[0].majorization_slack.hex() == slack.hex()
         try:
             fit = fit_chain(chain, isolate_first=False, tol=0.0)
         except InfeasibleTargetError as exc:
             assert not feasible
             assert exc.slack == slack
+            assert type(exc.slack) is float and exc.slack.hex() == slack.hex()
         else:
             assert feasible
             assert fit.residuals[0] <= RESIDUAL_LIMIT

@@ -97,6 +97,20 @@ class TestProbabilityVector:
             [rows[0]])[0].probs.tobytes() == expected[0].tobytes()
         assert not any(p.probs.flags.writeable for p in got)
 
+    @settings(max_examples=300, deadline=None)
+    @given(rows=percent_rows())
+    def test_accepted_percent_rows_pass_the_probability_rule(self, rows):
+        # the percentage checks leave no row the probability rule rejects:
+        # each accepted row, built again under that rule, keeps its bytes
+        for row in [*([r] for r in rows), rows]:
+            try:
+                got = ProbabilityVector.rows_from_percents(row)
+            except RowError:
+                continue
+            for p in got:
+                assert ProbabilityVector(p.probs).probs.tobytes() == (
+                    p.probs.tobytes())
+
     @settings(max_examples=200, deadline=None)
     @given(row=st.lists(ROW_ENTRY, min_size=1, max_size=6))
     def test_constructor_matches_row_oracle(self, row):
@@ -636,13 +650,36 @@ def test_non_finite_measurement_gives_typed_error(entry, error, bad):
      "subspace basis is not numeric"),
     (lambda: degenerate_yes_probability(_MIXED3, [[1, [0], 0]]),
      MeasurementError, "subspace basis is not numeric"),
+    (lambda: DensityMatrix([[1, 0], [0]]), StateError,
+     "density matrix must form a numeric array"),
+    (lambda: DensityMatrix("ab"), StateError,
+     "density matrix must form a numeric array"),
+    (lambda: DensityMatrix([1, 0]), StateError,
+     "density matrix must be square"),
+    (lambda: ProbabilityVector([[1], [0, 1]]), StateError,
+     "probabilities must form a numeric array"),
+    (lambda: ProbabilityVector(["a", "b"]), StateError,
+     "probabilities must form a numeric array"),
+    (lambda: ProbabilityVector(np.array([0.5 + 0.3j, 0.5])), StateError,
+     "probabilities must be real, not complex"),
+    (lambda: PureState([[1], [0, 1]]), StateError,
+     "amplitudes must form a numeric array"),
+    (lambda: ProbabilityVector.rows_from_percents([[1, 2], [3]]), StateError,
+     "percentages must form a numeric array"),
+    (lambda: ProbabilityVector.rows_from_percents([[50 + 1j, 50]]),
+     StateError, "percentages must be real, not complex"),
+    (lambda: ProbabilityVector.rows_from_percents([50, 50]), StateError,
+     "percentages must form a 2-d array of rows"),
 ], ids=["probs-empty", "probs-2d", "amplitudes-empty", "amplitudes-2d",
         "amplitude-norm", "answer-shape", "projector-pair",
         "frame-projectors", "bare-frame", "column-list",
         "probabilities-frame-projectors", "probabilities-bare-frame",
         "probabilities-column-list", "ragged-answer", "string-answers",
         "probabilities-ragged-answer", "probabilities-string-answers",
-        "string-subspace-basis", "ragged-subspace-basis"])
+        "string-subspace-basis", "ragged-subspace-basis",
+        "density-ragged", "density-string", "density-1d", "probs-ragged",
+        "probs-strings", "probs-complex", "amplitudes-ragged",
+        "percents-ragged", "percents-complex", "percents-1d"])
 def test_structural_fault_message(entry, error, message):
     with pytest.raises(error) as err:
         entry()
