@@ -22,8 +22,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import feasibility, framefit, ingest, nosignal, sequential
-from .hilbert import _NO_SIGNALLING_TOL
+from . import feasibility, framefit, hilbert, ingest, nosignal, sequential
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -228,16 +227,17 @@ def cmd_nosignal_demo(args):
         worst = max(worst, nosignal.no_signalling_check(state, series_a, series_b))
     yield ({"trials": args.trials, "steps": args.steps,
             "max_fifth_marginal_deviation": worst},
-           not worst < _NO_SIGNALLING_TOL)
+           not worst < hilbert._NO_SIGNALLING_TOL)
     yield (f"{args.trials} random entangled states, {args.steps}-step "
            f"local series pairs")
     yield f"max fifth-marginal deviation: {worst:.3g}"
 
 
 def _tolerance(text: str) -> float:
-    if not 0.0 <= float(text) < np.inf:  # also rejects NaN
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0: {text!r}")
-    return float(text)
+    try:  # --tol by the library's one tolerance rule
+        return hilbert._tolerance(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _positive_int(text: str) -> int:

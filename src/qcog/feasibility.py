@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .hilbert import _MAJORIZATION_NOISE
+from .hilbert import _MAJORIZATION_NOISE, _numeric, _tolerance
 from .states import ProbabilityVector
 
 
@@ -89,6 +89,7 @@ def classical_consistency_check(final_a: Question, final_b: Question,
     on reading 'not opposing' as 'supporting'; that reading is flagged as a
     warning rather than an error.
     """
+    _tolerance(tol)
     sup_a, opp_a = _support_oppose(final_a)
     sup_b, opp_b = _support_oppose(final_b)
     support_diff = abs(sup_a - sup_b)
@@ -136,6 +137,7 @@ def order_effect_check(ordering_1, ordering_2, tol: float) -> OrderEffectReport:
     order (question 1 then question 0).  Each question whose marginal moves
     by more than ``tol`` is flagged.
     """
+    _tolerance(tol)
     _check_orderings(ordering_1, ordering_2)
     entries = []
     for idx, (a, b) in enumerate(zip(ordering_1, ordering_2[::-1])):
@@ -158,8 +160,8 @@ def majorization_check(current, target, tol: float = 0.0) -> tuple[bool, float]:
     reachable as frame expectations of a state with spectrum ``current``)?
     Feasible iff the pair's :func:`_slack`, the slack the chain check and the
     frame fit read too, is at most ``tol``."""
-    c = np.asarray(current, dtype=float)
-    t = np.asarray(target, dtype=float)
+    _tolerance(tol)
+    c, t = (_numeric(x, float, "distributions") for x in (current, target))
     if c.shape != t.shape:
         raise ValueError("distributions have different dimensions")
     if c.ndim != 1:  # _slack would read a scalar pair as one row
@@ -214,6 +216,7 @@ def chain_feasibility(chain: SurveyChain, isolate_first: bool,
     question lives on its own tensor factor of a product state, so its
     outcome constrains nothing downstream.
     """
+    _tolerance(tol)
     _require_transition(chain, isolate_first)
     d = np.array([q.probs.probs for q in chain.questions])
     n = len(d)

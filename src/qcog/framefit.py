@@ -23,7 +23,7 @@ import numpy as np
 
 from .feasibility import (SurveyChain, _require_transition, _slack,
                           majorization_check)
-from .hilbert import RESIDUAL_LIMIT
+from .hilbert import RESIDUAL_LIMIT, _numeric, _tolerance
 from .states import (DensityMatrix, ProbabilityVector, lueders_update,
                      outcome_probabilities, square_root_embed)
 
@@ -142,8 +142,10 @@ def project_to_majorized(target: ProbabilityVector, current,
     projection onto it keeps the target's order and, in sorted coordinates,
     is the target minus an isotonic regression.
     """
-    t = np.asarray(target.probs, dtype=float)
-    c = np.sort(np.asarray(current, dtype=float))[::-1]
+    t = target.probs
+    c = np.sort(_numeric(current, float, "distributions"))[::-1]
+    if c.shape != t.shape:
+        raise ValueError("distributions have different dimensions")
     order = np.argsort(-t, kind="stable")
     ts = t[order]
     ys = ts - _pava_nonincreasing(ts - c)
@@ -197,6 +199,7 @@ def fit_chain(chain: SurveyChain, isolate_first: bool, tol: float) -> FitResult:
     projected row is the next spectrum, so a chain can fail here although
     each pair of input rows is within ``tol`` in ``chain_feasibility``.
     """
+    _tolerance(tol)
     _require_transition(chain, isolate_first)
     base_index = 1 if isolate_first else 0
     questions = chain.questions

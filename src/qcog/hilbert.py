@@ -2,7 +2,9 @@
 
 Matrices and frames are complex128 numpy arrays; a frame is a unitary
 matrix whose *columns* are the frame vectors, and a question's answers are
-blocks of them.  Everything here is a pure function over immutable inputs.
+blocks of them.  The entry rules for a caller's numbers are ``_numeric``,
+``_index``, ``_factor_dims`` and ``_tolerance``; every function is pure but
+``_psd_fault`` and ``_rank_one_certificate``, which fill a caller's ``out``.
 """
 from __future__ import annotations
 
@@ -68,6 +70,26 @@ def _index(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def _numeric(values, dtype, what: str, error=ValueError) -> np.ndarray:
+    # the one coercion of a caller's array: error for a ragged, non-numeric
+    # or out-of-range input, and for a complex one where reals are due
+    try:
+        a = np.asarray(values)
+        if a.dtype.kind != "c" or dtype is np.complex128:
+            return a.astype(dtype, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{what} must form a numeric array") from None
+    raise error(f"{what} must be real, not complex")
+
+
+def _tolerance(tol):
+    # finite and >= 0, never a bool; returned as given, as messages print it
+    if (isinstance(tol, (int, float, np.integer, np.floating))
+            and not isinstance(tol, bool) and 0 <= tol <= np.finfo(float).max):
+        return tol
+    raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
+
+
 def _factor_dims(dims) -> tuple:
     # int() would read a dimension of 3.5 as 3, and np.prod of (-3, -3) is
     # a 9-dimensional space
@@ -79,7 +101,7 @@ def _factor_dims(dims) -> tuple:
 
 def as_matrix(m) -> np.ndarray:
     """Coerce to a 2-d complex128 array."""
-    a = np.asarray(m, dtype=np.complex128)
+    a = _numeric(m, np.complex128, "matrix")
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={a.ndim}")
     return a

@@ -11,13 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import _index
+from .hilbert import _index, _numeric
 from .states import (DensityMatrix, ProbabilityVector, lueders_update,
                      outcome_probabilities, square_root_embed)
 
 
 def _check_unit_interval(name: str, x):
-    x = np.asarray(x, dtype=float)
+    x = _numeric(x, float, name)
     inside = (0.0 <= x) & (x <= 1.0)  # False for NaN
     if not np.all(inside):
         raise ValueError(f"{name}={x[~inside].flat[0]} outside [0, 1]")
@@ -34,8 +34,7 @@ def overlap_alpha(p, q):
 
     Broadcasts over arrays; scalar inputs give a float.
     """
-    pa = _check_unit_interval("p", p)
-    qa = _check_unit_interval("q", q)
+    pa, qa = _check_unit_interval("p", p), _check_unit_interval("q", q)
     root = np.sqrt(pa * qa) + np.sqrt((1.0 - pa) * (1.0 - qa))
     return _as_output(root * root, p, q)
 
@@ -48,8 +47,7 @@ def sequential_probability(p, q):
     yes-probability after the first measurement has taken place.
     Broadcasts over arrays; scalar inputs give a float.
     """
-    pa = _check_unit_interval("p", p)
-    qa = _check_unit_interval("q", q)
+    pa, qa = _check_unit_interval("p", p), _check_unit_interval("q", q)
     return _as_output(2 * pa * (pa - 1) * (2 * qa - 1) + qa
                       + 2 * (2 * pa - 1) * np.sqrt(pa * qa * (1 - pa) * (1 - qa)),
                       p, q)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .hilbert import (_AMPLITUDE_NORM_TOL, _NEGATIVE_PROB_TOL,
                       _PERCENT_SUM_TOL, _PROB_SUM_TOL, STRUCTURAL_TOL,
-                      _orthonormal_columns, _psd_fault)
+                      _numeric, _orthonormal_columns, _psd_fault)
 
 
 class StateError(ValueError):
@@ -32,18 +32,6 @@ class RowError(StateError):
         self.row = row
 
 
-def _numeric(values, dtype, what: str) -> np.ndarray:
-    # the one coercion of the state constructors: a StateError for a ragged
-    # or non-numeric input, and for a complex one where reals are due
-    try:
-        a = np.asarray(values)
-        if a.dtype.kind != "c" or dtype is np.complex128:
-            return a.astype(dtype, copy=False)
-    except (TypeError, ValueError):
-        raise StateError(f"{what} must form a numeric array") from None
-    raise StateError(f"{what} must be real, not complex")
-
-
 @dataclass(frozen=True)
 class ProbabilityVector:
     """Nonnegative reals summing to 1; one question's answer distribution."""
@@ -51,7 +39,7 @@ class ProbabilityVector:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = _numeric(self.probs, float, "probabilities")
+        p = _numeric(self.probs, float, "probabilities", StateError)
         if p.ndim != 1 or p.size == 0:
             raise StateError("probabilities must form a nonempty 1-d vector")
         if not np.all(np.isfinite(p)):
@@ -82,7 +70,7 @@ class ProbabilityVector:
         rows are checked as one array; the first faulty row raises
         :class:`RowError`, naming the row as given, for a negative entry,
         else a sum off 100 by more than ``_PERCENT_SUM_TOL``, else a NaN."""
-        v = _numeric(rows, float, "percentages")
+        v = _numeric(rows, float, "percentages", StateError)
         if v.ndim != 2:
             raise StateError("percentages must form a 2-d array of rows")
         # a faulty row may overflow its sum or divide by zero, and NaN makes
@@ -117,7 +105,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        a = _numeric(self.amplitudes, np.complex128, "amplitudes").copy()
+        a = _numeric(self.amplitudes, np.complex128, "amplitudes", StateError)
         if a.ndim != 1 or a.size == 0:
             raise StateError("amplitudes must form a nonempty 1-d vector")
         if not np.all(np.isfinite(a)):
@@ -125,7 +113,7 @@ class PureState:
         norm = np.linalg.norm(a)
         if abs(norm - 1.0) > _AMPLITUDE_NORM_TOL:
             raise StateError(f"amplitude norm {norm} too far from 1")
-        a /= norm
+        a = a / norm  # never the caller's array
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
 
@@ -137,7 +125,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        a = _numeric(self.matrix, np.complex128, "density matrix")
+        a = _numeric(self.matrix, np.complex128, "density matrix", StateError)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise StateError("density matrix must be square")
         if a.size == 0:
@@ -187,10 +175,8 @@ def square_root_embed(p: ProbabilityVector) -> PureState:
 
 def _question(answers, d: int) -> tuple[np.ndarray, np.ndarray, int]:
     # the one question rule: U, each column's answer, and the answer count
-    try:
-        blocks = [np.asarray(b, dtype=np.complex128) for b in answers]
-    except (TypeError, ValueError):
-        raise MeasurementError("answer bases are not numeric arrays") from None
+    blocks = [_numeric(b, np.complex128, "answer bases", MeasurementError)
+              for b in (answers if np.iterable(answers) else [answers])]
     for i, b in enumerate(blocks):
         if b.ndim != 2 or len(b) != d:
             raise MeasurementError(
@@ -231,15 +217,12 @@ def degenerate_yes_probability(state: DensityMatrix, subspace_basis) -> float:
 
     ``subspace_basis`` spans the subspace whose projector defines 'yes'.
     """
-    try:
-        vecs = [np.asarray(v, dtype=np.complex128) for v in subspace_basis]
-    except (TypeError, ValueError):
-        raise MeasurementError("subspace basis is not numeric") from None
-    if not vecs:
+    v = _numeric(subspace_basis, np.complex128, "subspace basis",
+                 MeasurementError).T  # the basis vectors as columns
+    if v.size == 0:
         raise MeasurementError("subspace basis is empty")
-    if any(v.shape != (state.dim,) for v in vecs):
+    if v.ndim != 2 or len(v) != state.dim:
         raise MeasurementError(f"basis vectors must have length {state.dim}")
-    v = np.stack(vecs, axis=1)
     if not _orthonormal_columns(v):
         raise MeasurementError("subspace basis is not orthonormal")
     value = np.trace(v.conj().T @ state.matrix @ v).real

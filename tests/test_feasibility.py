@@ -7,6 +7,7 @@ from qcog.feasibility import (Polarity, PolarityError, Question, SurveyChain,
                               chain_feasibility, classical_consistency_check,
                               contraction_check, majorization_check,
                               order_effect_check)
+from qcog.framefit import fit_chain, project_to_majorized
 from qcog.states import DensityMatrix, ProbabilityVector, outcome_probabilities
 
 from .conftest import haar_unitary, make_chain, random_probs
@@ -87,12 +88,41 @@ class TestOrderEffect:
     (lambda: majorization_check(0.5, 0.5), "distributions must be 1-d arrays"),
     (lambda: majorization_check([[0.5, 0.5], [0.9, 0.1]], [[0.5, 0.5]] * 2),
      "distributions must be 1-d arrays"),
+    (lambda: majorization_check([10**400, 0], [0.5, 0.5]),
+     "distributions must form a numeric array"),
+    (lambda: majorization_check([0.5 + 0.5j, 0.5], [0.5, 0.5]),
+     "distributions must be real, not complex"),
+    (lambda: project_to_majorized(pv(0.5, 0.5), [0.5, 0.3, 0.2]),
+     "distributions have different dimensions"),
 ], ids=["empty-chain", "mixed-dims-chain", "three-question-ordering",
-        "majorization-shapes", "majorization-scalars", "majorization-2d"])
+        "majorization-shapes", "majorization-scalars", "majorization-2d",
+        "majorization-huge-int", "majorization-complex",
+        "projection-shapes"])
 def test_fault_message(entry, message):
     with pytest.raises(ValueError) as err:
         entry()
-    assert str(err.value) == message
+    assert type(err.value) is ValueError and str(err.value) == message
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -0.1, True, "0.1"],
+                         ids=["nan", "negative", "bool", "string"])
+@pytest.mark.parametrize("verdict", [
+    lambda tol: classical_consistency_check(
+        Question("a", pv(0.5, 0.5), Polarity.FAVOUR),
+        Question("b", pv(0.4, 0.6), Polarity.FAVOUR), tol),
+    lambda tol: order_effect_check([pv(0.5, 0.5)] * 2, [pv(0.4, 0.6)] * 2, tol),
+    lambda tol: majorization_check([0.5, 0.5], [0.5, 0.5], tol),
+    lambda tol: chain_feasibility(make_chain([[0.5, 0.5], [0.9, 0.1]]),
+                                  False, tol),
+    lambda tol: fit_chain(make_chain([[0.5, 0.5], [0.5, 0.5]]), False, tol),
+], ids=["classical", "order", "majorization", "chain", "fit"])
+def test_verdicts_reject_bad_tolerance(verdict, tol):
+    # a NaN tol flags nothing in a "> tol" verdict and fails every "<= tol"
+    # one, so each verdict rejects it first
+    with pytest.raises(ValueError) as err:
+        verdict(tol)
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"tolerance must be finite and >= 0, got {tol!r}"
 
 
 class TestContraction:

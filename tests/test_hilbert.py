@@ -3,6 +3,8 @@ import pytest
 
 from qcog.hilbert import (_orthonormal_columns, frame_projectors, is_psd,
                           partial_trace)
+from qcog.nosignal import LocalSeries
+from qcog.sequential import sequential_probability
 from qcog.states import DensityMatrix, StateError
 
 from .conftest import haar_unitary, random_density
@@ -133,3 +135,25 @@ class TestFrameProjectors:
         rng = np.random.default_rng(23)
         projs = frame_projectors(haar_unitary(rng, 3))
         assert np.allclose(sum(projs), np.eye(3), atol=1e-12)
+
+
+# an integer beyond float range, which float() and numpy refuse to convert
+_HUGE = 10**400
+
+
+@pytest.mark.parametrize("entry, message", [
+    (lambda: is_psd([[_HUGE, 0], [0, 0]]), "matrix must form a numeric array"),
+    (lambda: partial_trace([[_HUGE, 0], [0, 0]], [2], 0),
+     "matrix must form a numeric array"),
+    (lambda: LocalSeries(((0, [[_HUGE, 0], [0, 1]]),), (2, 2)),
+     "matrix must form a numeric array"),
+    (lambda: sequential_probability(_HUGE, 0.5), "p must form a numeric array"),
+    (lambda: sequential_probability(0.5, np.array([0.5 + 0.5j])),
+     "q must be real, not complex"),
+], ids=["is-psd-huge-int", "partial-trace-huge-int", "local-series-huge-int",
+        "sequential-huge-int", "sequential-complex"])
+def test_array_entry_fault_message(entry, message):
+    # every array entry coerces its argument by one rule, with one message
+    with pytest.raises(ValueError) as err:
+        entry()
+    assert type(err.value) is ValueError and str(err.value) == message

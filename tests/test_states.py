@@ -589,6 +589,8 @@ _RANK_ONE = np.outer(_HAAR3[:, 0], _HAAR3[:, 0].conj())
 _MIXED3 = DensityMatrix(np.eye(3) / 3)
 # an answer that is not a numeric array: its rows differ in length
 _RAGGED = [[[1], [0]], [[0], [1, 2]]]
+# an integer beyond float range, which float() and numpy refuse to convert
+_HUGE = 10**400
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200])
@@ -639,17 +641,17 @@ def test_non_finite_measurement_gives_typed_error(entry, error, bad):
     (lambda: outcome_probabilities(_MIXED3, list(_HAAR3.T)), MeasurementError,
      "answer 0 has shape (3,), not (3, r)"),
     (lambda: lueders_update(_MIXED, _RAGGED), MeasurementError,
-     "answer bases are not numeric arrays"),
+     "answer bases must form a numeric array"),
     (lambda: lueders_update(_MIXED, ["ab", "cd"]), MeasurementError,
-     "answer bases are not numeric arrays"),
+     "answer bases must form a numeric array"),
     (lambda: outcome_probabilities(_MIXED, _RAGGED), MeasurementError,
-     "answer bases are not numeric arrays"),
+     "answer bases must form a numeric array"),
     (lambda: outcome_probabilities(_MIXED, ["ab", "cd"]), MeasurementError,
-     "answer bases are not numeric arrays"),
+     "answer bases must form a numeric array"),
     (lambda: degenerate_yes_probability(_MIXED3, ["abc"]), MeasurementError,
-     "subspace basis is not numeric"),
+     "subspace basis must form a numeric array"),
     (lambda: degenerate_yes_probability(_MIXED3, [[1, [0], 0]]),
-     MeasurementError, "subspace basis is not numeric"),
+     MeasurementError, "subspace basis must form a numeric array"),
     (lambda: DensityMatrix([[1, 0], [0]]), StateError,
      "density matrix must form a numeric array"),
     (lambda: DensityMatrix("ab"), StateError,
@@ -670,6 +672,24 @@ def test_non_finite_measurement_gives_typed_error(entry, error, bad):
      StateError, "percentages must be real, not complex"),
     (lambda: ProbabilityVector.rows_from_percents([50, 50]), StateError,
      "percentages must form a 2-d array of rows"),
+    (lambda: lueders_update(_MIXED, 5), MeasurementError,
+     "answer 0 has shape (), not (2, r)"),
+    (lambda: outcome_probabilities(_MIXED, None), MeasurementError,
+     "answer 0 has shape (), not (2, r)"),
+    (lambda: ProbabilityVector([_HUGE, 0]), StateError,
+     "probabilities must form a numeric array"),
+    (lambda: ProbabilityVector.rows_from_percents([[_HUGE, 0, 0]]),
+     StateError, "percentages must form a numeric array"),
+    (lambda: PureState([_HUGE, 0]), StateError,
+     "amplitudes must form a numeric array"),
+    (lambda: DensityMatrix([[_HUGE, 0], [0, 0]]), StateError,
+     "density matrix must form a numeric array"),
+    (lambda: lueders_update(_MIXED, [[[_HUGE], [0]], [[0], [1]]]),
+     MeasurementError, "answer bases must form a numeric array"),
+    (lambda: outcome_probabilities(_MIXED, [[[_HUGE], [0]], [[0], [1]]]),
+     MeasurementError, "answer bases must form a numeric array"),
+    (lambda: degenerate_yes_probability(_MIXED, [[_HUGE, 0]]),
+     MeasurementError, "subspace basis must form a numeric array"),
 ], ids=["probs-empty", "probs-2d", "amplitudes-empty", "amplitudes-2d",
         "amplitude-norm", "answer-shape", "projector-pair",
         "frame-projectors", "bare-frame", "column-list",
@@ -679,7 +699,11 @@ def test_non_finite_measurement_gives_typed_error(entry, error, bad):
         "string-subspace-basis", "ragged-subspace-basis",
         "density-ragged", "density-string", "density-1d", "probs-ragged",
         "probs-strings", "probs-complex", "amplitudes-ragged",
-        "percents-ragged", "percents-complex", "percents-1d"])
+        "percents-ragged", "percents-complex", "percents-1d",
+        "non-iterable-answers", "none-answers", "probs-huge-int",
+        "percents-huge-int", "amplitudes-huge-int", "density-huge-int",
+        "answer-huge-int", "probabilities-answer-huge-int",
+        "subspace-basis-huge-int"])
 def test_structural_fault_message(entry, error, message):
     with pytest.raises(error) as err:
         entry()
