@@ -17,7 +17,7 @@ import argparse
 import dataclasses
 import math
 import sys
-from itertools import islice
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -183,16 +183,19 @@ def cmd_fit_chain(args):
 
 
 def _scan_csv_lines(scan, grid_n: int):
-    # repr gives the shortest round-trip form; .tolist() keeps numpy 2 from
-    # printing np.float64(...).  The scan is row-major (p outer, q inner), so
-    # each p takes the next grid_n cells and the centers serve as both p and q.
-    centers = [repr(c) for c in sequential.grid_centers(grid_n).tolist()]
-    cells = zip(map(repr, scan.alpha.tolist()), map(repr, scan.p_f_b.tolist()),
-                map(repr, scan.delta.tolist()), scan.in_region.tolist())
-    yield "p,q,alpha,p_f_b,delta,in_region\n"
-    for p in centers:
-        for q, (alpha, pfb, delta, flag) in zip(centers, islice(cells, grid_n)):
-            yield f"{p},{q},{alpha},{pfb},{delta},{flag:d}\n"
+    # a lazy iterator of the lines, joined from column iterators at C speed,
+    # so that writelines streams the text without holding it.  repr gives
+    # the shortest round-trip form; .tolist() keeps numpy 2 from printing
+    # np.float64(...).  The scan is row-major (p outer, q inner) and the
+    # centers serve as both p and q: each p text repeats grid_n times, the
+    # q texts cycle grid_n times, and the flag text carries the line end
+    centers = list(map(repr, sequential.grid_centers(grid_n).tolist()))
+    rows = zip(chain.from_iterable(map(repeat, centers, repeat(grid_n))),
+               chain.from_iterable(repeat(centers, grid_n)),
+               map(repr, scan.alpha.tolist()), map(repr, scan.p_f_b.tolist()),
+               map(repr, scan.delta.tolist()),
+               map(("0\n", "1\n").__getitem__, scan.in_region.tolist()))
+    return chain(("p,q,alpha,p_f_b,delta,in_region\n",), map(",".join, rows))
 
 
 def cmd_conjunction_scan(args):

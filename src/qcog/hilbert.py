@@ -75,6 +75,8 @@ def _numeric(values, dtype, what: str, error=ValueError) -> np.ndarray:
     # or out-of-range input, and for a complex one where reals are due
     try:
         a = np.asarray(values)
+        if a.dtype.kind in "US":  # text: astype would parse ['0.5', '0.5']
+            raise TypeError
         if a.dtype.kind != "c" or dtype is np.complex128:
             return a.astype(dtype, copy=False)
     except (TypeError, ValueError, OverflowError):
@@ -115,7 +117,7 @@ def _orthonormal_columns(a: np.ndarray) -> bool:
         return False
     with np.errstate(over="ignore", invalid="ignore"):
         gram = a.conj().swapaxes(-1, -2) @ a
-        return bool(np.max(np.abs(gram - np.eye(a.shape[-1]))) <= STRUCTURAL_TOL)
+        return bool(np.abs(gram - np.eye(a.shape[-1])).max() <= STRUCTURAL_TOL)
 
 
 def _psd_fault(a: np.ndarray, out: np.ndarray) -> str | None:
@@ -132,7 +134,7 @@ def _psd_fault(a: np.ndarray, out: np.ndarray) -> str | None:
     np.conjugate(a.T, out=out)
     with np.errstate(over="ignore", invalid="ignore"):
         np.subtract(a, out, out=out)
-        if not np.max(np.abs(out)) <= STRUCTURAL_TOL:
+        if not np.abs(out).max() <= STRUCTURAL_TOL:
             return "not Hermitian"
     np.copyto(out, a)
     out.flat[::a.shape[0] + 1] += STRUCTURAL_TOL  # the diagonal

@@ -7,6 +7,7 @@ where the leading question inflates the follow-up answer.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ from .states import (DensityMatrix, ProbabilityVector, lueders_update,
 def _check_unit_interval(name: str, x):
     x = _numeric(x, float, name)
     inside = (0.0 <= x) & (x <= 1.0)  # False for NaN
-    if not np.all(inside):
+    if not inside.all():
         raise ValueError(f"{name}={x[~inside].flat[0]} outside [0, 1]")
     return x
 
@@ -53,13 +54,19 @@ def sequential_probability(p, q):
                       p, q)
 
 
+# the first question's answers, as a stack of their (2, 1) bases: the
+# standard basis vectors, each a column
+_FIRST_QUESTION_ANSWERS = np.eye(2, dtype=np.complex128)[:, :, None]
+_FIRST_QUESTION_ANSWERS.setflags(write=False)
+
+
 def _second_question_answers(p: float, q: float) -> list[np.ndarray]:
     # angle of the second question's yes-state relative to the first basis,
-    # branch chosen so both amplitude overlaps are nonnegative square roots
-    a = np.arccos(np.clip(np.sqrt(p), 0.0, 1.0))
-    c = a - np.arccos(np.clip(np.sqrt(q), 0.0, 1.0))
-    u = np.array([[np.cos(c), -np.sin(c)],
-                  [np.sin(c), np.cos(c)]], dtype=np.complex128)
+    # branch chosen so both amplitude overlaps are nonnegative square roots;
+    # p and q lie in [0, 1], so their square roots need no clipping
+    c = math.acos(math.sqrt(p)) - math.acos(math.sqrt(q))
+    cos, sin = math.cos(c), math.sin(c)
+    u = np.array([[cos, -sin], [sin, cos]], dtype=np.complex128)
     return [u[:, :1], u[:, 1:]]
 
 
@@ -74,10 +81,7 @@ def sequential_probability_via_states(p: float, q: float) -> float:
     q = float(_check_unit_interval("q", q))
     psi = square_root_embed(ProbabilityVector(np.array([p, 1.0 - p])))
     rho = DensityMatrix.from_pure(psi)
-    # each question's answers are its frame's columns, sliced: this runs
-    # once per scan cell, and np.hsplit costs about fifteen slices
-    e = np.eye(2, dtype=np.complex128)
-    rho = lueders_update(rho, [e[:, :1], e[:, 1:]])
+    rho = lueders_update(rho, _FIRST_QUESTION_ANSWERS)
     answers = _second_question_answers(p, q)
     return float(outcome_probabilities(rho, answers).probs[0])
 

@@ -42,10 +42,10 @@ class ProbabilityVector:
         p = _numeric(self.probs, float, "probabilities", StateError)
         if p.ndim != 1 or p.size == 0:
             raise StateError("probabilities must form a nonempty 1-d vector")
-        if not np.all(np.isfinite(p)):
+        if not np.isfinite(p).all():
             raise StateError(f"non-finite probability in {p.tolist()}")
-        if np.min(p) < -_NEGATIVE_PROB_TOL:
-            raise StateError(f"negative probability {np.min(p)}")
+        if p.min() < -_NEGATIVE_PROB_TOL:
+            raise StateError(f"negative probability {p.min()}")
         q = np.maximum(p, 0.0)  # np.clip(p, 0.0, None), without its wrapper
         with np.errstate(over="ignore"):  # a sum beyond float range fails
             s = np.add.reduce(q)
@@ -108,7 +108,7 @@ class PureState:
         a = _numeric(self.amplitudes, np.complex128, "amplitudes", StateError)
         if a.ndim != 1 or a.size == 0:
             raise StateError("amplitudes must form a nonempty 1-d vector")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise StateError(f"non-finite amplitude in {a.tolist()}")
         norm = np.linalg.norm(a)
         if abs(norm - 1.0) > _AMPLITUDE_NORM_TOL:
@@ -130,10 +130,11 @@ class DensityMatrix:
             raise StateError("density matrix must be square")
         if a.size == 0:
             raise StateError("density matrix must be nonempty")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise StateError("non-finite entry in the density matrix")
-        if abs(np.trace(a).real - 1.0) > STRUCTURAL_TOL:
-            raise StateError(f"trace is {np.trace(a).real}, not 1")
+        trace = a.trace().real
+        if abs(trace - 1.0) > STRUCTURAL_TOL:
+            raise StateError(f"trace is {trace}, not 1")
         # one n x n buffer: the positivity rule's scratch, then the copy
         m = np.empty(a.shape, dtype=np.complex128)
         fault = _psd_fault(a, out=m)
@@ -187,7 +188,7 @@ def _question(answers, d: int) -> tuple[np.ndarray, np.ndarray, int]:
                                f" is not the state dimension {d}")
     # a unitary U makes the answers' projectors Hermitian, idempotent,
     # orthogonal and complete; NaN, inf or overflow fails it, with no warning
-    u = np.hstack(blocks)
+    u = np.concatenate(blocks, axis=1)
     if not _orthonormal_columns(u):
         raise MeasurementError("answer bases are not orthonormal")
     return u, answer, len(blocks)

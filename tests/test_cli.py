@@ -1,4 +1,5 @@
 import argparse
+import collections.abc
 import contextlib
 import copy
 import dataclasses
@@ -18,6 +19,7 @@ from qcog.cli import main
 from qcog.feasibility import Polarity
 from qcog.framefit import fit_chain, fit_result_to_dict
 from qcog.ingest import IngestError, fixture_path, load_order_pair, load_survey
+from qcog.sequential import interference_region_scan
 
 from .oracles import survey_to_dict
 
@@ -722,6 +724,35 @@ class TestScanCsv:
                      "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "aed858875f42f2d60957f35b091432d416ba3a9f44c69fa68bf865849a4ffc14")
+
+    # the digests the scan benchmark checks, copied rather than imported so
+    # that the test stands without benchmarks/
+    @pytest.mark.parametrize("grid, digest", [
+        (201, "0d0cf159ce277ebeaca20e29f196614f1677ccc9630dad3ede8bf07f366e7152"),
+        (301, "781ac890b8018c4724fb6e2df1a4556b56293fdf7aaa677942b4a15e7a1d13de"),
+    ])
+    def test_golden_digest_benchmark_grids(self, tmp_path, capsys, grid, digest):
+        out = tmp_path / "scan.csv"
+        assert main(["conjunction-scan", "--grid", str(grid),
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("grid", [2, 3, 11])
+    def test_lines_match_per_row_oracle(self, grid):
+        # each line as the original per-row writer printed it from the
+        # scan's fields; an iterator, so writelines streams the text
+        scan = interference_region_scan(grid)
+        lines = cli._scan_csv_lines(scan, grid)
+        assert isinstance(lines, collections.abc.Iterator)
+        columns = (getattr(scan, f.name).tolist()
+                   for f in dataclasses.fields(scan))
+        expected = ["p,q,alpha,p_f_b,delta,in_region\n"] + [
+            f"{p!r},{q!r},{a!r},{pfb!r},{d!r},{int(flag)}\n"
+            for p, q, a, pfb, d, flag in zip(*columns)]
+        got = list(lines)
+        assert len(got) == len(expected) == 1 + grid * grid
+        for line, want in zip(got, expected):
+            assert line == want
 
 
 class TestSeedHandling:

@@ -94,10 +94,16 @@ class TestOrderEffect:
      "distributions must be real, not complex"),
     (lambda: project_to_majorized(pv(0.5, 0.5), [0.5, 0.3, 0.2]),
      "distributions have different dimensions"),
+    # numeric text, which astype would parse, is not a numeric array
+    (lambda: majorization_check(["0.6", "0.4"], ["0.5", "0.5"], 0.0),
+     "distributions must form a numeric array"),
+    (lambda: project_to_majorized(pv(0.5, 0.5), ["0.5", "0.5"]),
+     "distributions must form a numeric array"),
 ], ids=["empty-chain", "mixed-dims-chain", "three-question-ordering",
         "majorization-shapes", "majorization-scalars", "majorization-2d",
         "majorization-huge-int", "majorization-complex",
-        "projection-shapes"])
+        "projection-shapes", "majorization-numeric-text",
+        "projection-numeric-text"])
 def test_fault_message(entry, message):
     with pytest.raises(ValueError) as err:
         entry()

@@ -4,7 +4,8 @@ import pytest
 from qcog.hilbert import (_orthonormal_columns, frame_projectors, is_psd,
                           partial_trace)
 from qcog.nosignal import LocalSeries
-from qcog.sequential import sequential_probability
+from qcog.sequential import (overlap_alpha, sequential_probability,
+                             sequential_probability_via_states)
 from qcog.states import DensityMatrix, StateError
 
 from .conftest import haar_unitary, random_density
@@ -150,8 +151,24 @@ _HUGE = 10**400
     (lambda: sequential_probability(_HUGE, 0.5), "p must form a numeric array"),
     (lambda: sequential_probability(0.5, np.array([0.5 + 0.5j])),
      "q must be real, not complex"),
+    # numeric text, str or bytes, which astype would parse
+    (lambda: is_psd([["1", "0"], ["0", "1"]]),
+     "matrix must form a numeric array"),
+    (lambda: partial_trace(np.array([[b"1", b"0"], [b"0", b"0"]]), [2], 0),
+     "matrix must form a numeric array"),
+    (lambda: frame_projectors([["1", "0"], ["0", "1"]]),
+     "matrix must form a numeric array"),
+    (lambda: LocalSeries(((0, [["1", "0"], ["0", "1"]]),), (2, 2)),
+     "matrix must form a numeric array"),
+    (lambda: sequential_probability("0.5", "0.25"),
+     "p must form a numeric array"),
+    (lambda: overlap_alpha(0.5, ["0.25"]), "q must form a numeric array"),
+    (lambda: sequential_probability_via_states(0.5, b"0.25"),
+     "q must form a numeric array"),
 ], ids=["is-psd-huge-int", "partial-trace-huge-int", "local-series-huge-int",
-        "sequential-huge-int", "sequential-complex"])
+        "sequential-huge-int", "sequential-complex", "is-psd-text",
+        "partial-trace-bytes", "frame-projectors-text", "local-series-text",
+        "sequential-text", "overlap-text", "via-states-bytes"])
 def test_array_entry_fault_message(entry, message):
     # every array entry coerces its argument by one rule, with one message
     with pytest.raises(ValueError) as err:

@@ -1,15 +1,18 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcog import sequential
 from qcog.sequential import (grid_centers, interference_region_scan,
                              overlap_alpha,
                              sequential_probability,
                              sequential_probability_via_states,
                              spin_order_demo)
+from qcog.states import DensityMatrix
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -64,6 +67,28 @@ class TestSequentialProbability:
             worst = max(worst, abs(sequential_probability(p, q)
                                    - sequential_probability_via_states(p, q)))
         assert worst < 1e-12
+
+    def test_oracle_runs_the_state_pipeline(self, monkeypatch):
+        # the oracle stays independent of the closed form it checks: one
+        # call updates once, validating the result, and reads once
+        calls = Counter()
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        for name in ("lueders_update", "outcome_probabilities",
+                     "sequential_probability"):
+            spy(sequential, name)
+        spy(DensityMatrix, "__post_init__")
+        value = sequential_probability_via_states(0.8, 0.3)
+        assert calls == {"lueders_update": 1, "outcome_probabilities": 1,
+                         "__post_init__": 1}
+        assert abs(value - 0.6479636333578808) < 1e-12
 
     @given(unit, unit)
     @settings(max_examples=300, deadline=None)

@@ -690,6 +690,21 @@ def test_non_finite_measurement_gives_typed_error(entry, error, bad):
      MeasurementError, "answer bases must form a numeric array"),
     (lambda: degenerate_yes_probability(_MIXED, [[_HUGE, 0]]),
      MeasurementError, "subspace basis must form a numeric array"),
+    # numeric text, which astype would parse, is not a numeric array
+    (lambda: ProbabilityVector(["0.5", "0.5"]), StateError,
+     "probabilities must form a numeric array"),
+    (lambda: ProbabilityVector.rows_from_percents([["50", "50"]]),
+     StateError, "percentages must form a numeric array"),
+    (lambda: PureState(np.array([b"1", b"0"])), StateError,
+     "amplitudes must form a numeric array"),
+    (lambda: DensityMatrix([["0.5", "0"], ["0", "0.5"]]), StateError,
+     "density matrix must form a numeric array"),
+    (lambda: lueders_update(_MIXED, [[["1"], ["0"]], [["0"], ["1"]]]),
+     MeasurementError, "answer bases must form a numeric array"),
+    (lambda: outcome_probabilities(_MIXED, [[["1"], ["0"]], [["0"], ["1"]]]),
+     MeasurementError, "answer bases must form a numeric array"),
+    (lambda: degenerate_yes_probability(_MIXED, [["1", "0"]]),
+     MeasurementError, "subspace basis must form a numeric array"),
 ], ids=["probs-empty", "probs-2d", "amplitudes-empty", "amplitudes-2d",
         "amplitude-norm", "answer-shape", "projector-pair",
         "frame-projectors", "bare-frame", "column-list",
@@ -703,7 +718,10 @@ def test_non_finite_measurement_gives_typed_error(entry, error, bad):
         "non-iterable-answers", "none-answers", "probs-huge-int",
         "percents-huge-int", "amplitudes-huge-int", "density-huge-int",
         "answer-huge-int", "probabilities-answer-huge-int",
-        "subspace-basis-huge-int"])
+        "subspace-basis-huge-int", "probs-numeric-text",
+        "percents-numeric-text", "amplitudes-numeric-bytes",
+        "density-numeric-text", "answer-numeric-text",
+        "probabilities-answer-numeric-text", "subspace-basis-numeric-text"])
 def test_structural_fault_message(entry, error, message):
     with pytest.raises(error) as err:
         entry()
