@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .hilbert import _MAJORIZATION_NOISE, _numeric, _tolerance
+from .hilbert import _MAJORIZATION_NOISE, _PROB_SUM_TOL, _numeric, _tolerance
 from .states import ProbabilityVector
 
 
@@ -168,6 +168,13 @@ def majorization_check(current, target, tol: float = 0.0) -> tuple[bool, float]:
         raise ValueError("distributions must be 1-d arrays")
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(t))):
         raise ValueError("non-finite probability in a majorization check")
+    # _slack compares partial sums, so a smaller total would read as
+    # feasible; a total beyond float range fails, with no RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        sc, st = np.add.reduce(c), np.add.reduce(t)
+        if not abs(sc - st) <= _PROB_SUM_TOL:
+            raise ValueError(
+                f"distributions have different totals {sc} and {st}")
     slack = float(_slack(c, t))
     return slack <= tol, slack
 

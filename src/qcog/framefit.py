@@ -159,7 +159,7 @@ def project_to_majorized(target: ProbabilityVector, current,
         raise FitError(f"projection failed to reach the feasible set "
                        f"(slack {slack:.3g})")
     delta = adjusted - t
-    return (ProbabilityVector(adjusted),
+    return (ProbabilityVector._unchecked(adjusted),
             float(np.max(np.abs(delta))),
             float(np.linalg.norm(delta)))
 
@@ -215,7 +215,6 @@ def fit_chain(chain: SurveyChain, isolate_first: bool, tol: float) -> FitResult:
         frames.append(frames[-1] @ w)
         residuals.append(sse)
         projections.append(proj_dist)
-        # nonnegative, finite and of sum 1 by construction
         achieved.append(ProbabilityVector._unchecked(lam))
 
     return FitResult(

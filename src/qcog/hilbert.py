@@ -18,8 +18,9 @@ import numpy as np
 STRUCTURAL_TOL = 1e-10
 # largest accepted squared residual of a constructed frame (it reaches ~1e-31)
 RESIDUAL_LIMIT = 1e-18
-# a probability vector: most negative entry clipped to 0, and |sum - 1|
+# a caller's probability row: most negative entry clipped to 0
 _NEGATIVE_PROB_TOL = 1e-12
+# a caller's probability row, and majorization_check's two totals: |sum - 1|
 _PROB_SUM_TOL = 1e-9
 # a pure state: |norm - 1| accepted before renormalising
 _AMPLITUDE_NORM_TOL = 1e-6
@@ -75,7 +76,9 @@ def _numeric(values, dtype, what: str, error=ValueError) -> np.ndarray:
     # or out-of-range input, and for a complex one where reals are due
     try:
         a = np.asarray(values)
-        if a.dtype.kind in "US":  # text: astype would parse ['0.5', '0.5']
+        # text, also held in an object array: astype would parse ['0.5']
+        if a.dtype.kind in "US" or (a.dtype.kind == "O" and any(
+                isinstance(x, (str, bytes)) for x in a.flat)):
             raise TypeError
         if a.dtype.kind != "c" or dtype is np.complex128:
             return a.astype(dtype, copy=False)

@@ -135,7 +135,7 @@ def fifth_marginal(state: DensityMatrix, dims=FIVE_QUESTIONS) -> ProbabilityVect
     A state that is not a DensityMatrix raises ValueError."""
     _check_state(state)
     reduced = partial_trace(state.matrix, dims, keep=len(dims) - 1)
-    return ProbabilityVector(np.diag(reduced).real)
+    return ProbabilityVector._unchecked(reduced.diagonal().real)
 
 
 def _heisenberg_marginal(state: DensityMatrix,
@@ -155,7 +155,7 @@ def _heisenberg_marginal(state: DensityMatrix,
         r = (r[:, None, :, None] * f.reshape(d, 1, d)).reshape(len(r) * d, -1)
     rest, last = r.shape[0], series.dims[-1]
     blocks = state.matrix.reshape(rest, last, rest, last)
-    return ProbabilityVector(np.einsum("ab,acbc->c", r, blocks).real)
+    return ProbabilityVector._unchecked(np.einsum("ab,acbc->c", r, blocks).real)
 
 
 def no_signalling_check(state: DensityMatrix, series_a: LocalSeries,

@@ -56,11 +56,12 @@ class ProbabilityVector:
 
     @classmethod
     def _unchecked(cls, p: np.ndarray) -> "ProbabilityVector":
-        # for rows that passed rows_from_percents, and distributions valid by
-        # construction; takes ownership of p, freezes it and checks nothing
-        p.setflags(write=False)
+        # every distribution computed from validated inputs: clipped at 0 (a
+        # state PSD within STRUCTURAL_TOL, read by a question unitary within
+        # it, puts an entry below 0 only by rounding at that tol), not checked
         vector = object.__new__(cls)
-        object.__setattr__(vector, "probs", p)
+        object.__setattr__(vector, "probs", np.maximum(p, 0.0))  # -0.0 to 0
+        vector.probs.setflags(write=False)
         return vector
 
     @classmethod
@@ -91,7 +92,7 @@ class ProbabilityVector:
             else:
                 message = f"non-finite percentage in {v[i].tolist()}"
             raise RowError(message, i)
-        return [cls._unchecked(q) for q in np.maximum(p, 0.0)]  # -0.0 to 0
+        return [cls._unchecked(q) for q in p]
 
     @property
     def dim(self) -> int:
@@ -199,7 +200,7 @@ def outcome_probabilities(state: DensityMatrix, answers) -> ProbabilityVector:
     the bases B_i (as for :func:`lueders_update`): each block's trace."""
     u, answer, k = _question(answers, state.dim)
     p = np.einsum("ij,ik,kj->j", u.conj(), state.matrix, u).real
-    return ProbabilityVector(np.bincount(answer, weights=p, minlength=k))
+    return ProbabilityVector._unchecked(np.bincount(answer, p, k))
 
 
 def lueders_update(state: DensityMatrix, answers) -> DensityMatrix:
@@ -217,6 +218,9 @@ def degenerate_yes_probability(state: DensityMatrix, subspace_basis) -> float:
     """Probability of the pooled 'yes' answer of a degenerate binary question.
 
     ``subspace_basis`` spans the subspace whose projector defines 'yes'.
+    The value is floored at 0, as every answer probability read off a state
+    is (rounding at the state's tolerance can take it just below), and not
+    capped at 1.
     """
     v = _numeric(subspace_basis, np.complex128, "subspace basis",
                  MeasurementError).T  # the basis vectors as columns
@@ -227,4 +231,4 @@ def degenerate_yes_probability(state: DensityMatrix, subspace_basis) -> float:
     if not _orthonormal_columns(v):
         raise MeasurementError("subspace basis is not orthonormal")
     value = np.trace(v.conj().T @ state.matrix @ v).real
-    return float(np.clip(value, 0.0, 1.0))
+    return float(max(value, 0.0))

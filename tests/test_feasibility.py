@@ -99,11 +99,30 @@ class TestOrderEffect:
      "distributions must form a numeric array"),
     (lambda: project_to_majorized(pv(0.5, 0.5), ["0.5", "0.5"]),
      "distributions must form a numeric array"),
+    # the same text held in an object array, beside numbers
+    (lambda: majorization_check(np.array(["0.6", 0.4], dtype=object),
+                                [0.5, 0.5], 0.0),
+     "distributions must form a numeric array"),
+    (lambda: project_to_majorized(pv(0.5, 0.5),
+                                  np.array([b"0.5", 0.5], dtype=object)),
+     "distributions must form a numeric array"),
+    # partial sums cannot see a smaller total, so it is no verdict
+    (lambda: majorization_check([0.5, 0.5], [0.3, 0.3]),
+     "distributions have different totals 1.0 and 0.6"),
+    (lambda: majorization_check([0.25, 0.25], [0.5, 0.5], 1.0),
+     "distributions have different totals 0.5 and 1.0"),
+    (lambda: majorization_check([1e308, 1e308], [0.5, 0.5]),
+     "distributions have different totals inf and 1.0"),
+    (lambda: project_to_majorized(pv(0.5, 0.5), [0.3, 0.3]),
+     "distributions have different totals 0.6 and 1.0"),
 ], ids=["empty-chain", "mixed-dims-chain", "three-question-ordering",
         "majorization-shapes", "majorization-scalars", "majorization-2d",
         "majorization-huge-int", "majorization-complex",
         "projection-shapes", "majorization-numeric-text",
-        "projection-numeric-text"])
+        "projection-numeric-text", "majorization-object-text",
+        "projection-object-bytes", "majorization-smaller-total",
+        "majorization-larger-total", "majorization-overflowing-total",
+        "projection-smaller-total"])
 def test_fault_message(entry, message):
     with pytest.raises(ValueError) as err:
         entry()

@@ -165,12 +165,39 @@ _HUGE = 10**400
     (lambda: overlap_alpha(0.5, ["0.25"]), "q must form a numeric array"),
     (lambda: sequential_probability_via_states(0.5, b"0.25"),
      "q must form a numeric array"),
+    # the same text held in an object array, beside numbers
+    (lambda: is_psd(np.array([["1", 0], [0, 1]], dtype=object)),
+     "matrix must form a numeric array"),
+    (lambda: partial_trace(np.array([[b"1", 0], [0, 0]], dtype=object),
+                           [2], 0), "matrix must form a numeric array"),
+    (lambda: frame_projectors(np.array([[1, "0"], [0, 1]], dtype=object)),
+     "matrix must form a numeric array"),
+    (lambda: LocalSeries(((0, np.array([["1", 0], [0, 1]], dtype=object)),),
+                         (2, 2)), "matrix must form a numeric array"),
+    (lambda: sequential_probability(np.array("0.5", dtype=object), 0.25),
+     "p must form a numeric array"),
+    (lambda: overlap_alpha(0.5, np.array(["0.25", 0.5], dtype=object)),
+     "q must form a numeric array"),
+    (lambda: sequential_probability_via_states(
+        0.5, np.array(b"0.25", dtype=object)), "q must form a numeric array"),
 ], ids=["is-psd-huge-int", "partial-trace-huge-int", "local-series-huge-int",
         "sequential-huge-int", "sequential-complex", "is-psd-text",
         "partial-trace-bytes", "frame-projectors-text", "local-series-text",
-        "sequential-text", "overlap-text", "via-states-bytes"])
+        "sequential-text", "overlap-text", "via-states-bytes",
+        "is-psd-object-text", "partial-trace-object-bytes",
+        "frame-projectors-object-text", "local-series-object-text",
+        "sequential-object-text", "overlap-object-text",
+        "via-states-object-bytes"])
 def test_array_entry_fault_message(entry, message):
     # every array entry coerces its argument by one rule, with one message
     with pytest.raises(ValueError) as err:
         entry()
     assert type(err.value) is ValueError and str(err.value) == message
+
+
+def test_object_array_of_numbers_coerces():
+    # an object array without text is numbers, read as numpy reads them,
+    # Python integers beyond int64 included
+    ints = np.array([[1, 0], [0, 10**20]], dtype=object)
+    assert np.array_equal(partial_trace(ints, [2], 0), [[1.0, 0], [0, 1e20]])
+    assert sequential_probability(np.array(1, dtype=object), 0.25) == 0.25

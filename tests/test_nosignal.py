@@ -15,6 +15,9 @@ from .conftest import haar_unitary
 from .oracles import embed_local, lueders_projectors
 
 DIMS = (3, 3, 3, 3, 3)
+# an accepted state on dims (2, 2) whose last factor's second answer sums
+# two eigenvalues just inside -STRUCTURAL_TOL
+EDGE_STATE = DensityMatrix(np.diag([1 + 1e-10, -5e-11, 0, -5e-11]))
 
 
 def assert_matches_dense_route(state, series, dims):
@@ -323,12 +326,25 @@ class TestFifthMarginal:
         with pytest.raises(ValueError):
             fifth_marginal(DensityMatrix(np.eye(9) / 9))
 
+    def test_state_at_tolerance_edge(self):
+        # eigenvalues just inside -STRUCTURAL_TOL sum to a marginal entry
+        # below 0 by rounding at that tolerance; it is clipped to 0
+        got = fifth_marginal(EDGE_STATE, (2, 2)).probs
+        assert got.tolist() == [1 + 1e-10, 0.0]
+
 
 class TestNoSignalling:
     def test_empty_series_pair(self):
         rng = np.random.default_rng(113)
         state = random_entangled_state(rng)
         dev = no_signalling_check(state, LocalSeries(()), LocalSeries(()))
+        assert dev == 0.0
+
+    def test_state_at_tolerance_edge(self):
+        # both marginals clip the same below-zero entry; a permutation frame
+        # moves no bit of the other
+        swap = LocalSeries(((0, np.array([[0, 1], [1, 0]])),), (2, 2))
+        dev = no_signalling_check(EDGE_STATE, LocalSeries((), (2, 2)), swap)
         assert dev == 0.0
 
     def test_random_suite(self):

@@ -178,7 +178,12 @@ class TestDensityMatrix:
             assert (np.min(np.linalg.eigvalsh(m)) >= -STRUCTURAL_TOL) == accepted
             assert hilbert.is_psd(m) == accepted
             if accepted:
-                DensityMatrix(m)
+                # an accepted state can be measured: in its eigenbasis its
+                # answers are its spectrum, the low eigenvalue clipped to 0
+                got = outcome_probabilities(DensityMatrix(m),
+                                            np.hsplit(u, dim)).probs
+                assert got.min() == 0.0
+                assert np.max(np.abs(got - np.maximum(spectrum, 0.0))) <= 1e-12
             else:
                 with pytest.raises(StateError, match="positive semidefinite"):
                     DensityMatrix(m)
@@ -474,6 +479,19 @@ class TestOutcomeProbabilities:
                     "ij,ik,kj->j", u.conj(), rho.matrix, u).real).probs
                 assert np.array_equal(got, want)
 
+    def test_same_bits_as_the_probability_rule(self):
+        # the clipped block traces are the bits the caller-row rule gives
+        # wherever it accepts them
+        for answers, rho in _questions_and_states(79):
+            u = np.concatenate(answers, axis=1)
+            answer = np.repeat(np.arange(len(answers)),
+                               [b.shape[1] for b in answers])
+            p = np.einsum("ij,ik,kj->j", u.conj(), rho.matrix, u).real
+            want = ProbabilityVector(np.bincount(
+                answer, weights=p, minlength=len(answers))).probs
+            got = outcome_probabilities(rho, answers).probs
+            assert got.tobytes() == want.tobytes()
+
     def test_repeating_a_question_repeats_its_answers(self):
         for answers, rho in _questions_and_states(71):
             once = outcome_probabilities(rho, answers).probs
@@ -705,6 +723,26 @@ def test_non_finite_measurement_gives_typed_error(entry, error, bad):
      MeasurementError, "answer bases must form a numeric array"),
     (lambda: degenerate_yes_probability(_MIXED, [["1", "0"]]),
      MeasurementError, "subspace basis must form a numeric array"),
+    # the same text held in an object array, beside numbers, which astype
+    # would parse too
+    (lambda: ProbabilityVector(np.array(["0.5", 0.5], dtype=object)),
+     StateError, "probabilities must form a numeric array"),
+    (lambda: ProbabilityVector.rows_from_percents(
+        np.array([["50", 50]], dtype=object)),
+     StateError, "percentages must form a numeric array"),
+    (lambda: PureState(np.array([b"1", 0], dtype=object)), StateError,
+     "amplitudes must form a numeric array"),
+    (lambda: DensityMatrix(np.array([["0.5", 0], [0, "0.5"]], dtype=object)),
+     StateError, "density matrix must form a numeric array"),
+    (lambda: lueders_update(
+        _MIXED, [np.array([["1"], [0]], dtype=object), [[0], [1]]]),
+     MeasurementError, "answer bases must form a numeric array"),
+    (lambda: outcome_probabilities(
+        _MIXED, [np.array([["1"], [0]], dtype=object), [[0], [1]]]),
+     MeasurementError, "answer bases must form a numeric array"),
+    (lambda: degenerate_yes_probability(
+        _MIXED, np.array([[b"1", 0]], dtype=object)),
+     MeasurementError, "subspace basis must form a numeric array"),
 ], ids=["probs-empty", "probs-2d", "amplitudes-empty", "amplitudes-2d",
         "amplitude-norm", "answer-shape", "projector-pair",
         "frame-projectors", "bare-frame", "column-list",
@@ -721,7 +759,10 @@ def test_non_finite_measurement_gives_typed_error(entry, error, bad):
         "subspace-basis-huge-int", "probs-numeric-text",
         "percents-numeric-text", "amplitudes-numeric-bytes",
         "density-numeric-text", "answer-numeric-text",
-        "probabilities-answer-numeric-text", "subspace-basis-numeric-text"])
+        "probabilities-answer-numeric-text", "subspace-basis-numeric-text",
+        "probs-object-text", "percents-object-text", "amplitudes-object-bytes",
+        "density-object-text", "answer-object-text",
+        "probabilities-answer-object-text", "subspace-basis-object-bytes"])
 def test_structural_fault_message(entry, error, message):
     with pytest.raises(error) as err:
         entry()
@@ -762,6 +803,21 @@ class TestDegenerateQuestion:
         rho = DensityMatrix(np.eye(3) / 3)
         with pytest.raises(MeasurementError, match="length 3"):
             degenerate_yes_probability(rho, [np.array([1, 0])])
+
+    def test_matches_the_pooled_answer_of_the_completed_question(self):
+        # a subspace basis completed to a unitary is a two-answer question
+        # whose "yes" pools the subspace
+        rng = np.random.default_rng(89)
+        for d in range(2, 7):
+            for r in range(1, d + 1):
+                for rho in (DensityMatrix.from_pure(PureState(_pure(rng, d))),
+                            DensityMatrix(random_density(rng, d))):
+                    basis = haar_unitary(rng, d)[:, :r]
+                    q = np.linalg.qr(basis, mode="complete")[0]
+                    pooled = outcome_probabilities(
+                        rho, [q[:, :r], q[:, r:]]).probs[0]
+                    got = degenerate_yes_probability(rho, basis.T)
+                    assert abs(got - pooled) <= 1e-15
 
     def test_degenerate_lueders_same_code_path(self):
         # a rank-2 and a rank-1 answer form a valid degenerate measurement
