@@ -46,18 +46,18 @@ def _rank_one_certificate(a: np.ndarray, out: np.ndarray) -> bool:
     diag = a.diagonal().real
     j = int(np.argmax(diag))
     bound = STRUCTURAL_TOL ** 2 / 8
-    # overflow or nan in a wild input fails the comparisons
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not diag[j] > 0:
-            return False
-        v = a[:, j] / np.sqrt(diag[j])
-        # O(n) pre-test: diag(R) alone exceeds the bound at full rank
-        rd = diag - (v.real ** 2 + v.imag ** 2)
-        if not rd @ rd <= bound:
-            return False
-        r = np.outer(v, v.conj(), out=out)
-        np.subtract(a, r, out=r)
-        return bool(np.vdot(r, r).real <= bound)
+    # overflow or nan in a wild input fails the comparisons, with no
+    # RuntimeWarning under _psd_fault's np.errstate
+    if not diag[j] > 0:
+        return False
+    v = a[:, j] / np.sqrt(diag[j])
+    # O(n) pre-test: diag(R) alone exceeds the bound at full rank
+    rd = diag - (v.real ** 2 + v.imag ** 2)
+    if not rd @ rd <= bound:
+        return False
+    r = np.outer(v, v.conj(), out=out)
+    np.subtract(a, r, out=r)
+    return bool(np.vdot(r, r).real <= bound)
 
 
 def _index(value, what: str) -> int:
@@ -115,12 +115,16 @@ def as_matrix(m) -> np.ndarray:
 def _orthonormal_columns(a: np.ndarray) -> bool:
     # the one rule for frames and subspace bases: max|A^H A - I| <= tol, for
     # one matrix or over a stack of them (..., n, k); a NaN, inf or overflow
-    # fails the comparison, with no RuntimeWarning
+    # fails the comparison, with no RuntimeWarning.  A^H A - I is the Gram
+    # product with 1 taken off its diagonal in place (einsum's diagonal is a
+    # writable view at any strides): the bits of subtracting np.eye
     if a.size == 0:
         return False
     with np.errstate(over="ignore", invalid="ignore"):
         gram = a.conj().swapaxes(-1, -2) @ a
-        return bool(np.abs(gram - np.eye(a.shape[-1])).max() <= STRUCTURAL_TOL)
+        diagonal = np.einsum("...ii->...i", gram)
+        diagonal -= 1
+        return bool(np.maximum.reduce(np.abs(gram), axis=None) <= STRUCTURAL_TOL)
 
 
 def _psd_fault(a: np.ndarray, out: np.ndarray) -> str | None:
@@ -131,13 +135,13 @@ def _psd_fault(a: np.ndarray, out: np.ndarray) -> str | None:
     # factor exactly when every eigenvalue of the Hermitian matrix defined by
     # tril(a) lies above -tol: half the cost of eigvalsh, with rounding ~1e-13
     # for a trace-1 matrix at n = 243, so it accepts what the certificate does
-    if _rank_one_certificate(a, out):
-        return None
-    # max|a - a^H| <= tol, written into out; NaN (inf - inf) fails
-    np.conjugate(a.T, out=out)
     with np.errstate(over="ignore", invalid="ignore"):
+        if _rank_one_certificate(a, out):
+            return None
+        # max|a - a^H| <= tol, written into out; NaN (inf - inf) fails
+        np.conjugate(a.T, out=out)
         np.subtract(a, out, out=out)
-        if not np.abs(out).max() <= STRUCTURAL_TOL:
+        if not np.maximum.reduce(np.abs(out), axis=None) <= STRUCTURAL_TOL:
             return "not Hermitian"
     np.copyto(out, a)
     out.flat[::a.shape[0] + 1] += STRUCTURAL_TOL  # the diagonal

@@ -131,14 +131,18 @@ class DensityMatrix:
             raise StateError("density matrix must be square")
         if a.size == 0:
             raise StateError("density matrix must be nonempty")
-        if not np.isfinite(a).all():
+        # one n x n buffer: the positivity rule's scratch, then the copy.  A
+        # NaN or inf entry fails both the rank-one certificate and the
+        # Hermiticity pass, so a matrix the rule accepts is finite and only a
+        # faulted one is scanned for non-finite entries; the faults are named
+        # in the order non-finite, trace, positivity
+        m = np.empty(a.shape, dtype=np.complex128)
+        fault = _psd_fault(a, out=m)
+        if fault and not np.isfinite(a).all():
             raise StateError("non-finite entry in the density matrix")
         trace = a.trace().real
         if abs(trace - 1.0) > STRUCTURAL_TOL:
             raise StateError(f"trace is {trace}, not 1")
-        # one n x n buffer: the positivity rule's scratch, then the copy
-        m = np.empty(a.shape, dtype=np.complex128)
-        fault = _psd_fault(a, out=m)
         if fault:
             raise StateError(f"density matrix is {fault}")
         np.copyto(m, a)
@@ -183,7 +187,7 @@ def _question(answers, d: int) -> tuple[np.ndarray, np.ndarray, int]:
         if b.ndim != 2 or len(b) != d:
             raise MeasurementError(
                 f"answer {i} has shape {b.shape}, not ({d}, r)")
-    answer = np.repeat(np.arange(len(blocks)), [b.shape[1] for b in blocks])
+    answer = np.arange(len(blocks)).repeat([b.shape[1] for b in blocks])
     if answer.size != d:
         raise MeasurementError(f"the answer bases' column count {answer.size}"
                                f" is not the state dimension {d}")
@@ -211,7 +215,14 @@ def lueders_update(state: DensityMatrix, answers) -> DensityMatrix:
     u, answer, _ = _question(answers, state.dim)
     m = u.conj().T @ state.matrix @ u
     out = u @ (m * (answer[:, None] == answer)) @ u.conj().T
-    return DensityMatrix((out + out.conj().T) / 2)
+    out = (out + out.conj().T) / 2
+    # U is unitary only within STRUCTURAL_TOL, which can move the trace by
+    # more than that: such an output is rescaled to trace 1, and any other
+    # keeps its bits
+    trace = out.trace().real
+    if abs(trace - 1.0) > STRUCTURAL_TOL:
+        out /= trace
+    return DensityMatrix(out)
 
 
 def degenerate_yes_probability(state: DensityMatrix, subspace_basis) -> float:

@@ -737,10 +737,68 @@ class TestScanCsv:
                      "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    @given(st.integers(2, 400))
+    @settings(max_examples=40, deadline=None)
+    def test_alpha_dedupe_is_sound(self, grid):
+        # the writer formats each distinct alpha once through np.unique,
+        # which merges -0.0 with 0.0 and NaN with NaN: alpha is finite and
+        # >= +0, so equal values have equal texts; it is symmetric in
+        # (p, q) bit for bit, so about half the cells repeat another
+        alpha = interference_region_scan(grid).alpha
+        assert np.isfinite(alpha).all()
+        assert not np.signbit(alpha).any()
+        square = alpha.reshape(grid, grid)
+        assert square.tobytes() == square.T.tobytes()
+
+    def test_each_distinct_alpha_formatted_once(self, tmp_path, monkeypatch):
+        # repr is looked up in the cli module, so a spy there counts every
+        # text the writer formats: g centers, 2 g^2 for p_f_b and delta,
+        # and one per distinct alpha
+        grid = 11
+        expected = tmp_path / "expected.csv"
+        assert main(["conjunction-scan", "--grid", str(grid),
+                     "--out", str(expected)]) == 0
+        calls = []
+
+        def spy(x):
+            calls.append(x)
+            return repr(x)
+
+        monkeypatch.setattr(cli, "repr", spy, raising=False)
+        out = tmp_path / "scan.csv"
+        assert main(["conjunction-scan", "--grid", str(grid),
+                     "--out", str(out)]) == 0
+        distinct = np.unique(interference_region_scan(grid).alpha).size
+        assert distinct < grid * (grid + 1) // 2
+        assert len(calls) <= distinct + 2 * grid * grid + grid
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_one_write_per_grid_row(self, tmp_path, monkeypatch):
+        # the header, then each grid row's lines as one text
+        grid = 7
+        writes = []
+        real_open = open
+
+        def recording_open(*args, **kwargs):
+            fh = real_open(*args, **kwargs)
+            write = fh.write
+            fh.write = lambda text: writes.append(text) or write(text)
+            return fh
+
+        monkeypatch.setattr(cli, "open", recording_open, raising=False)
+        out = tmp_path / "scan.csv"
+        assert main(["conjunction-scan", "--grid", str(grid),
+                     "--out", str(out)]) == 0
+        lines = list(cli._scan_csv_lines(interference_region_scan(grid), grid))
+        assert writes == [lines[0]] + [
+            "".join(lines[1 + i * grid:1 + (i + 1) * grid])
+            for i in range(grid)]
+        assert out.read_text() == "".join(lines)
+
     @pytest.mark.parametrize("grid", [2, 3, 11])
     def test_lines_match_per_row_oracle(self, grid):
         # each line as the original per-row writer printed it from the
-        # scan's fields; an iterator, so writelines streams the text
+        # scan's fields; an iterator, so the writer streams the text
         scan = interference_region_scan(grid)
         lines = cli._scan_csv_lines(scan, grid)
         assert isinstance(lines, collections.abc.Iterator)

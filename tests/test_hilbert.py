@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 
-from qcog.hilbert import (_orthonormal_columns, frame_projectors, is_psd,
-                          partial_trace)
+from qcog.hilbert import (STRUCTURAL_TOL, _orthonormal_columns,
+                          frame_projectors, is_psd, partial_trace)
 from qcog.nosignal import LocalSeries
 from qcog.sequential import (overlap_alpha, sequential_probability,
                              sequential_probability_via_states)
 from qcog.states import DensityMatrix, StateError
 
 from .conftest import haar_unitary, random_density
+
+
+def _edge_frame(x):
+    # Gram matrix [[1, x], [conj x, 1]]: 1 - |x|^2 rounds to 1
+    return np.array([[1, x], [0, np.sqrt(1 - abs(x) ** 2)]], dtype=complex)
 
 
 class TestPredicates:
@@ -45,6 +50,56 @@ class TestPredicates:
         assert not is_psd(-np.eye(2))
         assert not is_psd(np.array([[1.0, 1e200], [1e200, 1.0]]))
         assert not is_psd(np.array([[1e-300, 1.0], [1.0, 0.0]]))
+
+    # verdicts at a Gram error of STRUCTURAL_TOL * scale.  Off the diagonal
+    # the error is the entry x itself, exactly; on it, 1 + e/2 squared is
+    # within two ulps of 1 + e, so that margin is 1e-5, not 1e-6
+    @pytest.mark.parametrize("scale, accepted", [
+        (1 - 1e-6, True), (1 + 1e-6, False),
+        (-(1 - 1e-6), True), (-(1 + 1e-6), False)])
+    @pytest.mark.parametrize("build", [
+        lambda x: _edge_frame(x),
+        lambda x: _edge_frame(1j * x),
+        lambda x: np.stack([np.eye(2), _edge_frame(x)]),
+        lambda x: np.array([[1, x], [0, 1], [0, 0]], dtype=complex),
+    ], ids=["frame", "complex-frame", "stack", "subspace-basis"])
+    def test_verdict_at_off_diagonal_gram_error(self, scale, accepted, build):
+        assert _orthonormal_columns(build(STRUCTURAL_TOL * scale)) is accepted
+
+    @pytest.mark.parametrize("scale, accepted", [
+        (1 - 1e-5, True), (1 + 1e-5, False),
+        (-(1 - 1e-5), True), (-(1 + 1e-5), False)])
+    def test_verdict_at_diagonal_gram_error(self, scale, accepted):
+        u = np.diag([1 + STRUCTURAL_TOL * scale / 2, 1]).astype(complex)
+        assert _orthonormal_columns(u) is accepted
+        assert _orthonormal_columns(np.stack([u, np.eye(2)])) is accepted
+        assert _orthonormal_columns(np.stack([np.eye(2), u])) is accepted
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_non_finite_and_overflow_fail(self, bad):
+        # with no RuntimeWarning, for each shape the rule is given
+        frame = np.array([[1, bad], [0, 1]], dtype=complex)
+        basis = np.array([[1, 0], [0, 1], [bad, 0]], dtype=complex)
+        assert _orthonormal_columns(frame) is False
+        assert _orthonormal_columns(np.stack([np.eye(2), frame])) is False
+        assert _orthonormal_columns(basis) is False
+
+    def test_stack_of_any_layout(self):
+        # the diagonal is a view at any strides, so a stack whose Gram
+        # product is not C-ordered gets the verdict of its frames one by one
+        rng = np.random.default_rng(5)
+        frames = np.stack([haar_unitary(rng, 3) for _ in range(6)])
+
+        def layout(f):  # a (3, 2) stack of frames, not C-ordered
+            return f.reshape(2, 3, 3, 3).transpose(1, 0, 2, 3)
+
+        assert not (layout(frames).conj().swapaxes(-1, -2)
+                    @ layout(frames)).flags.c_contiguous
+        assert _orthonormal_columns(layout(frames)) is True
+        frames[4, 0, 1] += 1e-6
+        assert [_orthonormal_columns(f) for f in frames] == [
+            True, True, True, True, False, True]
+        assert _orthonormal_columns(layout(frames)) is False
 
     @pytest.mark.parametrize("predicate", [_orthonormal_columns, is_psd])
     def test_empty_matrix_gets_a_verdict(self, predicate):

@@ -243,6 +243,49 @@ class TestDensityMatrix:
             DensityMatrix(m)
         assert str(err.value) == message
 
+    # several faults at once; each message is the one the checks gave when
+    # they ran finiteness, then trace, then positivity, so the first fault
+    # in that order is named
+    _NAN_CORNER = np.outer([0.6, 0.0, 0.8], [0.6, 0.0, 0.8]).astype(complex)
+    _NAN_CORNER[0, 2] = _NAN_CORNER[2, 0] = np.nan
+
+    @pytest.mark.parametrize("m, message", [
+        ([[0.3, np.nan], [np.nan, 0.3]], "non-finite entry in the density matrix"),
+        ([[np.nan, 0], [0, 0.2]], "non-finite entry in the density matrix"),
+        ([[0.5, np.inf], [0, 0.5]], "non-finite entry in the density matrix"),
+        ([[0.5, np.inf], [np.inf, 0.5]], "non-finite entry in the density matrix"),
+        ([[0.5, 1j * np.inf], [0, 0.5]], "non-finite entry in the density matrix"),
+        ([[np.nan, 0], [0, 0.5]], "non-finite entry in the density matrix"),
+        ([[np.inf, 0], [0, -np.inf]], "non-finite entry in the density matrix"),
+        (_NAN_CORNER, "non-finite entry in the density matrix"),
+        ([[0.4, 0.1], [0, 0.4]], "trace is 0.8, not 1"),
+        ([[1.2, 0], [0, -0.1]], "trace is 1.0999999999999999, not 1"),
+        ([[1e200, 1e200], [1e200, 1e200]], "trace is 2e+200, not 1"),
+        ([[0.5, 1e200], [1e200, 0.5]], "density matrix is not positive semidefinite"),
+        ([[0.5, 1e200], [-1e200, 0.5]], "density matrix is not Hermitian"),
+        ([[0.5, 1e308], [-1e308, 0.5]], "density matrix is not Hermitian"),
+    ], ids=["nan-off-diagonal-bad-trace", "nan-diagonal-bad-trace",
+            "inf-off-diagonal", "inf-both-off-diagonal",
+            "complex-inf-off-diagonal", "nan-diagonal", "inf-minus-inf-diagonal",
+            "nan-corner-of-pure", "non-hermitian-bad-trace",
+            "non-psd-bad-trace", "1e200-entries", "1e200-off-diagonal",
+            "1e200-skew", "1e308-skew"])
+    def test_multi_fault_message_table(self, m, message):
+        with pytest.raises(StateError) as err:
+            DensityMatrix(np.array(m, dtype=complex))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("m", [np.eye(3) / 3, _PURE],
+                             ids=["mixed", "pure"])
+    def test_accepted_state_skips_the_finiteness_scan(self, m, monkeypatch):
+        # the positivity rule accepts only finite matrices, so an accepted
+        # state is never scanned for NaN or inf
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(np, "isfinite", forbidden)
+        assert np.array_equal(DensityMatrix(m).matrix, m)
+
     @pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
     @pytest.mark.parametrize("layout", ["c-order", "f-order", "real",
                                         "read-only", "list"])
@@ -590,6 +633,29 @@ class TestLuedersUpdate:
             want = lueders_projectors(
                 rho.matrix, [b @ b.conj().T for b in answers])
             assert np.max(np.abs(got - want)) <= 1e-14
+
+    @pytest.mark.parametrize("d", [2, 50])
+    def test_accepts_its_output_at_the_question_tolerance(self, d):
+        # each answer basis has norm^2 1 + 0.9e-10, inside the question
+        # rule, which moved the output's trace by 1.8e-10, past the state
+        # rule; such an output is rescaled to trace 1
+        answers = np.hsplit(np.eye(d) * np.sqrt(1 + 0.9e-10), d)
+        out = lueders_update(DensityMatrix(np.eye(d) / d), answers)
+        assert abs(out.matrix.trace().real - 1.0) <= 1e-15
+        assert np.max(np.abs(out.matrix - np.eye(d) / d)) <= 1e-16
+
+    def test_output_within_the_trace_rule_keeps_its_bits(self):
+        # the rescaling touches only an output whose trace is off by more
+        # than STRUCTURAL_TOL; any other is the symmetrised pinching itself
+        for answers, rho in _questions_and_states(61):
+            u = np.concatenate(answers, axis=1)
+            blocks = np.repeat(np.arange(len(answers)),
+                               [b.shape[1] for b in answers])
+            m = u.conj().T @ rho.matrix @ u
+            want = u @ (m * (blocks[:, None] == blocks)) @ u.conj().T
+            want = (want + want.conj().T) / 2
+            assert abs(want.trace().real - 1.0) <= STRUCTURAL_TOL
+            assert lueders_update(rho, answers).matrix.tobytes() == want.tobytes()
 
     def test_one_answer_leaves_state_unchanged(self):
         rng = np.random.default_rng(59)
