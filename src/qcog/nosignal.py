@@ -28,7 +28,7 @@ import numpy as np
 
 from .hilbert import (_factor_dims, _index, _orthonormal_columns, as_matrix,
                       partial_trace)
-from .states import DensityMatrix, ProbabilityVector, PureState
+from .states import DensityMatrix, ProbabilityVector, PureState, _check_state
 
 FIVE_QUESTIONS = (3, 3, 3, 3, 3)
 
@@ -75,14 +75,6 @@ def _superoperator(u: np.ndarray) -> np.ndarray:
     d = u.shape[0]
     w = (u[:, None, :] * u.conj()[None, :, :]).reshape(d * d, d)
     return w @ w.conj().T
-
-
-def _check_state(state) -> None:
-    # a bare array or a PureState would otherwise fail later with an
-    # AttributeError
-    if not isinstance(state, DensityMatrix):
-        raise ValueError(
-            f"state must be a DensityMatrix, got {type(state).__name__}")
 
 
 def _check_series(state: DensityMatrix, series: LocalSeries, *others) -> tuple:

@@ -79,7 +79,8 @@ def sequential_probability_via_states(p: float, q: float) -> float:
     """
     p = float(_check_unit_interval("p", p))
     q = float(_check_unit_interval("q", q))
-    psi = square_root_embed(ProbabilityVector(np.array([p, 1.0 - p])))
+    psi = square_root_embed(  # p was checked: [p, 1 - p] is a distribution
+        ProbabilityVector._unchecked(np.array([p, 1.0 - p])))
     rho = DensityMatrix.from_pure(psi)
     rho = lueders_update(rho, _FIRST_QUESTION_ANSWERS)
     answers = _second_question_answers(p, q)

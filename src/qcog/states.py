@@ -118,6 +118,15 @@ class PureState:
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
 
+    @classmethod
+    def _unchecked(cls, a: np.ndarray) -> "PureState":
+        # for unit vectors by construction (square_root_embed); takes
+        # ownership of the complex128 array a, freezes it and checks nothing
+        a.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "amplitudes", a)
+        return state
+
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -153,7 +162,13 @@ class DensityMatrix:
     def _unchecked(cls, m: np.ndarray) -> "DensityMatrix":
         # for outputs that are density matrices by construction (a CPTP map
         # of a validated state, a normalised outer product); takes ownership
-        # of the complex128 array m, freezes it and checks nothing
+        # of the complex128 array m, freezes it and checks nothing.  A Lueders
+        # update with answers of rank <= 1 is certified: it is U diag(c) U^H,
+        # c = Re diag(U^H rho U), exactly Hermitian once symmetrised, and by
+        # Ostrowski its eigenvalues are theta_k c_k, theta_k within d tol of 1
+        # as max|U^H U - I| <= tol (the question rule); a rescale divides by
+        # a trace within ~2 d tol of 1.  So min c >= -tol/2 keeps every
+        # eigenvalue above -tol, as the state rule asks, while d tol << 1
         m.setflags(write=False)
         state = object.__new__(cls)
         object.__setattr__(state, "matrix", m)
@@ -174,9 +189,20 @@ class DensityMatrix:
         return float(np.trace(self.matrix @ self.matrix).real)
 
 
+def _check_state(state) -> None:
+    # a bare array or a PureState would otherwise fail later with an
+    # AttributeError
+    if not isinstance(state, DensityMatrix):
+        raise ValueError(
+            f"state must be a DensityMatrix, got {type(state).__name__}")
+
+
 def square_root_embed(p: ProbabilityVector) -> PureState:
     """Embed a distribution as the vector of its nonnegative square roots."""
-    return PureState(np.sqrt(p.probs).astype(np.complex128))
+    # the probabilities sum to 1 within _PROB_SUM_TOL, so the norm is 1
+    # within half that, far inside _AMPLITUDE_NORM_TOL: not checked again
+    a = np.sqrt(p.probs).astype(np.complex128)
+    return PureState._unchecked(a / np.linalg.norm(a))
 
 
 def _question(answers, d: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -202,6 +228,7 @@ def _question(answers, d: int) -> tuple[np.ndarray, np.ndarray, int]:
 def outcome_probabilities(state: DensityMatrix, answers) -> ProbabilityVector:
     """Answer distribution tr(B_i^H rho B_i) of a question whose answers have
     the bases B_i (as for :func:`lueders_update`): each block's trace."""
+    _check_state(state)
     u, answer, k = _question(answers, state.dim)
     p = np.einsum("ij,ik,kj->j", u.conj(), state.matrix, u).real
     return ProbabilityVector._unchecked(np.bincount(answer, p, k))
@@ -212,9 +239,11 @@ def lueders_update(state: DensityMatrix, answers) -> DensityMatrix:
     answers have the orthonormal bases ``answers``: (d, r) arrays, degenerate
     when r > 1, whose columns form the unitary U.  A question asked in frame
     u is ``np.hsplit(u, d)``."""
+    _check_state(state)
     u, answer, _ = _question(answers, state.dim)
     m = u.conj().T @ state.matrix @ u
-    out = u @ (m * (answer[:, None] == answer)) @ u.conj().T
+    same = answer[:, None] == answer  # the block mask
+    out = u @ (m * same) @ u.conj().T
     out = (out + out.conj().T) / 2
     # U is unitary only within STRUCTURAL_TOL, which can move the trace by
     # more than that: such an output is rescaled to trace 1, and any other
@@ -222,6 +251,11 @@ def lueders_update(state: DensityMatrix, answers) -> DensityMatrix:
     trace = out.trace().real
     if abs(trace - 1.0) > STRUCTURAL_TOL:
         out /= trace
+    # no answer of rank 2 or more (the mask is I): certified, by the bound
+    # DensityMatrix._unchecked states; else the state rule checks it
+    if (np.count_nonzero(same) == len(answer)
+            and m.diagonal().real.min() >= -STRUCTURAL_TOL / 2):
+        return DensityMatrix._unchecked(out)
     return DensityMatrix(out)
 
 
@@ -233,6 +267,7 @@ def degenerate_yes_probability(state: DensityMatrix, subspace_basis) -> float:
     is (rounding at the state's tolerance can take it just below), and not
     capped at 1.
     """
+    _check_state(state)
     v = _numeric(subspace_basis, np.complex128, "subspace basis",
                  MeasurementError).T  # the basis vectors as columns
     if v.size == 0:

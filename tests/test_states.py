@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -444,6 +446,23 @@ class TestSquareRootEmbed:
         psi = square_root_embed(p)
         assert np.max(np.abs(np.abs(psi.amplitudes) ** 2 - p.probs)) < 1e-12
 
+    def test_certified_with_the_bits_of_the_checked_route(self, monkeypatch):
+        # a distribution's square roots are a unit vector within 5e-10: the
+        # embedding builds its PureState unchecked, with the same bits
+        rng = np.random.default_rng(67)
+        rows = [random_probs(rng, d) for d in range(1, 10)]
+        want = [PureState(np.sqrt(p).astype(np.complex128)).amplitudes
+                for p in rows]
+        rows = [ProbabilityVector(p) for p in rows]
+
+        def forbidden(self):
+            raise AssertionError("PureState validated")
+
+        monkeypatch.setattr(PureState, "__post_init__", forbidden)
+        for p, w in zip(rows, want):
+            a = square_root_embed(p).amplitudes
+            assert a.tobytes() == w.tobytes() and not a.flags.writeable
+
 
 def _questions_and_states(seed):
     # random rank patterns at d = 2..9, on pure and mixed states: one answer
@@ -648,12 +667,7 @@ class TestLuedersUpdate:
         # the rescaling touches only an output whose trace is off by more
         # than STRUCTURAL_TOL; any other is the symmetrised pinching itself
         for answers, rho in _questions_and_states(61):
-            u = np.concatenate(answers, axis=1)
-            blocks = np.repeat(np.arange(len(answers)),
-                               [b.shape[1] for b in answers])
-            m = u.conj().T @ rho.matrix @ u
-            want = u @ (m * (blocks[:, None] == blocks)) @ u.conj().T
-            want = (want + want.conj().T) / 2
+            _, want = _pinching(rho, answers)
             assert abs(want.trace().real - 1.0) <= STRUCTURAL_TOL
             assert lueders_update(rho, answers).matrix.tobytes() == want.tobytes()
 
@@ -663,6 +677,148 @@ class TestLuedersUpdate:
             rho = DensityMatrix(random_density(rng, d))
             out = lueders_update(rho, [np.eye(d)])
             assert np.max(np.abs(out.matrix - rho.matrix)) <= 1e-16
+
+
+def _pinching(rho, answers):
+    # U^H rho U and the update's output, step by step as lueders_update
+    # computes them, before any state check: the route that validates
+    u = np.concatenate(answers, axis=1)
+    blocks = np.repeat(np.arange(len(answers)), [b.shape[1] for b in answers])
+    m = u.conj().T @ rho.matrix @ u
+    out = u @ (m * (blocks[:, None] == blocks)) @ u.conj().T
+    out = (out + out.conj().T) / 2
+    trace = out.trace().real
+    if abs(trace - 1.0) > STRUCTURAL_TOL:
+        out /= trace
+    return m, out
+
+
+@contextlib.contextmanager
+def _validations():
+    # a list with one entry per DensityMatrix.__post_init__ run inside the
+    # block: none means the output was certified, not validated
+    calls, original = [], DensityMatrix.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        original(self)
+
+    DensityMatrix.__post_init__ = counted
+    try:
+        yield calls
+    finally:
+        DensityMatrix.__post_init__ = original
+
+
+def _verdict(build):
+    # the state rule's verdict on what build() returns: its bits, or the
+    # error's type and message
+    try:
+        return build().matrix.tobytes()
+    except StateError as err:
+        return type(err), str(err)
+
+
+# the largest Gram error a frame may carry and pass the question rule
+_GRAM_EDGE = STRUCTURAL_TOL * (1 - 1e-6)
+
+
+@st.composite
+def _certificate_cases(draw):
+    # a validated state at d = 2..6, pure, mixed, or at the positivity edge
+    # (one eigenvalue -0.9 tol), and a rank-one question in a random frame
+    # or the state's eigenbasis: unitary to rounding, or with Gram error
+    # _GRAM_EDGE on the diagonal (every column scaled) or everywhere (a
+    # rank-one shear, whose Gram error has spectral norm ~d _GRAM_EDGE)
+    d = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["pure", "mixed", "edge"]))
+    v = haar_unitary(rng, d)
+    lam = {"pure": np.eye(d)[0], "mixed": rng.dirichlet(np.ones(d)),
+           "edge": np.append(rng.dirichlet(np.ones(d - 1))
+                             * (1 + 0.9 * STRUCTURAL_TOL),
+                             -0.9 * STRUCTURAL_TOL)}[kind]
+    m = (v * lam) @ v.conj().T
+    u = v if draw(st.booleans()) else haar_unitary(rng, d)
+    gram = draw(st.sampled_from(["unitary", "scaled", "sheared"]))
+    if gram == "scaled":
+        u = u * np.sqrt(1 + _GRAM_EDGE)
+    elif gram == "sheared":
+        s = np.exp(2j * np.pi * rng.uniform(size=d))
+        u = u @ (np.eye(d) + _GRAM_EDGE / 2 * np.outer(s, s.conj()))
+    # rounding in the Gram product can take an edge frame past the rule
+    assume(hilbert._orthonormal_columns(u))
+    return DensityMatrix((m + m.conj().T) / 2), np.hsplit(u, d)
+
+
+class TestCertifiedLuedersOutput:
+    """A Lueders update whose answers all have rank 1 returns its output
+    unchecked when min Re diag(U^H rho U) >= -tol/2: by Ostrowski the state
+    rule would accept it.  Any other output goes through that rule."""
+
+    @given(_certificate_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_certified_output_passes_the_state_rule(self, case):
+        rho, answers = case
+        m, want = _pinching(rho, answers)
+        with _validations() as calls:
+            got = _verdict(lambda: lueders_update(rho, answers))
+        certified = m.diagonal().real.min() >= -STRUCTURAL_TOL / 2
+        assert len(calls) == (0 if certified else 1)
+        # the uncertified route's verdict, and bits when it accepts
+        assert got == _verdict(lambda: DensityMatrix(want))
+        if certified:
+            DensityMatrix(np.frombuffer(got, np.complex128).reshape(m.shape))
+
+    def test_declined_output_is_validated_and_accepted(self):
+        # c = (1 + 0.9 tol, -0.9 tol) is below -tol/2: the state rule
+        # checks the output, and accepts it
+        rho = DensityMatrix(np.diag([1 + 0.9 * STRUCTURAL_TOL,
+                                     -0.9 * STRUCTURAL_TOL]))
+        with _validations() as calls:
+            out = lueders_update(rho, np.hsplit(np.eye(2), 2))
+        assert len(calls) == 1
+        assert out.matrix.tobytes() == rho.matrix.tobytes()
+
+    def test_declined_output_gets_the_state_rules_verdict(self):
+        # an eigenvalue 1e-11 tol inside the edge, read by a frame whose
+        # second column has norm^2 1 + 0.9 tol: the output's eigenvalue
+        # moves past -tol, and the state rule names the fault
+        a = STRUCTURAL_TOL * (1 - 1e-11)
+        rho = DensityMatrix(np.diag([1 + a, -a]))
+        answers = np.hsplit(np.diag([1, np.sqrt(1 + 0.9 * STRUCTURAL_TOL)]), 2)
+        _, want = _pinching(rho, answers)
+        with pytest.raises(StateError) as parent:
+            DensityMatrix(want)
+        with _validations() as calls, pytest.raises(StateError) as err:
+            lueders_update(rho, answers)
+        assert len(calls) == 1
+        assert str(err.value) == str(parent.value) == (
+            "density matrix is not positive semidefinite")
+
+    @pytest.mark.parametrize("widths, certified", [
+        ((0, 2), False), ((2, 0), False), ((1, 1), True), ((0, 1, 1), True)],
+        ids=["0-2", "2-0", "1-1", "0-1-1"])
+    def test_rule_is_no_answer_of_rank_two_or_more(self, widths, certified):
+        # k == d does not make a question rank-one: (0, 2) has two answers
+        # at d = 2, one of them degenerate.  An empty answer adds nothing
+        # to the block mask, so (0, 1, 1) pinches to U diag(c) U^H
+        rho = DensityMatrix(random_density(np.random.default_rng(71), 2))
+        answers = np.hsplit(haar_unitary(np.random.default_rng(73), 2),
+                            np.cumsum(widths)[:-1])
+        with _validations() as calls:
+            out = lueders_update(rho, answers)
+        assert len(calls) == (0 if certified else 1)
+        assert out.matrix.tobytes() == DensityMatrix(
+            _pinching(rho, answers)[1]).matrix.tobytes()
+
+    def test_one_degenerate_answer_is_validated_once(self):
+        # benchmarks/selftest.py traces DensityMatrix validation inside this
+        # call: a question with one rank-2 answer keeps its state check
+        rho = DensityMatrix(np.eye(2) / 2)
+        with _validations() as calls:
+            lueders_update(rho, [np.eye(2)])
+        assert len(calls) == 1
 
 
 _MIXED = DensityMatrix(np.eye(2) / 2)
@@ -809,6 +965,13 @@ def test_non_finite_measurement_gives_typed_error(entry, error, bad):
     (lambda: degenerate_yes_probability(
         _MIXED, np.array([[b"1", 0]], dtype=object)),
      MeasurementError, "subspace basis must form a numeric array"),
+    # a state that is not a DensityMatrix, before any attribute is read
+    (lambda: lueders_update(np.eye(2) / 2, [np.eye(2)]), ValueError,
+     "state must be a DensityMatrix, got ndarray"),
+    (lambda: outcome_probabilities(np.eye(2) / 2, [np.eye(2)]), ValueError,
+     "state must be a DensityMatrix, got ndarray"),
+    (lambda: degenerate_yes_probability(np.eye(2) / 2, [[1, 0]]), ValueError,
+     "state must be a DensityMatrix, got ndarray"),
 ], ids=["probs-empty", "probs-2d", "amplitudes-empty", "amplitudes-2d",
         "amplitude-norm", "answer-shape", "projector-pair",
         "frame-projectors", "bare-frame", "column-list",
@@ -828,7 +991,9 @@ def test_non_finite_measurement_gives_typed_error(entry, error, bad):
         "probabilities-answer-numeric-text", "subspace-basis-numeric-text",
         "probs-object-text", "percents-object-text", "amplitudes-object-bytes",
         "density-object-text", "answer-object-text",
-        "probabilities-answer-object-text", "subspace-basis-object-bytes"])
+        "probabilities-answer-object-text", "subspace-basis-object-bytes",
+        "lueders-raw-state", "probabilities-raw-state",
+        "subspace-raw-state"])
 def test_structural_fault_message(entry, error, message):
     with pytest.raises(error) as err:
         entry()
