@@ -155,18 +155,16 @@ def _slack(current: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.where(excess >= _MAJORIZATION_NOISE, excess, 0.0)
 
 
-def majorization_check(current, target, tol: float = 0.0) -> tuple[bool, float]:
-    """Is the array ``target`` majorized by the array ``current`` (so
-    reachable as frame expectations of a state with spectrum ``current``)?
-    Feasible iff the pair's :func:`_slack`, the slack the chain check and the
-    frame fit read too, is at most ``tol``."""
-    _tolerance(tol)
+def _majorization_pair(current, target) -> tuple[np.ndarray, np.ndarray]:
+    # the entry rule of a majorization pair, for majorization_check and the
+    # frame fit's projection: two finite 1-d float arrays of one length
+    # whose totals agree within _PROB_SUM_TOL
     c, t = (_numeric(x, float, "distributions") for x in (current, target))
     if c.shape != t.shape:
         raise ValueError("distributions have different dimensions")
     if c.ndim != 1:  # _slack would read a scalar pair as one row
         raise ValueError("distributions must be 1-d arrays")
-    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(t))):
+    if not (np.isfinite(c).all() and np.isfinite(t).all()):
         raise ValueError("non-finite probability in a majorization check")
     # _slack compares partial sums, so a smaller total would read as
     # feasible; a total beyond float range fails, with no RuntimeWarning
@@ -175,7 +173,16 @@ def majorization_check(current, target, tol: float = 0.0) -> tuple[bool, float]:
         if not abs(sc - st) <= _PROB_SUM_TOL:
             raise ValueError(
                 f"distributions have different totals {sc} and {st}")
-    slack = float(_slack(c, t))
+    return c, t
+
+
+def majorization_check(current, target, tol: float = 0.0) -> tuple[bool, float]:
+    """Is the array ``target`` majorized by the array ``current`` (so
+    reachable as frame expectations of a state with spectrum ``current``)?
+    Feasible iff the pair's :func:`_slack`, the slack the chain check and the
+    frame fit read too, is at most ``tol``."""
+    _tolerance(tol)
+    slack = float(_slack(*_majorization_pair(current, target)))
     return slack <= tol, slack
 
 

@@ -17,15 +17,16 @@ fitted from its data alone; :func:`replay` checks it on the full state.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .feasibility import (SurveyChain, _require_transition, _slack,
-                          majorization_check)
-from .hilbert import RESIDUAL_LIMIT, _numeric, _tolerance
-from .states import (DensityMatrix, ProbabilityVector, lueders_update,
-                     outcome_probabilities, square_root_embed)
+from .feasibility import (SurveyChain, _majorization_pair,
+                          _require_transition, _slack)
+from .hilbert import RESIDUAL_LIMIT, _tolerance
+from .states import (DensityMatrix, ProbabilityVector, _check_state,
+                     lueders_update, outcome_probabilities, square_root_embed)
 
 
 class InfeasibleTargetError(ValueError):
@@ -52,28 +53,33 @@ def _schur_horn_frame(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
     Targets are placed largest first.  Each one is matched by rotating the
     two pending vectors whose Rayleigh quotients bracket it and sit next to
     each other in sorted order; the rotated partner stays pending with the
-    leftover quotient, which keeps the remaining problem majorized.
+    leftover quotient, which keeps the remaining problem majorized.  The
+    rotations run on Python floats, each operation the one numpy would do
+    elementwise, so W has numpy's bits.
     """
-    n = t.size
-    order = np.argsort(-lam, kind="stable")
-    mu = list(lam[order])
-    vecs = list(np.eye(n)[order])
-    w = np.empty((n, n))
-    targets = np.argsort(-t, kind="stable")
+    mu, t = lam.tolist(), t.tolist()
+    n = len(t)
+    # sorted with reverse=True keeps ties in order: a stable argsort of -x
+    order = sorted(range(n), key=mu.__getitem__, reverse=True)
+    mu = [mu[k] for k in order]
+    vecs = [[float(k == i) for k in range(n)] for i in order]
+    columns = [None] * n
+    targets = sorted(range(n), key=t.__getitem__, reverse=True)
     for j in targets[:-1]:
-        i = min(max(sum(m > t[j] for m in mu) - 1, 0), len(mu) - 2)
+        t_j = t[j]
+        i = min(max(sum(m > t_j for m in mu) - 1, 0), len(mu) - 2)
         mu_a, mu_b = mu[i], mu[i + 1]
         c2 = 1.0 if mu_a == mu_b else min(max(
-            (t[j] - mu_b) / (mu_a - mu_b), 0.0), 1.0)
-        c, s = np.sqrt(c2), np.sqrt(1.0 - c2)
+            (t_j - mu_b) / (mu_a - mu_b), 0.0), 1.0)
+        c, s = math.sqrt(c2), math.sqrt(1.0 - c2)
         u_a, u_b = vecs[i], vecs[i + 1]
-        w[:, j] = c * u_a + s * u_b
+        columns[j] = [c * a + s * b for a, b in zip(u_a, u_b)]
         # convex form, not mu_a + mu_b - t: exact when c is 0 or 1, and the
         # quotient stays between its neighbours so mu stays sorted
-        vecs[i:i + 2] = [-s * u_a + c * u_b]
+        vecs[i:i + 2] = [[-s * a + c * b for a, b in zip(u_a, u_b)]]
         mu[i:i + 2] = [(1.0 - c2) * mu_a + c2 * mu_b]
-    w[:, targets[-1]] = vecs[0]
-    return w
+    columns[targets[-1]] = vecs[0]
+    return np.array(list(zip(*columns)))  # C order, as np.empty((n, n))
 
 
 def _fit_row(lam: np.ndarray, target: ProbabilityVector, tol: float,
@@ -82,7 +88,13 @@ def _fit_row(lam: np.ndarray, target: ProbabilityVector, tol: float,
     row of a state with spectrum ``lam``, W in that state's eigenbasis: the
     one row step of :func:`fit_chain` and :func:`fit_transition`.  A row
     whose slack exceeds ``tol`` is infeasible (``what`` names it), one
-    within it is first projected, and the frame's residual is checked."""
+    within it is first projected, and the frame's residual is checked.
+
+    The projection, the frame and the achieved row sum_i lam_i W_ij^2
+    (summed over i in order, as numpy sums axis 0) run on Python floats;
+    the residual stays a numpy dot product, whose BLAS summation order a
+    Python sum would not follow.  So every output has numpy's bits.
+    """
     slack = float(_slack(lam, target.probs))
     if not slack <= tol:
         raise InfeasibleTargetError(
@@ -92,7 +104,11 @@ def _fit_row(lam: np.ndarray, target: ProbabilityVector, tol: float,
     if slack > 0:
         target, proj_dist, _ = project_to_majorized(target, lam)
     w = _schur_horn_frame(lam, target.probs)
-    achieved = (lam[:, None] * w ** 2).sum(axis=0)
+    (lam_0, *lams), (row_0, *rows) = lam.tolist(), w.tolist()
+    achieved = [lam_0 * (x * x) for x in row_0]
+    for lam_i, row in zip(lams, rows):
+        achieved = [a + lam_i * (x * x) for a, x in zip(achieved, row)]
+    achieved = np.array(achieved)
     r = achieved - target.probs
     sse = float(r @ r)
     if not sse <= RESIDUAL_LIMIT:  # also rejects NaN
@@ -108,8 +124,11 @@ def fit_transition(rho: DensityMatrix, target: ProbabilityVector) -> TransitionF
     on its spectrum at tol 0, so nothing is projected:
     :class:`InfeasibleTargetError` when the target is not majorized by the
     spectrum, :class:`FitError` when the constructed frame misses the
-    target by more than ``RESIDUAL_LIMIT``.
+    target by more than ``RESIDUAL_LIMIT``.  ValueError unless ``rho`` is a
+    DensityMatrix and ``target`` a ProbabilityVector of its dimension.
     """
+    _check_state(rho)
+    _check_target(target)
     if target.dim != rho.dim:
         raise ValueError("distributions have different dimensions")
     lam, v = np.linalg.eigh(rho.matrix)
@@ -118,18 +137,26 @@ def fit_transition(rho: DensityMatrix, target: ProbabilityVector) -> TransitionF
     return TransitionFit(frame=v @ w, residual=sse)
 
 
-def _pava_nonincreasing(x: np.ndarray) -> np.ndarray:
-    """Least-squares nonincreasing fit to ``x`` (pool adjacent violators)."""
+def _check_target(target) -> None:
+    # a bare array or list would otherwise fail later with an AttributeError
+    if not isinstance(target, ProbabilityVector):
+        raise ValueError(f"target must be a ProbabilityVector, "
+                         f"got {type(target).__name__}")
+
+
+def _pava_nonincreasing(x: list) -> list:
+    """Least-squares nonincreasing fit to the floats ``x`` (pool adjacent
+    violators)."""
     sums: list[float] = []
     counts: list[int] = []
     for value in x:
-        sums.append(float(value))
+        sums.append(value)
         counts.append(1)
         while len(sums) > 1 and sums[-2] * counts[-1] < sums[-1] * counts[-2]:
             k, s = counts.pop(), sums.pop()
             counts[-1] += k
             sums[-1] += s
-    return np.repeat([s / k for s, k in zip(sums, counts)], counts)
+    return [s / k for s, k in zip(sums, counts) for _ in range(k)]
 
 
 def project_to_majorized(target: ProbabilityVector, current,
@@ -140,27 +167,33 @@ def project_to_majorized(target: ProbabilityVector, current,
 
     The distributions majorized by ``current`` form its permutohedron; the
     projection onto it keeps the target's order and, in sorted coordinates,
-    is the target minus an isotonic regression.
+    is the target minus an isotonic regression.  ``current`` is checked
+    where it enters, by :func:`majorization_check`'s rule, and the result
+    by its slack.  The regression, clip and normalisation run on Python
+    floats; the normalising sum and the Euclidean norm stay numpy's, so
+    every output has the bits of the numpy computation.
     """
-    t = target.probs
-    c = np.sort(_numeric(current, float, "distributions"))[::-1]
-    if c.shape != t.shape:
-        raise ValueError("distributions have different dimensions")
-    order = np.argsort(-t, kind="stable")
-    ts = t[order]
-    ys = ts - _pava_nonincreasing(ts - c)
-
-    adjusted = np.empty_like(t)
-    adjusted[order] = ys
-    adjusted = np.clip(adjusted, 0.0, None)
-    adjusted /= adjusted.sum()
-    feasible, slack = majorization_check(c, adjusted, 0.0)
-    if not feasible:
+    _check_target(target)
+    c_checked, _ = _majorization_pair(current, target.probs)
+    t = target.probs.tolist()
+    c = sorted(c_checked.tolist(), reverse=True)
+    # sorted with reverse=True keeps ties in order: a stable argsort of -t
+    order = sorted(range(len(t)), key=t.__getitem__, reverse=True)
+    ts = [t[k] for k in order]
+    fit = _pava_nonincreasing([x - y for x, y in zip(ts, c)])
+    clipped = [0.0] * len(t)
+    for k, x, f in zip(order, ts, fit):
+        y = x - f
+        clipped[k] = y if y > 0.0 else 0.0  # np.clip's +0.0, also for -0.0
+    total = float(np.add.reduce(clipped))  # numpy's pairwise summation
+    adjusted = np.array([y / total for y in clipped])
+    slack = float(_slack(c_checked, adjusted))
+    if not slack <= 0.0:
         raise FitError(f"projection failed to reach the feasible set "
                        f"(slack {slack:.3g})")
-    delta = adjusted - t
+    delta = adjusted - target.probs
     return (ProbabilityVector._unchecked(adjusted),
-            float(np.max(np.abs(delta))),
+            max(map(abs, delta.tolist())),
             float(np.linalg.norm(delta)))
 
 

@@ -9,7 +9,8 @@ against the same measurements built as dense projectors on the full space.
 The input state is validated once, where it is built (``DensityMatrix``),
 and a series' frames where the series is built, those of each size as one
 stacked Gram product.  Every public function here that takes a state raises
-ValueError unless it is a DensityMatrix.
+ValueError unless it is a DensityMatrix, and one that takes a series unless
+it is a LocalSeries.
 
 Two routes give a series' fifth marginal.  ``apply_series`` followed by
 ``fifth_marginal`` is the Schroedinger-picture reference: it evolves the
@@ -79,8 +80,14 @@ def _superoperator(u: np.ndarray) -> np.ndarray:
 
 def _check_series(state: DensityMatrix, series: LocalSeries, *others) -> tuple:
     # the series' dims; raises ValueError unless the state is a
-    # DensityMatrix that lives on them and every other series shares them
+    # DensityMatrix that lives on them and each series is a LocalSeries on
+    # the same dims (a list of steps would otherwise fail later with an
+    # AttributeError)
     _check_state(state)
+    for s in (series, *others):
+        if not isinstance(s, LocalSeries):
+            raise ValueError(
+                f"series must be a LocalSeries, got {type(s).__name__}")
     if any(o.dims != series.dims for o in others):
         raise ValueError("the series act on different factor dims")
     if state.dim != int(np.prod(series.dims)):
@@ -98,7 +105,8 @@ def apply_series(state: DensityMatrix, series: LocalSeries) -> DensityMatrix:
     transposed once into pair-major layout, each step is one matrix
     product on its pair axis, and the result is transposed back once and
     Hermitian-symmetrised.  A state that is not a DensityMatrix, or does
-    not live on the series' ``dims``, raises ValueError.
+    not live on the series' ``dims``, or a series that is not a
+    LocalSeries, raises ValueError.
 
     The input was validated when it was built, and a series of projective
     measurements maps density matrices to density matrices, so the output
@@ -163,9 +171,9 @@ def no_signalling_check(state: DensityMatrix, series_a: LocalSeries,
     factor's diagonal blocks, and the marginal is the real part of the
     d_last numbers that gives.  The marginals equal
     ``fifth_marginal(apply_series(...))`` of each series, the
-    Schroedinger-picture reference route.  Two series on different
-    ``dims``, or a state that is not a DensityMatrix or does not live on
-    them, raise ValueError.
+    Schroedinger-picture reference route.  A series that is not a
+    LocalSeries, two series on different ``dims``, or a state that is not a
+    DensityMatrix or does not live on them, raise ValueError.
     """
     _check_series(state, series_a, series_b)
     ma, mb = (_heisenberg_marginal(state, s) for s in (series_a, series_b))

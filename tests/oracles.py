@@ -5,12 +5,13 @@ path under test.
 """
 import numpy as np
 
-from qcog.feasibility import SurveyChain
+from qcog.feasibility import SurveyChain, _slack, majorization_check
+from qcog.framefit import FitError, InfeasibleTargetError
 from qcog.hilbert import (_MAJORIZATION_NOISE, _NEGATIVE_PROB_TOL,
-                          _PERCENT_SUM_TOL, _PROB_SUM_TOL, as_matrix,
-                          frame_projectors)
+                          _PERCENT_SUM_TOL, _PROB_SUM_TOL, RESIDUAL_LIMIT,
+                          _numeric, as_matrix, frame_projectors)
 from qcog.nosignal import FIVE_QUESTIONS
-from qcog.states import DensityMatrix, StateError
+from qcog.states import DensityMatrix, ProbabilityVector, StateError
 
 
 def embed_local(frame, factor_index: int,
@@ -102,3 +103,88 @@ def transition_oracle(prev, nxt, tol: float):
     if slack < _MAJORIZATION_NOISE:
         slack = 0.0
     return max_inc, min_dec, slack, slack <= tol
+
+
+def schur_horn_frame_oracle(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Schur-Horn frame W with sum_i lam_i W_ij^2 = t_j, on numpy arrays and
+    scalars: stable argsorts, rows of the identity, a column of W written
+    per rotation."""
+    n = t.size
+    order = np.argsort(-lam, kind="stable")
+    mu = list(lam[order])
+    vecs = list(np.eye(n)[order])
+    w = np.empty((n, n))
+    targets = np.argsort(-t, kind="stable")
+    for j in targets[:-1]:
+        i = min(max(sum(m > t[j] for m in mu) - 1, 0), len(mu) - 2)
+        mu_a, mu_b = mu[i], mu[i + 1]
+        c2 = 1.0 if mu_a == mu_b else min(max(
+            (t[j] - mu_b) / (mu_a - mu_b), 0.0), 1.0)
+        c, s = np.sqrt(c2), np.sqrt(1.0 - c2)
+        u_a, u_b = vecs[i], vecs[i + 1]
+        w[:, j] = c * u_a + s * u_b
+        vecs[i:i + 2] = [-s * u_a + c * u_b]
+        mu[i:i + 2] = [(1.0 - c2) * mu_a + c2 * mu_b]
+    w[:, targets[-1]] = vecs[0]
+    return w
+
+
+def pava_oracle(x: np.ndarray) -> np.ndarray:
+    """Least-squares nonincreasing fit to ``x`` (pool adjacent violators)."""
+    sums: list[float] = []
+    counts: list[int] = []
+    for value in x:
+        sums.append(float(value))
+        counts.append(1)
+        while len(sums) > 1 and sums[-2] * counts[-1] < sums[-1] * counts[-2]:
+            k, s = counts.pop(), sums.pop()
+            counts[-1] += k
+            sums[-1] += s
+    return np.repeat([s / k for s, k in zip(sums, counts)], counts)
+
+
+def projection_oracle(target: ProbabilityVector, current):
+    """(adjusted, max adjustment, Euclidean adjustment) of the permutohedron
+    projection, on numpy arrays: np.sort, a stable argsort, np.clip and
+    numpy's sum, then majorization_check on the result."""
+    t = target.probs
+    c = np.sort(_numeric(current, float, "distributions"))[::-1]
+    if c.shape != t.shape:
+        raise ValueError("distributions have different dimensions")
+    order = np.argsort(-t, kind="stable")
+    ts = t[order]
+    ys = ts - pava_oracle(ts - c)
+    adjusted = np.empty_like(t)
+    adjusted[order] = ys
+    adjusted = np.clip(adjusted, 0.0, None)
+    adjusted /= adjusted.sum()
+    feasible, slack = majorization_check(c, adjusted, 0.0)
+    if not feasible:
+        raise FitError(f"projection failed to reach the feasible set "
+                       f"(slack {slack:.3g})")
+    delta = adjusted - t
+    return (ProbabilityVector._unchecked(adjusted),
+            float(np.max(np.abs(delta))), float(np.linalg.norm(delta)))
+
+
+def row_step_oracle(lam: np.ndarray, target: ProbabilityVector, tol: float,
+                    what: str):
+    """(W, achieved, squared residual, projection distance) of one fitted
+    row, on numpy arrays: the slack test, the projection oracle, the frame
+    oracle and the achieved row as one broadcast sum over axis 0."""
+    slack = float(_slack(lam, target.probs))
+    if not slack <= tol:
+        raise InfeasibleTargetError(
+            f"{what} is infeasible: majorization slack {slack:.4g} "
+            f"exceeds tol {tol}", slack)
+    proj_dist = 0.0
+    if slack > 0:
+        target, proj_dist, _ = projection_oracle(target, lam)
+    w = schur_horn_frame_oracle(lam, target.probs)
+    achieved = (lam[:, None] * w ** 2).sum(axis=0)
+    r = achieved - target.probs
+    sse = float(r @ r)
+    if not sse <= RESIDUAL_LIMIT:
+        raise FitError(f"constructed frame misses the target: squared "
+                       f"residual {sse:.3g} exceeds {RESIDUAL_LIMIT}")
+    return w, achieved, sse, proj_dist

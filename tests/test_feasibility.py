@@ -115,6 +115,17 @@ class TestOrderEffect:
      "distributions have different totals inf and 1.0"),
     (lambda: project_to_majorized(pv(0.5, 0.5), [0.3, 0.3]),
      "distributions have different totals 0.6 and 1.0"),
+    # the projection checks ``current`` where it enters, by the same rule
+    (lambda: project_to_majorized(pv(0.5, 0.3, 0.2), [0, 0, 0]),
+     "distributions have different totals 0.0 and 1.0"),
+    (lambda: project_to_majorized(pv(0.5, 0.3, 0.2), [np.inf, 0, 0]),
+     "non-finite probability in a majorization check"),
+    (lambda: project_to_majorized(pv(0.5, 0.3, 0.2), 0.5),
+     "distributions have different dimensions"),
+    (lambda: project_to_majorized(pv(1.0), 1.0),
+     "distributions have different dimensions"),
+    (lambda: project_to_majorized([0.6, 0.3, 0.1], [0.5, 0.3, 0.2]),
+     "target must be a ProbabilityVector, got list"),
 ], ids=["empty-chain", "mixed-dims-chain", "three-question-ordering",
         "majorization-shapes", "majorization-scalars", "majorization-2d",
         "majorization-huge-int", "majorization-complex",
@@ -122,7 +133,9 @@ class TestOrderEffect:
         "projection-numeric-text", "majorization-object-text",
         "projection-object-bytes", "majorization-smaller-total",
         "majorization-larger-total", "majorization-overflowing-total",
-        "projection-smaller-total"])
+        "projection-smaller-total", "projection-zero-current",
+        "projection-infinite-current", "projection-scalar-current",
+        "projection-scalar-current-one-answer", "projection-list-target"])
 def test_fault_message(entry, message):
     with pytest.raises(ValueError) as err:
         entry()

@@ -1,4 +1,6 @@
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,13 +10,21 @@ from hypothesis import strategies as st
 import qcog.framefit as framefit
 import qcog.states as states
 from qcog.feasibility import chain_feasibility, majorization_check
-from qcog.framefit import (RESIDUAL_LIMIT, InfeasibleTargetError, fit_chain,
-                           fit_result_to_dict, fit_transition,
+from qcog.framefit import (RESIDUAL_LIMIT, FitError, InfeasibleTargetError,
+                           fit_chain, fit_result_to_dict, fit_transition,
                            project_to_majorized, replay)
 from qcog.states import (DensityMatrix, ProbabilityVector, lueders_update,
                          outcome_probabilities, square_root_embed)
 
 from .conftest import haar_unitary, make_chain, random_density
+from .oracles import (pava_oracle, projection_oracle, row_step_oracle,
+                      schur_horn_frame_oracle)
+
+# each step's W, each achieved row and each projection distance of
+# fit_chain on Tables 1 and 2, first question isolated, as float.hex: the
+# bits that no BLAS call touches, recorded from the numpy row step
+FIT_CHAIN_BITS = json.loads(
+    (Path(__file__).parent / "fit_chain_bits.json").read_text())
 
 
 def pv(*values):
@@ -351,3 +361,120 @@ class TestFitChain:
         chain = make_chain([[0.5, 0.3, 0.2]])
         with pytest.raises(ValueError):
             fit_chain(chain, isolate_first=True, tol=0.0)
+
+
+def _bits(value):
+    # a comparable form of a row step's output or error, bit for bit
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, ProbabilityVector):
+        return _bits(value.probs)
+    if isinstance(value, float):
+        return value.hex()
+    return tuple(map(_bits, value))
+
+
+def _outcome(step, *args):
+    try:
+        return _bits(step(*args))
+    except (InfeasibleTargetError, FitError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "slack", None)
+
+
+@st.composite
+def row_pairs(draw):
+    """(lam, target) of 2-9 answers (from 8, numpy sums a row eight ways
+    at once).  ``lam`` is a row of small integer weights (ties and zeros),
+    maybe with one entry moved below 0, or the spectrum eigh gives for a
+    random state of rank 1 to d (tiny negative eigenvalues); ``target`` is
+    another such row, ``lam`` itself, a permutation of it, or a mixture of
+    it towards uniform."""
+    n = draw(st.integers(2, 9))
+    weights = st.lists(st.integers(0, 12), min_size=n, max_size=n).filter(any)
+    if draw(st.booleans()):
+        lam = np.divide(w := draw(weights), sum(w))
+        i, j = draw(st.permutations(range(n)))[:2]
+        moved = draw(st.sampled_from([0.0, 1e-17, 0.1]))
+        lam[i] -= moved
+        lam[j] += moved
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        g = rng.standard_normal((n, draw(st.integers(1, n))))
+        lam = np.linalg.eigvalsh(g @ g.T / np.vdot(g, g))
+    base = np.maximum(lam, 0.0) / np.maximum(lam, 0.0).sum()
+    kind = draw(st.sampled_from(["row", "same", "permuted", "mixed"]))
+    if kind == "row":
+        t = np.divide(w := draw(weights), sum(w))
+    elif kind == "same":
+        t = base
+    elif kind == "permuted":
+        t = base[draw(st.permutations(range(n)))]
+    else:
+        a = draw(st.floats(0.0, 1.0))
+        t = a * base + (1.0 - a) / n
+    return lam, ProbabilityVector(t)
+
+
+class TestRowStepMatchesNumpy:
+    """The row step runs on Python floats; its outputs and errors are the
+    numpy computation's, bit for bit (tests/oracles.py)."""
+
+    @given(row_pairs(), st.sampled_from([0.0, 0.07, 0.3, 1.0]))
+    @settings(max_examples=400, deadline=None)
+    def test_row_step(self, pair, tol):
+        lam, target = pair
+        assert (_outcome(framefit._fit_row, lam, target, tol, "row")
+                == _outcome(row_step_oracle, lam, target, tol, "row"))
+
+    @given(row_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_frame(self, pair):
+        lam, target = pair
+        assert (_bits(framefit._schur_horn_frame(lam, target.probs))
+                == _bits(schur_horn_frame_oracle(lam, target.probs)))
+
+    @given(row_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_projection(self, pair):
+        lam, target = pair
+        assert (_outcome(project_to_majorized, target, lam)
+                == _outcome(projection_oracle, target, lam))
+        x = target.probs - np.sort(lam)[::-1]
+        assert _bits(np.array(framefit._pava_nonincreasing(x.tolist()))) \
+            == _bits(pava_oracle(x))
+
+    @pytest.mark.parametrize("current, target", [
+        # Table 2's Q3 on the state Q2 leaves
+        ([0.73, 0.05, 0.22], [0.79, 0.06, 0.15]),
+        # zero entries, projected to +0.0 entries that the clip keeps
+        ([0.0, 0.125, 0.0, 0.25, 0.625], [0.0, 0.2, 0.2, 0.5, 0.1]),
+        # a current with an entry below 0, which its entry rule admits
+        ([0.7, 0.4, -0.1], [0.1, 0.1, 0.8]),
+        ([0.6, 0.5, -0.1], [0.0, 0.0, 1.0]),
+    ])
+    def test_projection_examples(self, current, target):
+        got = _outcome(project_to_majorized, pv(*target), np.array(current))
+        assert got == _outcome(projection_oracle, pv(*target),
+                               np.array(current))
+
+    @pytest.mark.parametrize("table, tol", [
+        ("table1", "0"), ("table1", "0.07"), ("table2", "0"),
+        ("table2", "0.07")])
+    def test_fit_chain_bits_pinned(self, table, tol, request, monkeypatch):
+        chain = request.getfixturevalue(table)
+        frames = []
+        frame = framefit._schur_horn_frame
+        monkeypatch.setattr(framefit, "_schur_horn_frame", lambda lam, t: (
+            frames.append(frame(lam, t)) or frames[-1]))
+        want = FIT_CHAIN_BITS[table][tol]
+        if "infeasible_slack" in want:
+            with pytest.raises(InfeasibleTargetError) as err:
+                fit_chain(chain, isolate_first=True, tol=float(tol))
+            assert err.value.slack.hex() == want["infeasible_slack"]
+            return
+        fit = fit_chain(chain, isolate_first=True, tol=float(tol))
+        hexes = lambda rows: [[x.hex() for x in row] for row in rows]
+        assert [hexes(w.tolist()) for w in frames] == want["w"]
+        assert hexes(p.probs.tolist() for p in fit.achieved) == want["achieved"]
+        assert ([d.hex() for d in fit.projection_distances]
+                == want["projection_distances"])

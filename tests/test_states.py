@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from qcog import hilbert, states
 from qcog.hilbert import STRUCTURAL_TOL, frame_projectors
-from qcog.nosignal import LocalSeries
+from qcog.framefit import fit_transition
+from qcog.nosignal import LocalSeries, apply_series, no_signalling_check
 from qcog.states import (DensityMatrix, MeasurementError, ProbabilityVector,
                          PureState, RowError, StateError,
                          degenerate_yes_probability, lueders_update,
@@ -972,6 +973,16 @@ def test_non_finite_measurement_gives_typed_error(entry, error, bad):
      "state must be a DensityMatrix, got ndarray"),
     (lambda: degenerate_yes_probability(np.eye(2) / 2, [[1, 0]]), ValueError,
      "state must be a DensityMatrix, got ndarray"),
+    (lambda: fit_transition(np.eye(2) / 2, ProbabilityVector([0.5, 0.5])),
+     ValueError, "state must be a DensityMatrix, got ndarray"),
+    # a target or series that is not of its type, before any attribute is
+    # read
+    (lambda: fit_transition(_MIXED, [0.5, 0.5]), ValueError,
+     "target must be a ProbabilityVector, got list"),
+    (lambda: apply_series(_MIXED, [(0, np.eye(3))]), ValueError,
+     "series must be a LocalSeries, got list"),
+    (lambda: no_signalling_check(_MIXED, [(0, np.eye(3))], [(1, np.eye(3))]),
+     ValueError, "series must be a LocalSeries, got list"),
 ], ids=["probs-empty", "probs-2d", "amplitudes-empty", "amplitudes-2d",
         "amplitude-norm", "answer-shape", "projector-pair",
         "frame-projectors", "bare-frame", "column-list",
@@ -993,7 +1004,9 @@ def test_non_finite_measurement_gives_typed_error(entry, error, bad):
         "density-object-text", "answer-object-text",
         "probabilities-answer-object-text", "subspace-basis-object-bytes",
         "lueders-raw-state", "probabilities-raw-state",
-        "subspace-raw-state"])
+        "subspace-raw-state", "fit-transition-raw-state",
+        "fit-transition-list-target", "apply-series-list",
+        "no-signalling-list"])
 def test_structural_fault_message(entry, error, message):
     with pytest.raises(error) as err:
         entry()
