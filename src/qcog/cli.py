@@ -1,6 +1,8 @@
 """Command-line entry point.
 
-The parser is built once, at import, from the ``_SUBCOMMANDS`` table.
+The parsers are built once, at import, from the ``_SUBCOMMANDS`` table;
+``main`` hands the words after a subcommand's name to that subcommand's
+parser.
 Exit codes: 0 success, 1 error (bad input or usage, an unreadable input
 or unwritable output path, or a failed post-check), 2 analysis ran and
 found a violation (so scripts can branch on findings).
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from itertools import chain, islice, repeat
@@ -49,42 +52,72 @@ def _float_text(x: float) -> str:
 
 
 def _json_text(obj, newline: str) -> str:
-    # str, int, float, list, tuple and dict cannot share an instance, so
-    # only bool must be tested before int; float subclasses (numpy scalars)
-    # and str and int subclasses (enums) print as json prints them
+    # the exact type first: every report is built of these
+    text = _EXACT_TEXTS.get(type(obj))
+    if text is not None:
+        return text(obj, newline)
+    return _other_text(obj, newline)
+
+
+def _other_text(obj, newline: str) -> str:
+    # any other type, by isinstance: str, int, float, list, tuple and dict
+    # cannot share an instance, and bool and None have exact types; float
+    # subclasses (numpy scalars) and str and int subclasses (enums) print
+    # as json prints them
     if isinstance(obj, float):
         return _float_text(obj)
-    if isinstance(obj, (list, tuple, dict)):
-        if not obj:
-            return "{}" if isinstance(obj, dict) else "[]"
-        inner = newline + "  "
-        if isinstance(obj, dict):
-            items = [_key_text(key) + ": " + _json_text(value, inner)
-                     for key, value in sorted(obj.items())]
-            opening, closing = "{", "}"
-        else:
-            items = _float_list_texts(obj)
-            if items is None:
-                items = [_json_text(item, inner) for item in obj]
-            opening, closing = "[", "]"
-        return opening + inner + ("," + inner).join(items) + newline + closing
+    if isinstance(obj, (list, tuple)):
+        return _array_text(obj, newline)
+    if isinstance(obj, dict):
+        return _dict_text(obj, newline)
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, np.ndarray):
         return _json_text(obj.tolist(), newline)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _json_text({f.name: getattr(obj, f.name)
-                           for f in dataclasses.fields(obj)}, newline)
+        return _dataclass_text(obj, newline)
     raise TypeError(
         f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _array_text(items, newline: str) -> str:
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    texts = _float_list_texts(items)
+    if texts is None:
+        texts = [_json_text(item, inner) for item in items]
+    return "[" + inner + ("," + inner).join(texts) + newline + "]"
+
+
+def _members_text(members, newline: str) -> str:
+    # members: (key text, value) pairs in key order
+    if not members:
+        return "{}"
+    inner = newline + "  "
+    return ("{" + inner + ("," + inner).join(
+        [key + ": " + _json_text(value, inner) for key, value in members])
+        + newline + "}")
+
+
+def _dict_text(obj: dict, newline: str) -> str:
+    return _members_text([(_key_text(key), value)
+                          for key, value in sorted(obj.items())], newline)
+
+
+def _dataclass_text(obj, newline: str) -> str:
+    return _members_text([(key, getattr(obj, name))
+                          for name, key in _field_keys(type(obj))], newline)
+
+
+@functools.cache
+def _field_keys(cls) -> tuple:
+    # a dataclass type's (field name, key text) pairs in key order, built
+    # once per type
+    return tuple((name, encode_basestring_ascii(name)) for name in
+                 sorted(f.name for f in dataclasses.fields(cls)))
 
 
 def _float_list_texts(items) -> list | None:
@@ -104,6 +137,18 @@ def _key_text(key) -> str:
     if not isinstance(key, str):
         raise TypeError(f"keys must be str, not {type(key).__name__}")
     return encode_basestring_ascii(key)
+
+
+_EXACT_TEXTS = {
+    float: lambda x, _: _float_text(x),
+    str: lambda s, _: encode_basestring_ascii(s),
+    int: lambda n, _: int.__repr__(n),
+    bool: lambda b, _: "true" if b else "false",
+    type(None): lambda _, __: "null",
+    list: _array_text,
+    tuple: _array_text,
+    dict: _dict_text,
+}
 
 
 # Each handler is a generator: it runs the analysis, yields (JSON payload,
@@ -287,28 +332,39 @@ _SUBCOMMANDS = (
 )
 
 
-def _make_parser() -> argparse.ArgumentParser:
+def _make_parser() -> tuple[argparse.ArgumentParser, dict]:
+    # the top-level parser, and each subcommand's parser by name
     parser = argparse.ArgumentParser(
         prog="qcog",
         description="Quantum-probability analysis of sequential survey data")
     sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = {}
     for name, func, help_text, arguments in _SUBCOMMANDS:
-        p = sub.add_parser(name, help=help_text)
+        p = subparsers[name] = sub.add_parser(name, help=help_text)
         for flag, options in arguments:
             p.add_argument(flag, **options)
         p.add_argument("--json", action="store_true",
                        help="emit the report as JSON")
         p.set_defaults(func=func)
-    return parser
+    return parser, subparsers
 
 
-# built once: parse_args leaves the parser unchanged
-_PARSER = _make_parser()
+# built once: parse_args leaves the parsers unchanged
+_PARSER, _SUBPARSERS = _make_parser()
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    # the top-level parser would hand every word after a subcommand's name
+    # to that subcommand's parser, so that parser reads them directly; the
+    # top-level one reads only an argv that does not start with a name
+    # (none, --help, a typo)
+    sub = _SUBPARSERS.get(argv[0]) if argv else None
+    return sub.parse_args(argv[1:]) if sub else _PARSER.parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for usage errors; 2 means
         # "violation found" here, so a usage error becomes 1

@@ -100,16 +100,16 @@ def _fit_row(lam: np.ndarray, target: ProbabilityVector, tol: float,
         raise InfeasibleTargetError(
             f"{what} is infeasible: majorization slack {slack:.4g} "
             f"exceeds tol {tol}", slack)
-    proj_dist = 0.0
-    if slack > 0:
-        target, proj_dist, _ = project_to_majorized(target, lam)
-    w = _schur_horn_frame(lam, target.probs)
+    t, proj_dist = target.probs, 0.0
+    if slack > 0:  # rows checked at entry or built here: no entry rule
+        t, proj_dist = _projection(t, lam)
+    w = _schur_horn_frame(lam, t)
     (lam_0, *lams), (row_0, *rows) = lam.tolist(), w.tolist()
     achieved = [lam_0 * (x * x) for x in row_0]
     for lam_i, row in zip(lams, rows):
         achieved = [a + lam_i * (x * x) for a, x in zip(achieved, row)]
     achieved = np.array(achieved)
-    r = achieved - target.probs
+    r = achieved - t
     sse = float(r @ r)
     if not sse <= RESIDUAL_LIMIT:  # also rejects NaN
         raise FitError(f"constructed frame misses the target: squared "
@@ -174,9 +174,18 @@ def project_to_majorized(target: ProbabilityVector, current,
     every output has the bits of the numpy computation.
     """
     _check_target(target)
-    c_checked, _ = _majorization_pair(current, target.probs)
-    t = target.probs.tolist()
-    c = sorted(c_checked.tolist(), reverse=True)
+    c, t = _majorization_pair(current, target.probs)
+    adjusted, max_adjustment = _projection(t, c)
+    return (ProbabilityVector._unchecked(adjusted), max_adjustment,
+            float(np.linalg.norm(adjusted - t)))
+
+
+def _projection(target: np.ndarray, current: np.ndarray,
+                ) -> tuple[np.ndarray, float]:
+    # project_to_majorized's body on two checked rows, also fit_chain's
+    # projection: (adjusted row, max componentwise adjustment)
+    t = target.tolist()
+    c = sorted(current.tolist(), reverse=True)
     # sorted with reverse=True keeps ties in order: a stable argsort of -t
     order = sorted(range(len(t)), key=t.__getitem__, reverse=True)
     ts = [t[k] for k in order]
@@ -187,14 +196,11 @@ def project_to_majorized(target: ProbabilityVector, current,
         clipped[k] = y if y > 0.0 else 0.0  # np.clip's +0.0, also for -0.0
     total = float(np.add.reduce(clipped))  # numpy's pairwise summation
     adjusted = np.array([y / total for y in clipped])
-    slack = float(_slack(c_checked, adjusted))
+    slack = float(_slack(current, adjusted))
     if not slack <= 0.0:
         raise FitError(f"projection failed to reach the feasible set "
                        f"(slack {slack:.3g})")
-    delta = adjusted - target.probs
-    return (ProbabilityVector._unchecked(adjusted),
-            max(map(abs, delta.tolist())),
-            float(np.linalg.norm(delta)))
+    return adjusted, max(map(abs, (adjusted - target).tolist()))
 
 
 @dataclass(frozen=True)
@@ -280,15 +286,14 @@ def replay(fit: FitResult, chain: SurveyChain) -> list[ProbabilityVector]:
 
 def fit_result_to_dict(fit: FitResult) -> dict:
     """JSON-ready view; frames as row-major (re, im) pairs."""
-    def frame_json(u: np.ndarray) -> list:
-        return np.stack((u.real, u.imag), -1).tolist()
-
+    # a complex128 array's memory is its (re, im) float pairs
+    frames = np.stack(fit.frames, dtype=np.complex128)
     return {
         "label": fit.label,
         "isolate_first": fit.isolate_first,
         "isolated_distribution": (fit.achieved[0].probs.tolist()
                                   if fit.isolate_first else None),
-        "frames": [frame_json(u) for u in fit.frames],
+        "frames": frames.view(np.float64).reshape(*frames.shape, 2).tolist(),
         "residuals": list(fit.residuals),
         "achieved": [p.probs.tolist() for p in fit.achieved],
         "projection_distances": list(fit.projection_distances),

@@ -38,11 +38,14 @@ def fixture_path(name: str) -> Path:
 
 
 def _load_json(path) -> dict:
+    # JSON text is UTF-8 (RFC 8259), whatever the locale's encoding
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise IngestError(f"{path}: cannot read ({exc.strerror})") from exc
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise IngestError(f"{path}: not valid JSON ({exc})") from exc
 

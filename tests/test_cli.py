@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 import warnings
 
 import numpy as np
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 from qcog import cli
 from qcog.cli import main
-from qcog.feasibility import Polarity
+from qcog.feasibility import (FeasibilityReport, Polarity, TransitionCheck,
+                              chain_feasibility)
 from qcog.framefit import fit_chain, fit_result_to_dict
 from qcog.ingest import IngestError, fixture_path, load_order_pair, load_survey
 from qcog.sequential import interference_region_scan
@@ -56,6 +58,21 @@ FAULTY_ROWS = {
     "huge integer": ([10 ** 400, 0, 0], "int too large to convert to float"),
     "nan": ([float("nan"), 30, 20],
             "non-finite percentage in [nan, 30.0, 20.0]"),
+}
+
+
+# (file bytes, message after the path) of a file that is not JSON text:
+# JSON is UTF-8 (RFC 8259), so UTF-16 with its byte order mark and
+# Latin-1 are data errors, whatever the locale's encoding
+FILE_FAULTS = {
+    "not JSON": (b"not json", "not valid JSON (Expecting value: "
+                              "line 1 column 1 (char 0))"),
+    "UTF-16": (b"\xff\xfe" + '{"sample_label": "x"}'.encode("utf-16-le"),
+               "not UTF-8 text ('utf-8' codec can't decode byte 0xff in "
+               "position 0: invalid start byte)"),
+    "Latin-1": ('{"sample_label": "caf\u00e9"}'.encode("latin-1"),
+                "not UTF-8 text ('utf-8' codec can't decode byte 0xe9 in "
+                "position 21: invalid continuation byte)"),
 }
 
 
@@ -99,6 +116,19 @@ class TestIngest:
             load_survey(path)
         assert str(err.value) == (f"{path}: not valid JSON (Expecting value: "
                                   f"line 1 column 1 (char 0))")
+
+    @pytest.mark.parametrize("kind", ["survey", "pair"])
+    @pytest.mark.parametrize("fault", list(FILE_FAULTS))
+    def test_file_fault_message(self, tmp_path, capsys, kind, fault):
+        # a file that cannot be read as JSON text is one error line that
+        # names it, on either ingest path
+        data, message = FILE_FAULTS[fault]
+        path = tmp_path / f"{kind}.json"
+        path.write_bytes(data)
+        argv = (["check-contraction", str(path)] if kind == "survey"
+                else ["check-order", str(path), "--tol", "0.05"])
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
     def test_round_trip(self, t1, tmp_path):
         chain = load_survey(t1)
@@ -548,6 +578,73 @@ class TestOutputModes:
         json.loads(capsys.readouterr().out)
 
 
+# argvs that main parses through the first word's subcommand parser, or
+# through the top-level parser when that word names none
+DISPATCH_ARGVS = [
+    *(argv for argv, _ in MODE_CASES),
+    ["check-contraction", T1, "--json"],
+    [], ["--help"], ["-h"], ["no-such-command"], ["--json", "spin-demo"],
+    ["-h", "fit-chain"], ["fit-chain", "--help"], ["check-contraction", "-h"],
+    ["fit-chain"], ["check-classical", T1], ["check-feasibility", T1],
+    ["fit-chain", T1, "--tol", "0", "--seed", "0"],
+    ["fit-chain", T1, "--tol", "0", "--bogus"],
+    ["check-contraction", T1, "--tol", "0.1"],
+    ["spin-demo", "extra"],
+    ["check-feasibility", T1, "--tol=0.1"],
+    ["check-feasibility", T1, "--tol", "-0.1"],
+    ["fit-chain", T1, "--iso", "--tol", "0"],
+    ["conjunction-scan", "--grid", "x"],
+    ["nosignal-demo", "--trials", "0"],
+]
+
+
+def run_main(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=[
+        " ".join(map(os.path.basename, argv)) or "empty"
+        for argv in DISPATCH_ARGVS])
+    def test_same_as_top_level_parse(self, argv, monkeypatch):
+        # with no subcommand parser to dispatch to, main parses every argv
+        # through _PARSER.parse_args, as it did before the dispatch
+        dispatched = bool(argv) and argv[0] in cli._SUBPARSERS
+        code, out, err = run_main(argv)
+        monkeypatch.setattr(cli, "_SUBPARSERS", {})
+        want_code, want_out, want_err = run_main(argv)
+        assert (code, out) == (want_code, want_out)
+        if dispatched and "unrecognized arguments" in want_err:
+            # reported with the subcommand's usage, not the top-level one
+            assert want_err.startswith("usage: qcog [-h]")
+            assert err.startswith(f"usage: qcog {argv[0]} [-h]")
+            assert (err.splitlines()[-1]
+                    == want_err.splitlines()[-1].replace(
+                        "qcog:", f"qcog {argv[0]}:"))
+        else:
+            assert err == want_err
+
+    def test_unrecognised_argument_shows_subcommand_usage(self, t1):
+        code, out, err = run_main(["fit-chain", t1, "--tol", "0", "--bogus"])
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert lines[0].startswith("usage: qcog fit-chain [-h] --tol TOL")
+        assert lines[-1] == ("qcog fit-chain: error: unrecognized "
+                             "arguments: --bogus")
+
+    @pytest.mark.parametrize("argv", [
+        ["fit-chain", "--help"], ["no-such-command"], ["spin-demo", "--json"],
+        ["check-contraction", T1, "--json"]])
+    def test_argv_none_reads_sys_argv(self, argv, monkeypatch):
+        # the console script calls main() with no argv
+        want = run_main(argv)
+        monkeypatch.setattr(sys, "argv", ["qcog", *argv])
+        assert run_main(None) == want
+
+
 class TestJsonOutputs:
     def test_fit_chain_json(self, t1, capsys):
         code = main(["fit-chain", t1, "--isolate-first", "--tol", "0",
@@ -639,6 +736,25 @@ class Box:
     second: object = None
 
 
+@dataclasses.dataclass
+class Unsorted:
+    # fields declared out of sorted order
+    zeta: object
+    alpha: object = None
+    mid: object = None
+
+
+@dataclasses.dataclass
+class WiderBox(Box):
+    # a subclass whose added field sorts before the inherited ones
+    extra: object = None
+
+
+@dataclasses.dataclass
+class Empty:
+    pass
+
+
 def reference_default(obj):
     # how json.dumps rendered arrays and dataclasses before render_json
     if isinstance(obj, np.ndarray):
@@ -661,12 +777,18 @@ JSON_LEAVES = st.one_of(
     st.lists(st.tuples(JSON_FLOATS, JSON_FLOATS), max_size=3).map(
         lambda pairs: np.array(pairs, dtype=float).reshape(-1, 2)),
     st.lists(st.integers(-5, 5), max_size=3).map(
-        lambda v: np.array(v, dtype=np.int64)))
+        lambda v: np.array(v, dtype=np.int64)),
+    st.builds(Empty))
 JSON_PAYLOADS = st.recursive(JSON_LEAVES, lambda children: st.one_of(
     st.lists(children, max_size=4),
     st.lists(children, max_size=4).map(tuple),
     st.dictionaries(st.text(max_size=4), children, max_size=4),
-    st.builds(Box, children, children)), max_leaves=25)
+    st.builds(Box, children, children),
+    st.builds(Unsorted, children, children, children),
+    st.builds(WiderBox, children, children, children),
+    # one dataclass type at several depths
+    st.builds(lambda a, b: Unsorted(Unsorted(a), [Unsorted(b, Box(a))]),
+              children, children)), max_leaves=25)
 
 
 class TestRenderJson:
@@ -674,6 +796,23 @@ class TestRenderJson:
     @given(payload=JSON_PAYLOADS)
     def test_matches_json_dumps(self, payload):
         assert cli.render_json(payload) == reference_json(payload)
+
+    def test_dataclass_fields_read_once_per_type(self, t2, monkeypatch):
+        # each dataclass type's sorted field names and key texts are built
+        # on its first render, not on every one
+        report = chain_feasibility(load_survey(t2), True, 0.07)
+        want = reference_json(report)
+        fields, calls = dataclasses.fields, collections.Counter()
+
+        def spy(obj):
+            calls[obj if isinstance(obj, type) else type(obj)] += 1
+            return fields(obj)
+
+        monkeypatch.setattr(dataclasses, "fields", spy)
+        cli._field_keys.cache_clear()
+        texts = {cli.render_json(report) for _ in range(100)}
+        assert texts == {want}
+        assert calls == {FeasibilityReport: 1, TransitionCheck: 1}
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
                                      float("-inf")])

@@ -283,6 +283,22 @@ class TestFitChain:
                                          [0.0, 0.06, 0.06, 0.0]))) < 1e-12
         assert all(r < 1e-9 for r in fit.residuals)
 
+    def test_projected_rows_not_rechecked(self, table2, monkeypatch):
+        # fit_chain projects rows that it has checked or built itself, so
+        # it skips project_to_majorized's entry rule; the result's slack is
+        # still checked
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fit_chain re-checked a checked row")
+
+        want = fit_chain(table2, isolate_first=True, tol=0.07)
+        monkeypatch.setattr(framefit, "_majorization_pair", forbidden)
+        fit = fit_chain(table2, isolate_first=True, tol=0.07)
+        assert max(fit.projection_distances) > 0
+        assert fit.projection_distances == want.projection_distances
+        with pytest.raises(AssertionError, match="re-checked"):
+            project_to_majorized(table2.questions[2].probs,
+                                 table2.questions[1].probs.probs)
+
     def test_replay_matches_achieved(self, chains):
         for chain, tol in chains:
             fit = fit_chain(chain, isolate_first=True, tol=tol)
