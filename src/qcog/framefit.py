@@ -26,7 +26,8 @@ from .feasibility import (SurveyChain, _majorization_pair,
                           _require_transition, _slack)
 from .hilbert import RESIDUAL_LIMIT, _tolerance
 from .states import (DensityMatrix, ProbabilityVector, _check_state,
-                     lueders_update, outcome_probabilities, square_root_embed)
+                     _question, lueders_update, outcome_probabilities,
+                     square_root_embed)
 
 
 class InfeasibleTargetError(ValueError):
@@ -271,14 +272,15 @@ def replay(fit: FitResult, chain: SurveyChain) -> list[ProbabilityVector]:
 
     Uses only the state machinery: embed the base distribution, then for
     each frame read off the outcome probabilities and apply the measurement
-    update, both on one question: its answers, one per column of the frame.
+    update, both on one question, checked once: its answers, one per column
+    of the frame.
     The isolated first question, if any, is reproduced verbatim.
     """
     base = chain.questions[int(fit.isolate_first)]
     rho = DensityMatrix.from_pure(square_root_embed(base.probs))
     out = [chain.questions[0].probs] if fit.isolate_first else []
     for frame in fit.frames:
-        answers = np.hsplit(frame, chain.dim)
+        answers = _question(np.hsplit(frame, chain.dim), chain.dim)
         out.append(outcome_probabilities(rho, answers))
         rho = lueders_update(rho, answers)
     return out

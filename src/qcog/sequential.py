@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import _index, _numeric
-from .states import (DensityMatrix, ProbabilityVector, lueders_update,
-                     outcome_probabilities, square_root_embed)
+from .states import (DensityMatrix, ProbabilityVector, _question, _Question,
+                     lueders_update, outcome_probabilities, square_root_embed)
 
 
 def _check_unit_interval(name: str, x):
@@ -54,20 +54,28 @@ def sequential_probability(p, q):
                       p, q)
 
 
-# the first question's answers, as a stack of their (2, 1) bases: the
-# standard basis vectors, each a column
-_FIRST_QUESTION_ANSWERS = np.eye(2, dtype=np.complex128)[:, :, None]
-_FIRST_QUESTION_ANSWERS.setflags(write=False)
+def _check_probability(name: str, x) -> float:
+    # the oracle's scalar entry: an array, even of one element, is refused
+    x = _check_unit_interval(name, x)
+    if x.ndim:
+        raise ValueError(f"{name} must be a scalar")
+    return float(x)
 
 
-def _second_question_answers(p: float, q: float) -> list[np.ndarray]:
+# the first question, checked once: its answers are the standard basis
+# vectors, each a (2, 1) basis
+_FIRST_QUESTION = _question(np.eye(2, dtype=np.complex128)[:, :, None], 2)
+
+
+def _second_question_answers(p: float, q: float) -> _Question:
     # angle of the second question's yes-state relative to the first basis,
     # branch chosen so both amplitude overlaps are nonnegative square roots;
-    # p and q lie in [0, 1], so their square roots need no clipping
+    # p and q lie in [0, 1], so their square roots need no clipping.  A
+    # rotation: unitary by construction, so certified, not checked
     c = math.acos(math.sqrt(p)) - math.acos(math.sqrt(q))
     cos, sin = math.cos(c), math.sin(c)
-    u = np.array([[cos, -sin], [sin, cos]], dtype=np.complex128)
-    return [u[:, :1], u[:, 1:]]
+    return _Question._unchecked(
+        np.array([[cos, -sin], [sin, cos]], dtype=np.complex128))
 
 
 def sequential_probability_via_states(p: float, q: float) -> float:
@@ -76,13 +84,14 @@ def sequential_probability_via_states(p: float, q: float) -> float:
     Embeds the initial pure state by square roots, applies the first
     question's update and reads off the second question's distribution,
     each question given as its answers' bases (its frame's columns).
+    ``p`` and ``q`` are scalars in [0, 1], or ValueError is raised.
     """
-    p = float(_check_unit_interval("p", p))
-    q = float(_check_unit_interval("q", q))
+    p = _check_probability("p", p)
+    q = _check_probability("q", q)
     psi = square_root_embed(  # p was checked: [p, 1 - p] is a distribution
         ProbabilityVector._unchecked(np.array([p, 1.0 - p])))
     rho = DensityMatrix.from_pure(psi)
-    rho = lueders_update(rho, _FIRST_QUESTION_ANSWERS)
+    rho = lueders_update(rho, _FIRST_QUESTION)
     answers = _second_question_answers(p, q)
     return float(outcome_probabilities(rho, answers).probs[0])
 
@@ -133,6 +142,7 @@ def spin_order_demo() -> tuple[float, float]:
     y = np.hsplit(np.array([[s, s], [1j * s, -1j * s]], dtype=np.complex128), 2)
 
     rho = DensityMatrix(x[0] @ x[0].conj().T)  # the x-up state
+    x = _question(x, 2)  # read twice, checked once
     direct = float(outcome_probabilities(rho, x).probs[0])
 
     rho_after_y = lueders_update(rho, y)

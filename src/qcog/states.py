@@ -7,6 +7,7 @@ of the von Neumann-Lueders type, both read from its answers' bases.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -205,8 +206,36 @@ def square_root_embed(p: ProbabilityVector) -> PureState:
     return PureState._unchecked(a / np.linalg.norm(a))
 
 
-def _question(answers, d: int) -> tuple[np.ndarray, np.ndarray, int]:
-    # the one question rule: U, each column's answer, and the answer count
+class _Question(NamedTuple):
+    # a checked question, trusted from then on: its frame U, each column's
+    # answer (both frozen) and the answer count; the question rule builds it
+    u: np.ndarray
+    answer: np.ndarray
+    k: int
+
+    @classmethod
+    def _unchecked(cls, u: np.ndarray) -> "_Question":
+        # for frames unitary by construction, one answer per column; takes
+        # ownership of the complex128 array u, freezes it and checks nothing.
+        # The rotation [[c, -s], [s, c]] from math.cos and math.sin is one:
+        # U^H U - I has off-diagonal c(-s) + sc = 0 exactly and diagonal
+        # c^2 + s^2 - 1 of a few ulps, far inside STRUCTURAL_TOL
+        answer = np.arange(len(u))
+        u.setflags(write=False)
+        answer.setflags(write=False)
+        return cls(u, answer, len(u))
+
+
+def _question(answers, d: int) -> _Question:
+    # the one question rule.  A checked question is trusted, its dimension
+    # compared with d (the message raw answers of that shape get); raw
+    # answers are checked
+    if type(answers) is _Question:
+        u, answer, _ = answers
+        if len(u) != d:
+            shape = (len(u), int(np.count_nonzero(answer == 0)))
+            raise MeasurementError(f"answer 0 has shape {shape}, not ({d}, r)")
+        return answers
     blocks = [_numeric(b, np.complex128, "answer bases", MeasurementError)
               for b in (answers if np.iterable(answers) else [answers])]
     for i, b in enumerate(blocks):
@@ -222,7 +251,9 @@ def _question(answers, d: int) -> tuple[np.ndarray, np.ndarray, int]:
     u = np.concatenate(blocks, axis=1)
     if not _orthonormal_columns(u):
         raise MeasurementError("answer bases are not orthonormal")
-    return u, answer, len(blocks)
+    u.setflags(write=False)
+    answer.setflags(write=False)
+    return _Question(u, answer, len(blocks))
 
 
 def outcome_probabilities(state: DensityMatrix, answers) -> ProbabilityVector:

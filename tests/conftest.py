@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qcog import states
 from qcog.feasibility import Polarity, Question, SurveyChain
 from qcog.ingest import fixture_path, load_survey
 from qcog.states import ProbabilityVector
@@ -21,6 +22,16 @@ def random_density(rng, dim):
 def random_probs(rng, dim):
     p = rng.uniform(0.0, 1.0, dim)
     return p / p.sum()
+
+
+@pytest.fixture
+def gram_checks(monkeypatch):
+    """Each matrix the question rule's Gram check sees while the test runs."""
+    calls = []
+    original = states._orthonormal_columns
+    monkeypatch.setattr(states, "_orthonormal_columns",
+                        lambda a: calls.append(a) or original(a))
+    return calls
 
 
 @pytest.fixture

@@ -307,6 +307,24 @@ class TestFitChain:
             for got, want in zip(played, fit.achieved):
                 assert np.max(np.abs(got.probs - want.probs)) < 1e-12
 
+    def test_replay_checks_each_frame_once(self, chains, gram_checks):
+        # one Gram check per frame, for both the read-out and the update,
+        # with the bits of asking the raw answers each time
+        for chain, tol in chains:
+            fit = fit_chain(chain, isolate_first=True, tol=tol)
+            rho = DensityMatrix.from_pure(
+                square_root_embed(chain.questions[1].probs))
+            want = [chain.questions[0].probs.probs]
+            for frame in fit.frames:
+                answers = np.hsplit(frame, chain.dim)
+                want.append(outcome_probabilities(rho, answers).probs)
+                rho = lueders_update(rho, answers)
+            gram_checks.clear()
+            played = replay(fit, chain)
+            assert len(gram_checks) == len(fit.frames)
+            assert [p.probs.tobytes() for p in played] == [
+                w.tobytes() for w in want]
+
     def test_fitted_from_rows_alone(self, chains, monkeypatch):
         # the state after each question is diagonal in its frame, so the
         # fit needs no eigensolver, density matrix or measurement update

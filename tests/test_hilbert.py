@@ -235,6 +235,11 @@ _HUGE = 10**400
      "q must form a numeric array"),
     (lambda: sequential_probability_via_states(
         0.5, np.array(b"0.25", dtype=object)), "q must form a numeric array"),
+    # the oracle takes one cell: an array, even of one element, is refused
+    (lambda: sequential_probability_via_states(np.array([0.3]), 0.5),
+     "p must be a scalar"),
+    (lambda: sequential_probability_via_states(np.array([0.3, 0.4]), 0.5),
+     "p must be a scalar"),
 ], ids=["is-psd-huge-int", "partial-trace-huge-int", "local-series-huge-int",
         "sequential-huge-int", "sequential-complex", "is-psd-text",
         "partial-trace-bytes", "frame-projectors-text", "local-series-text",
@@ -242,7 +247,8 @@ _HUGE = 10**400
         "is-psd-object-text", "partial-trace-object-bytes",
         "frame-projectors-object-text", "local-series-object-text",
         "sequential-object-text", "overlap-object-text",
-        "via-states-object-bytes"])
+        "via-states-object-bytes", "via-states-one-element",
+        "via-states-array"])
 def test_array_entry_fault_message(entry, message):
     # every array entry coerces its argument by one rule, with one message
     with pytest.raises(ValueError) as err:

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcog import sequential
@@ -91,6 +91,27 @@ class TestSequentialProbability:
         value = sequential_probability_via_states(0.8, 0.3)
         assert dict(calls) == {"lueders_update": 1, "outcome_probabilities": 1}
         assert abs(value - 0.6479636333578808) < 1e-12
+
+    def test_oracle_runs_no_gram_check(self, gram_checks):
+        # the first question is checked once, at import, and the second is
+        # a rotation certified by construction: a cell checks neither
+        sequential_probability_via_states(0.8, 0.3)
+        assert gram_checks == []
+
+    @given(unit, unit)
+    @settings(max_examples=300, deadline=None)
+    @example(0.0, 0.0)
+    @example(0.0, 1.0)
+    @example(1.0, 0.0)
+    @example(1.0, 1.0)
+    def test_certified_rotation_is_unitary(self, p, q):
+        # the certificate the question rule is skipped on: max|U^H U - I|
+        # is a few ulps, far inside STRUCTURAL_TOL
+        question = sequential._second_question_answers(p, q)
+        u = question.u
+        assert np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-15
+        assert question.answer.tolist() == [0, 1] and question.k == 2
+        assert not (u.flags.writeable or question.answer.flags.writeable)
 
     @given(unit, unit)
     @settings(max_examples=300, deadline=None)
@@ -208,6 +229,11 @@ class TestSpinOrderDemo:
         direct, after = spin_order_demo()
         assert abs(direct - 1.0) < 1e-12
         assert abs(after - 0.5) < 1e-12
+
+    def test_each_question_is_checked_once(self, gram_checks):
+        # x is read twice and y updates once: one Gram check each
+        spin_order_demo()
+        assert len(gram_checks) == 2
 
     def test_swapped_pauli_bases_by_symmetry(self):
         from qcog.states import (DensityMatrix, lueders_update,

@@ -2,7 +2,7 @@ import contextlib
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from qcog import hilbert, states
@@ -820,6 +820,62 @@ class TestCertifiedLuedersOutput:
         with _validations() as calls:
             lueders_update(rho, [np.eye(2)])
         assert len(calls) == 1
+
+
+@st.composite
+def _question_cases(draw):
+    # a random frame and state at d = 1..4, pure or mixed, and a block
+    # pattern of answers of rank >= 1 each
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = draw(st.integers(1, d))
+    cuts = np.sort(rng.choice(np.arange(1, d), k - 1, replace=False))
+    answers = np.hsplit(haar_unitary(rng, d), cuts)
+    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    rho = (DensityMatrix.from_pure(PureState(psi / np.linalg.norm(psi)))
+           if draw(st.booleans()) else DensityMatrix(random_density(rng, d)))
+    return rho, answers
+
+
+class TestCheckedQuestion:
+    """A question checked once by the question rule is trusted from then on:
+    the update and the read-out compare only its dimension."""
+
+    @given(_question_cases())
+    @settings(max_examples=200, deadline=None)
+    @seed(20241)
+    def test_checked_question_keeps_the_bits(self, case):
+        rho, answers = case
+        checked = states._question(answers, rho.dim)
+        assert (outcome_probabilities(rho, checked).probs.tobytes()
+                == outcome_probabilities(rho, answers).probs.tobytes())
+        assert (lueders_update(rho, checked).matrix.tobytes()
+                == lueders_update(rho, answers).matrix.tobytes())
+
+    def test_checked_question_is_frozen_and_not_checked_again(self,
+                                                              gram_checks):
+        checked = states._question(np.hsplit(np.eye(3), [1]), 3)
+        u, answer, k = checked
+        assert not (u.flags.writeable or answer.flags.writeable)
+        assert k == 2 and len(gram_checks) == 1
+        assert states._question(checked, 3) is checked
+        lueders_update(_MIXED3, checked)
+        outcome_probabilities(_MIXED3, checked)
+        assert len(gram_checks) == 1
+
+    @pytest.mark.parametrize("widths", [(1, 1, 1), (2, 1), (0, 1, 2)],
+                             ids=["1-1-1", "2-1", "0-1-2"])
+    @pytest.mark.parametrize("ask", [lueders_update, outcome_probabilities],
+                             ids=["lueders_update", "outcome_probabilities"])
+    def test_wrong_dimension_gives_the_raw_answers_message(self, ask, widths):
+        answers = np.hsplit(np.eye(3), np.cumsum(widths)[:-1])
+        checked = states._question(answers, 3)
+        with pytest.raises(MeasurementError) as raw:
+            ask(_MIXED, answers)
+        with pytest.raises(MeasurementError) as err:
+            ask(_MIXED, checked)
+        assert str(err.value) == str(raw.value) == (
+            f"answer 0 has shape (3, {widths[0]}), not (2, r)")
 
 
 _MIXED = DensityMatrix(np.eye(2) / 2)
