@@ -33,14 +33,10 @@ EXIT_FINDING = 2
 
 
 def render_json(payload) -> str:
-    """``payload`` as strict JSON text.
-
-    The text is that of ``json.dumps(payload, indent=2, sort_keys=True,
-    allow_nan=False)``, with ASCII escapes and shortest round-trip floats,
-    where a numpy array stands for its ``tolist()`` and a dataclass for the
-    dict of its fields.  Dict keys must be strings.  NaN and infinities
-    raise ValueError; any other type raises TypeError.
-    """
+    """``payload`` as the strict JSON text of ``json.dumps(payload, indent=2,
+    sort_keys=True, allow_nan=False)``, a numpy array as its ``tolist()`` and
+    a dataclass as the dict of its fields.  Dict keys must be strings; NaN
+    and infinities raise ValueError, and any other type TypeError."""
     return _json_text(payload, "\n")
 
 
@@ -51,104 +47,60 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
-def _json_text(obj, newline: str) -> str:
-    # the exact type first: every report is built of these
-    text = _EXACT_TEXTS.get(type(obj))
-    if text is not None:
-        return text(obj, newline)
-    return _other_text(obj, newline)
-
-
-def _other_text(obj, newline: str) -> str:
-    # any other type, by isinstance: str, int, float, list, tuple and dict
-    # cannot share an instance, and bool and None have exact types; float
-    # subclasses (numpy scalars) and str and int subclasses (enums) print
-    # as json prints them
-    if isinstance(obj, float):
-        return _float_text(obj)
-    if isinstance(obj, (list, tuple)):
-        return _array_text(obj, newline)
-    if isinstance(obj, dict):
-        return _dict_text(obj, newline)
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, np.ndarray):
-        return _json_text(obj.tolist(), newline)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _dataclass_text(obj, newline)
-    raise TypeError(
-        f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _array_text(items, newline: str) -> str:
-    if not items:
-        return "[]"
-    inner = newline + "  "
-    texts = _float_list_texts(items)
-    if texts is None:
-        texts = [_json_text(item, inner) for item in items]
-    return "[" + inner + ("," + inner).join(texts) + newline + "]"
-
-
-def _members_text(members, newline: str) -> str:
-    # members: (key text, value) pairs in key order
-    if not members:
-        return "{}"
-    inner = newline + "  "
-    return ("{" + inner + ("," + inner).join(
-        [key + ": " + _json_text(value, inner) for key, value in members])
-        + newline + "}")
-
-
-def _dict_text(obj: dict, newline: str) -> str:
-    return _members_text([(_key_text(key), value)
-                          for key, value in sorted(obj.items())], newline)
-
-
-def _dataclass_text(obj, newline: str) -> str:
-    return _members_text([(key, getattr(obj, name))
-                          for name, key in _field_keys(type(obj))], newline)
-
-
 @functools.cache
 def _field_keys(cls) -> tuple:
-    # a dataclass type's (field name, key text) pairs in key order, built
-    # once per type
+    # a dataclass type's (field name, key text) pairs in key order, cached
     return tuple((name, encode_basestring_ascii(name)) for name in
                  sorted(f.name for f in dataclasses.fields(cls)))
 
 
-def _float_list_texts(items) -> list | None:
-    # the texts of a list of floats at C speed (the bulk of a fit), else None
-    if not isinstance(items[0], float):
-        return None
-    try:
-        texts = list(map(float.__repr__, items))
-    except TypeError:  # a float, then something else
-        return None
-    if "nan" in texts or "inf" in texts or "-inf" in texts:
-        return [_float_text(x) for x in items]  # raises for the first
-    return texts
-
-
-def _key_text(key) -> str:
-    if not isinstance(key, str):
-        raise TypeError(f"keys must be str, not {type(key).__name__}")
-    return encode_basestring_ascii(key)
-
-
-_EXACT_TEXTS = {
-    float: lambda x, _: _float_text(x),
-    str: lambda s, _: encode_basestring_ascii(s),
-    int: lambda n, _: int.__repr__(n),
-    bool: lambda b, _: "true" if b else "false",
-    type(None): lambda _, __: "null",
-    list: _array_text,
-    tuple: _array_text,
-    dict: _dict_text,
-}
+def _json_text(obj, newline: str) -> str:
+    cls = type(obj)  # the commonest exact types first
+    if cls is float:
+        return _float_text(obj)
+    if obj is None:
+        return "null"
+    if cls is bool:
+        return "true" if obj else "false"
+    inner = newline + "  "
+    if cls is list or cls is tuple:
+        if not obj:
+            return "[]"
+        try:  # a list of floats at C speed: the bulk of a fit
+            texts = isinstance(obj[0], float) and [*map(float.__repr__, obj)]
+        except TypeError:  # a float, then something else
+            texts = None
+        if not texts:
+            texts = [_json_text(item, inner) for item in obj]
+        elif "nan" in texts or "inf" in texts or "-inf" in texts:
+            texts = [_float_text(x) for x in obj]  # raises for the first
+        return "[" + inner + ("," + inner).join(texts) + newline + "]"
+    # any other type by isinstance, as json does; no class is two of these
+    if isinstance(obj, int):  # ints and int enums
+        return int.__repr__(obj)
+    if isinstance(obj, str):  # str and str enums
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, dict):
+        members = []
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            members.append((encode_basestring_ascii(key), value))
+    elif isinstance(obj, float):  # numpy floats
+        return _float_text(obj)
+    elif isinstance(obj, (list, tuple)):  # namedtuples
+        return _json_text(list(obj), newline)
+    elif isinstance(obj, np.ndarray):
+        return _json_text(obj.tolist(), newline)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        members = [(key, getattr(obj, name)) for name, key in _field_keys(cls)]
+    else:
+        raise TypeError(
+            f"Object of type {cls.__name__} is not JSON serializable")
+    if not members:
+        return "{}"
+    texts = [key + ": " + _json_text(value, inner) for key, value in members]
+    return "{" + inner + ("," + inner).join(texts) + newline + "}"
 
 
 # Each handler is a generator: it runs the analysis, yields (JSON payload,
@@ -296,10 +248,16 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive_int(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
-    return int(text)
+def _int_at_least(low: int):
+    # an integer flag's type; argparse names the flag in each usage error,
+    # and reads int()'s ValueError as "invalid integer value"
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}: {text!r}")
+        return value
+    return integer
 
 
 _TOL = ("--tol", {"type": _tolerance, "required": True})
@@ -321,14 +279,14 @@ _SUBCOMMANDS = (
      "construct orthonormal frames reproducing the chain", _CHAIN),
     ("conjunction-scan", cmd_conjunction_scan,
      "scan the (p, q) square for the interference region",
-     (("--grid", {"type": int, "default": 101}),
+     (("--grid", {"type": _int_at_least(2), "default": 101}),
       ("--out", {"help": "write the grid as CSV"}))),
     ("spin-demo", cmd_spin_demo, "spin-1/2 question-order demonstration", ()),
     ("nosignal-demo", cmd_nosignal_demo,
      "random-state no-signalling deviation statistics",
-     (("--trials", {"type": _positive_int, "default": 100}),
-      ("--steps", {"type": _positive_int, "default": 4}),
-      ("--seed", {"type": int, "default": 0}))),
+     (("--trials", {"type": _int_at_least(1), "default": 100}),
+      ("--steps", {"type": _int_at_least(1), "default": 4}),
+      ("--seed", {"type": _int_at_least(0), "default": 0}))),
 )
 
 

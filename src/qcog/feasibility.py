@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .hilbert import _MAJORIZATION_NOISE, _PROB_SUM_TOL, _numeric, _tolerance
-from .states import ProbabilityVector
+from .states import ProbabilityVector, _check_type
 
 
 class PolarityError(ValueError):
@@ -90,6 +90,8 @@ def classical_consistency_check(final_a: Question, final_b: Question,
     warning rather than an error.
     """
     _tolerance(tol)
+    _check_type(final_a, Question, "final_a")
+    _check_type(final_b, Question, "final_b")
     sup_a, opp_a = _support_oppose(final_a)
     sup_b, opp_b = _support_oppose(final_b)
     support_diff = abs(sup_a - sup_b)
@@ -121,10 +123,12 @@ class OrderEffectReport:
 
 
 def _check_orderings(ordering_1, ordering_2) -> None:
-    # the one shape rule of an order pair, for order_effect_check and ingest:
-    # two questions each way, each with one answer count in both orderings
+    # the one rule of an order pair, for order_effect_check and ingest: two
+    # ProbabilityVectors each way, of one answer count in both orderings
     if len(ordering_1) != 2 or len(ordering_2) != 2:
         raise ValueError("each ordering must contain exactly two questions")
+    for p in (*ordering_1, *ordering_2):
+        _check_type(p, ProbabilityVector, "each marginal")
     if any(a.dim != b.dim for a, b in zip(ordering_1, ordering_2[::-1])):
         raise ValueError("marginal dimensions differ between orderings")
 
@@ -207,8 +211,9 @@ class FeasibilityReport:
 
 
 def _require_transition(chain: SurveyChain, isolate_first: bool) -> None:
-    # the one chain-length rule of checking and fitting: at least one
-    # transition, not counting the exempt one from an isolated first question
+    # the one chain rule of checking and fitting: a SurveyChain with a
+    # transition besides the exempt one from an isolated first question
+    _check_type(chain, SurveyChain, "chain")
     if len(chain.questions) < 2 + isolate_first:
         after = " after the isolated first one" if isolate_first else ""
         raise ValueError(

@@ -25,7 +25,7 @@ import numpy as np
 from .feasibility import (SurveyChain, _majorization_pair,
                           _require_transition, _slack)
 from .hilbert import RESIDUAL_LIMIT, _tolerance
-from .states import (DensityMatrix, ProbabilityVector, _check_state,
+from .states import (DensityMatrix, ProbabilityVector, _check_type,
                      _question, lueders_update, outcome_probabilities,
                      square_root_embed)
 
@@ -128,21 +128,14 @@ def fit_transition(rho: DensityMatrix, target: ProbabilityVector) -> TransitionF
     target by more than ``RESIDUAL_LIMIT``.  ValueError unless ``rho`` is a
     DensityMatrix and ``target`` a ProbabilityVector of its dimension.
     """
-    _check_state(rho)
-    _check_target(target)
+    _check_type(rho, DensityMatrix, "state")
+    _check_type(target, ProbabilityVector, "target")
     if target.dim != rho.dim:
         raise ValueError("distributions have different dimensions")
     lam, v = np.linalg.eigh(rho.matrix)
     w, _, sse, _ = _fit_row(lam, target, 0.0,
                             f"target {target.probs.tolist()}")
     return TransitionFit(frame=v @ w, residual=sse)
-
-
-def _check_target(target) -> None:
-    # a bare array or list would otherwise fail later with an AttributeError
-    if not isinstance(target, ProbabilityVector):
-        raise ValueError(f"target must be a ProbabilityVector, "
-                         f"got {type(target).__name__}")
 
 
 def _pava_nonincreasing(x: list) -> list:
@@ -174,7 +167,7 @@ def project_to_majorized(target: ProbabilityVector, current,
     floats; the normalising sum and the Euclidean norm stay numpy's, so
     every output has the bits of the numpy computation.
     """
-    _check_target(target)
+    _check_type(target, ProbabilityVector, "target")
     c, t = _majorization_pair(current, target.probs)
     adjusted, max_adjustment = _projection(t, c)
     return (ProbabilityVector._unchecked(adjusted), max_adjustment,
@@ -276,6 +269,8 @@ def replay(fit: FitResult, chain: SurveyChain) -> list[ProbabilityVector]:
     of the frame.
     The isolated first question, if any, is reproduced verbatim.
     """
+    _check_type(fit, FitResult, "fit")
+    _check_type(chain, SurveyChain, "chain")
     base = chain.questions[int(fit.isolate_first)]
     rho = DensityMatrix.from_pure(square_root_embed(base.probs))
     out = [chain.questions[0].probs] if fit.isolate_first else []
@@ -288,6 +283,7 @@ def replay(fit: FitResult, chain: SurveyChain) -> list[ProbabilityVector]:
 
 def fit_result_to_dict(fit: FitResult) -> dict:
     """JSON-ready view; frames as row-major (re, im) pairs."""
+    _check_type(fit, FitResult, "fit")
     # a complex128 array's memory is its (re, im) float pairs
     frames = np.stack(fit.frames, dtype=np.complex128)
     return {

@@ -29,7 +29,7 @@ import numpy as np
 
 from .hilbert import (_factor_dims, _index, _orthonormal_columns, as_matrix,
                       partial_trace)
-from .states import DensityMatrix, ProbabilityVector, PureState, _check_state
+from .states import DensityMatrix, ProbabilityVector, PureState, _check_type
 
 FIVE_QUESTIONS = (3, 3, 3, 3, 3)
 
@@ -81,13 +81,10 @@ def _superoperator(u: np.ndarray) -> np.ndarray:
 def _check_series(state: DensityMatrix, series: LocalSeries, *others) -> tuple:
     # the series' dims; raises ValueError unless the state is a
     # DensityMatrix that lives on them and each series is a LocalSeries on
-    # the same dims (a list of steps would otherwise fail later with an
-    # AttributeError)
-    _check_state(state)
+    # the same dims
+    _check_type(state, DensityMatrix, "state")
     for s in (series, *others):
-        if not isinstance(s, LocalSeries):
-            raise ValueError(
-                f"series must be a LocalSeries, got {type(s).__name__}")
+        _check_type(s, LocalSeries, "series")
     if any(o.dims != series.dims for o in others):
         raise ValueError("the series act on different factor dims")
     if state.dim != int(np.prod(series.dims)):
@@ -133,7 +130,7 @@ def apply_series(state: DensityMatrix, series: LocalSeries) -> DensityMatrix:
 def fifth_marginal(state: DensityMatrix, dims=FIVE_QUESTIONS) -> ProbabilityVector:
     """Standard-basis answer distribution of the last (isolated) factor.
     A state that is not a DensityMatrix raises ValueError."""
-    _check_state(state)
+    _check_type(state, DensityMatrix, "state")
     reduced = partial_trace(state.matrix, dims, keep=len(dims) - 1)
     return ProbabilityVector._unchecked(reduced.diagonal().real)
 

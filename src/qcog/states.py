@@ -177,6 +177,7 @@ class DensityMatrix:
 
     @classmethod
     def from_pure(cls, state: PureState) -> "DensityMatrix":
+        _check_type(state, PureState, "state")
         # the outer product of a validated unit vector is Hermitian, PSD and
         # of trace 1 by construction
         a = state.amplitudes
@@ -190,16 +191,17 @@ class DensityMatrix:
         return float(np.trace(self.matrix @ self.matrix).real)
 
 
-def _check_state(state) -> None:
-    # a bare array or a PureState would otherwise fail later with an
-    # AttributeError
-    if not isinstance(state, DensityMatrix):
-        raise ValueError(
-            f"state must be a DensityMatrix, got {type(state).__name__}")
+def _check_type(value, cls: type, what: str) -> None:
+    # the one type rule at a public entry point: a bare array, list or dict
+    # would otherwise fail later with an AttributeError
+    if not isinstance(value, cls):
+        raise ValueError(f"{what} must be a {cls.__name__}, "
+                         f"got {type(value).__name__}")
 
 
 def square_root_embed(p: ProbabilityVector) -> PureState:
     """Embed a distribution as the vector of its nonnegative square roots."""
+    _check_type(p, ProbabilityVector, "p")
     # the probabilities sum to 1 within _PROB_SUM_TOL, so the norm is 1
     # within half that, far inside _AMPLITUDE_NORM_TOL: not checked again
     a = np.sqrt(p.probs).astype(np.complex128)
@@ -259,7 +261,7 @@ def _question(answers, d: int) -> _Question:
 def outcome_probabilities(state: DensityMatrix, answers) -> ProbabilityVector:
     """Answer distribution tr(B_i^H rho B_i) of a question whose answers have
     the bases B_i (as for :func:`lueders_update`): each block's trace."""
-    _check_state(state)
+    _check_type(state, DensityMatrix, "state")
     u, answer, k = _question(answers, state.dim)
     p = np.einsum("ij,ik,kj->j", u.conj(), state.matrix, u).real
     return ProbabilityVector._unchecked(np.bincount(answer, p, k))
@@ -270,7 +272,7 @@ def lueders_update(state: DensityMatrix, answers) -> DensityMatrix:
     answers have the orthonormal bases ``answers``: (d, r) arrays, degenerate
     when r > 1, whose columns form the unitary U.  A question asked in frame
     u is ``np.hsplit(u, d)``."""
-    _check_state(state)
+    _check_type(state, DensityMatrix, "state")
     u, answer, _ = _question(answers, state.dim)
     m = u.conj().T @ state.matrix @ u
     same = answer[:, None] == answer  # the block mask
@@ -298,7 +300,7 @@ def degenerate_yes_probability(state: DensityMatrix, subspace_basis) -> float:
     is (rounding at the state's tolerance can take it just below), and not
     capped at 1.
     """
-    _check_state(state)
+    _check_type(state, DensityMatrix, "state")
     v = _numeric(subspace_basis, np.complex128, "subspace basis",
                  MeasurementError).T  # the basis vectors as columns
     if v.size == 0:

@@ -3,6 +3,7 @@ import collections.abc
 import contextlib
 import copy
 import dataclasses
+import enum
 import hashlib
 import io
 import json
@@ -373,10 +374,19 @@ class TestExitCodes:
         ["nosignal-demo", "--steps", "0"],
         ["nosignal-demo", "--steps", "-3"],
         ["check-contraction", "table1.json", "--tol", "0.1"],
+        ["nosignal-demo", "--seed", "-1"],
+        ["conjunction-scan", "--grid", "1"],
+        ["nosignal-demo", "--trials", "1.5"],
+        ["nosignal-demo", "--steps", "2.0"],
+        ["conjunction-scan", "--grid", "x"],
     ])
     def test_usage_error_exit(self, capsys, argv):
         assert main(argv) == 1
-        assert "usage" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "usage" in err and "_positive_int" not in err
+        # the error names the last flag given, the one at fault
+        flags = [word for word in argv if word.startswith("--")]
+        assert not flags or flags[-1] in err
 
     def test_help_exit(self, capsys):
         assert main(["fit-chain", "--help"]) == 0
@@ -755,6 +765,23 @@ class Empty:
     pass
 
 
+# subclasses of JSON types, which json.dumps prints as their base types
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+Pair = collections.namedtuple("Pair", "left right")
+
+
+class Items(list):
+    pass
+
+
+class Table(dict):
+    pass
+
+
 def reference_default(obj):
     # how json.dumps rendered arrays and dataclasses before render_json
     if isinstance(obj, np.ndarray):
@@ -778,11 +805,17 @@ JSON_LEAVES = st.one_of(
         lambda pairs: np.array(pairs, dtype=float).reshape(-1, 2)),
     st.lists(st.integers(-5, 5), max_size=3).map(
         lambda v: np.array(v, dtype=np.int64)),
-    st.builds(Empty))
+    st.builds(Empty), st.sampled_from(list(Level)))
 JSON_PAYLOADS = st.recursive(JSON_LEAVES, lambda children: st.one_of(
     st.lists(children, max_size=4),
     st.lists(children, max_size=4).map(tuple),
+    st.lists(children, max_size=4).map(Items),
+    st.builds(Pair, children, children),
     st.dictionaries(st.text(max_size=4), children, max_size=4),
+    st.dictionaries(st.text(max_size=4), children, max_size=4).map(
+        collections.OrderedDict),
+    st.dictionaries(st.text(max_size=4), children, max_size=4).map(Table),
+    st.dictionaries(st.sampled_from(list(Polarity)), children, max_size=3),
     st.builds(Box, children, children),
     st.builds(Unsorted, children, children, children),
     st.builds(WiderBox, children, children, children),
@@ -831,7 +864,8 @@ class TestRenderJson:
     @pytest.mark.parametrize("payload, message", [
         ({"a": [0.5, {1, 2}]}, "Object of type set is not JSON serializable"),
         ({"a": {1: 0.5}}, "keys must be str, not int"),
-    ], ids=["set", "int-key"])
+        ({"a": [Box]}, "Object of type type is not JSON serializable"),
+    ], ids=["set", "int-key", "dataclass-type"])
     def test_other_types_raise_type_error(self, payload, message):
         with pytest.raises(TypeError) as err:
             cli.render_json(payload)

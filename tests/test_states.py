@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 
 from qcog import hilbert, states
 from qcog.hilbert import STRUCTURAL_TOL, frame_projectors
-from qcog.framefit import fit_transition
+from qcog.feasibility import (chain_feasibility, classical_consistency_check,
+                              order_effect_check)
+from qcog.framefit import (fit_chain, fit_result_to_dict, fit_transition,
+                           replay)
+from qcog.ingest import fixture_path, load_survey
 from qcog.nosignal import LocalSeries, apply_series, no_signalling_check
 from qcog.states import (DensityMatrix, MeasurementError, ProbabilityVector,
                          PureState, RowError, StateError,
@@ -879,6 +883,7 @@ class TestCheckedQuestion:
 
 
 _MIXED = DensityMatrix(np.eye(2) / 2)
+_TABLE1 = load_survey(fixture_path("table1.json"))
 # a question is its answers' bases: a projector list, a bare frame or a list
 # of its columns is rejected, never read as one
 _HAAR3 = haar_unitary(np.random.default_rng(53), 3)
@@ -1039,6 +1044,27 @@ def test_non_finite_measurement_gives_typed_error(entry, error, bad):
      "series must be a LocalSeries, got list"),
     (lambda: no_signalling_check(_MIXED, [(0, np.eye(3))], [(1, np.eye(3))]),
      ValueError, "series must be a LocalSeries, got list"),
+    # raw input at the other public entry points, by the same type rule
+    (lambda: square_root_embed(np.array([0.5, 0.5])), ValueError,
+     "p must be a ProbabilityVector, got ndarray"),
+    (lambda: DensityMatrix.from_pure(np.array([1.0, 0.0])), ValueError,
+     "state must be a PureState, got ndarray"),
+    (lambda: fit_chain([], True, 0.1), ValueError,
+     "chain must be a SurveyChain, got list"),
+    (lambda: chain_feasibility([], False, 0.1), ValueError,
+     "chain must be a SurveyChain, got list"),
+    (lambda: replay({}, _TABLE1), ValueError,
+     "fit must be a FitResult, got dict"),
+    (lambda: replay(fit_chain(_TABLE1, True, 0.0), []), ValueError,
+     "chain must be a SurveyChain, got list"),
+    (lambda: classical_consistency_check(
+        np.array([0.5, 0.5]), np.array([0.5, 0.5]), 0.1), ValueError,
+     "final_a must be a Question, got ndarray"),
+    (lambda: order_effect_check(np.full((2, 3), 1 / 3), np.full((2, 3), 1 / 3),
+                                0.1), ValueError,
+     "each marginal must be a ProbabilityVector, got ndarray"),
+    (lambda: fit_result_to_dict(None), ValueError,
+     "fit must be a FitResult, got NoneType"),
 ], ids=["probs-empty", "probs-2d", "amplitudes-empty", "amplitudes-2d",
         "amplitude-norm", "answer-shape", "projector-pair",
         "frame-projectors", "bare-frame", "column-list",
@@ -1062,7 +1088,10 @@ def test_non_finite_measurement_gives_typed_error(entry, error, bad):
         "lueders-raw-state", "probabilities-raw-state",
         "subspace-raw-state", "fit-transition-raw-state",
         "fit-transition-list-target", "apply-series-list",
-        "no-signalling-list"])
+        "no-signalling-list", "embed-array", "from-pure-array",
+        "fit-chain-list", "chain-feasibility-list", "replay-dict-fit",
+        "replay-list-chain", "classical-arrays", "order-arrays",
+        "fit-to-dict-none"])
 def test_structural_fault_message(entry, error, message):
     with pytest.raises(error) as err:
         entry()
