@@ -36,6 +36,10 @@ class Question:
     probs: ProbabilityVector
     polarity: Polarity = Polarity.NEUTRAL
 
+    def __post_init__(self):
+        _check_type(self.probs, ProbabilityVector, "probs")
+        _check_type(self.polarity, Polarity, "polarity")
+
 
 @dataclass(frozen=True)
 class SurveyChain:
@@ -48,6 +52,8 @@ class SurveyChain:
         qs = tuple(self.questions)
         if not qs:
             raise ValueError("a survey chain needs at least one question")
+        for q in qs:
+            _check_type(q, Question, "each question")
         dim = qs[0].probs.dim
         if any(q.probs.dim != dim for q in qs):
             raise ValueError("all questions must share one dimension")

@@ -6,9 +6,11 @@ Survey schema (JSON)::
      "questions": [{"text": str, "yes": number, "unsure": number,
                     "no": number, "polarity": "favour"|"oppose"|"neutral"}]}
 
-Percentages are JSON numbers; each row is divided by its sum.  A negative
-entry, a sum outside [99, 101] or a bare NaN is rejected with the row as
-written, as in ``non-finite percentage in [nan, 30.0, 20.0]``.
+Percentages are JSON numbers.  A row is rejected for a negative entry,
+else a sum outside [99, 101], else a bare NaN, with the row as written, as
+in ``non-finite percentage in [nan, 30.0, 20.0]``; a row that passes is
+divided by its sum and clipped at 0.  A survey's rows are checked as one
+array, naming the first faulty row; a pair's rows, one at a time.
 
 Order-effect pair schema (JSON)::
 
@@ -25,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .feasibility import Polarity, Question, SurveyChain, _check_orderings
-from .states import ProbabilityVector, RowError
+from .hilbert import _PERCENT_SUM_TOL
+from .states import ProbabilityVector
 
 
 class IngestError(ValueError):
@@ -71,13 +74,29 @@ def _numbers(path, values, where: str) -> list[float]:
         raise IngestError(f"{path}: {where}: {exc}") from exc
 
 
-def _percent_rows(path, rows, where) -> list[ProbabilityVector]:
-    # rows_from_percents on the 2-d array rows, for every ingest path;
-    # where(i) names the failing row i, and is called for it alone
-    try:
-        return ProbabilityVector.rows_from_percents(rows)
-    except RowError as exc:
-        raise IngestError(f"{path}: {where(exc.row)}: {exc}") from exc
+def _percent_rows(path, rows: np.ndarray, where) -> list[ProbabilityVector]:
+    # the percent rule on the 2-d float array rows; where(i) names the first
+    # faulty row i, called for it alone.  A faulty row may overflow its sum
+    # or divide by zero, and NaN makes its sum NaN: each fails the <= test,
+    # with no RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        total = np.add.reduce(rows, axis=1)
+        bad = ((np.minimum.reduce(rows, axis=1, initial=np.inf) < 0)
+               | ~(np.abs(total - 100.0) <= _PERCENT_SUM_TOL))
+        p = rows / total[:, None]
+    if bad.any():
+        i = int(bad.argmax())
+        v = rows[i]
+        if np.any(v < 0):
+            message = f"negative percentage in {v.tolist()}"
+        elif abs(total[i] - 100.0) > _PERCENT_SUM_TOL:
+            lo, hi = 100 - _PERCENT_SUM_TOL, 100 + _PERCENT_SUM_TOL
+            message = (f"percentages sum to {total[i]}, "
+                       f"outside [{lo:g}, {hi:g}]")
+        else:
+            message = f"non-finite percentage in {v.tolist()}"
+        raise IngestError(f"{path}: {where(i)}: {message}")
+    return [ProbabilityVector._unchecked(q) for q in p]
 
 
 def _question_row(path, i: int, row) -> tuple[str, Polarity, list[float]]:
@@ -92,11 +111,7 @@ def _question_row(path, i: int, row) -> tuple[str, Polarity, list[float]]:
 
 
 def load_survey(path) -> SurveyChain:
-    """Read a survey sample file into a question chain.
-
-    The answer rows are checked as one array; of a file with several faulty
-    rows, the first is the one reported.
-    """
+    """Read a survey sample file into a question chain."""
     doc = _load_json(path)
     try:
         label = doc["sample_label"]
@@ -109,22 +124,20 @@ def load_survey(path) -> SurveyChain:
         raise IngestError(f"{path}: empty question list")
 
     texts, polarities, percents = [], [], []
-    fault = None
+
+    def where(i):  # the texts of the rows parsed so far
+        return f"question {i + 1} ({texts[i]!r})"
     for i, row in enumerate(rows, start=1):
         try:
             text, polarity, numbers = _question_row(path, i, row)
-        except IngestError as exc:
-            # reported unless an earlier row fails the percentage rule
-            fault = exc
-            break
+        except IngestError:
+            if percents:  # a percent fault in an earlier row comes first
+                _percent_rows(path, np.array(percents), where)
+            raise
         texts.append(text)
         polarities.append(polarity)
         percents.append(numbers)
-    probs = _percent_rows(
-        path, np.array(percents, dtype=float).reshape(-1, 3),
-        lambda i: f"question {i + 1} ({texts[i]!r})")
-    if fault is not None:
-        raise fault
+    probs = _percent_rows(path, np.array(percents), where)
     questions = tuple(map(Question, texts, probs, polarities))
     return SurveyChain(label=_string(path, label, "sample_label"),
                        questions=questions)
@@ -151,8 +164,8 @@ def load_order_pair(path) -> dict:
         _string(path, name, f"question_names[{k}]")
     # one row at a time: a pair's two questions may differ in answer count
     where = "marginal row {!r}".format
-    o1, o2 = ([_percent_rows(path, [_numbers(path, r, where(r))],
-                             lambda _, r=r: where(r))[0] for r in o]
+    o1, o2 = ([_percent_rows(path, np.array([_numbers(path, r, where(r))]),
+                             lambda _: where(r))[0] for r in o]
               for o in (o1, o2))
     try:
         _check_orderings(o1, o2)

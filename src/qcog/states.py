@@ -11,9 +11,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import (_AMPLITUDE_NORM_TOL, _NEGATIVE_PROB_TOL,
-                      _PERCENT_SUM_TOL, _PROB_SUM_TOL, STRUCTURAL_TOL,
-                      _numeric, _orthonormal_columns, _psd_fault)
+from .hilbert import (_AMPLITUDE_NORM_TOL, _NEGATIVE_PROB_TOL, _PROB_SUM_TOL,
+                      STRUCTURAL_TOL, _numeric, _orthonormal_columns,
+                      _psd_fault)
 
 
 class StateError(ValueError):
@@ -22,15 +22,6 @@ class StateError(ValueError):
 
 class MeasurementError(ValueError):
     """A measurement description is invalid (incomplete, non-orthogonal...)."""
-
-
-class RowError(StateError):
-    """One row of a batch of answer rows breaks the rule; ``row`` is its
-    0-based index."""
-
-    def __init__(self, message: str, row: int):
-        super().__init__(message)
-        self.row = row
 
 
 @dataclass(frozen=True)
@@ -64,36 +55,6 @@ class ProbabilityVector:
         object.__setattr__(vector, "probs", np.maximum(p, 0.0))  # -0.0 to 0
         vector.probs.setflags(write=False)
         return vector
-
-    @classmethod
-    def rows_from_percents(cls, rows) -> list["ProbabilityVector"]:
-        """Each row of the 2-d array ``rows`` of percentages, divided by its
-        sum and clipped at 0: a probability row, with no further check.  The
-        rows are checked as one array; the first faulty row raises
-        :class:`RowError`, naming the row as given, for a negative entry,
-        else a sum off 100 by more than ``_PERCENT_SUM_TOL``, else a NaN."""
-        v = _numeric(rows, float, "percentages", StateError)
-        if v.ndim != 2:
-            raise StateError("percentages must form a 2-d array of rows")
-        # a faulty row may overflow its sum or divide by zero, and NaN makes
-        # its sum NaN: each fails the <= test, with no RuntimeWarning
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            total = np.add.reduce(v, axis=1)
-            bad = ((np.minimum.reduce(v, axis=1, initial=np.inf) < 0)
-                   | ~(np.abs(total - 100.0) <= _PERCENT_SUM_TOL))
-            p = v / total[:, None]
-        if bad.any():
-            i = int(bad.argmax())
-            if np.any(v[i] < 0):
-                message = f"negative percentage in {v[i].tolist()}"
-            elif abs(total[i] - 100.0) > _PERCENT_SUM_TOL:
-                lo, hi = 100 - _PERCENT_SUM_TOL, 100 + _PERCENT_SUM_TOL
-                message = (f"percentages sum to {total[i]}, "
-                           f"outside [{lo:g}, {hi:g}]")
-            else:
-                message = f"non-finite percentage in {v[i].tolist()}"
-            raise RowError(message, i)
-        return [cls._unchecked(q) for q in p]
 
     @property
     def dim(self) -> int:

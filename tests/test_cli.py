@@ -230,6 +230,30 @@ class TestIngest:
         assert str(err.value) == (
             f"{path}: question 2 ('q2'): {FAULTY_ROWS[second][1]}")
 
+    @pytest.mark.parametrize("kind, doc, message", [
+        ("survey", {"sample_label": "x", "questions": [5]},
+         "bad question row 1: 5"),
+        ("survey", {"sample_label": "x", "questions": [
+            {"text": "q", "yes": 50, "unsure": 30, "no": 20}, 5]},
+         "bad question row 2: 5"),
+        ("survey", {"sample_label": "x", "questions": [
+            {"text": "q", "yes": 105, "unsure": -5, "no": 0}, 5]},
+         "question 1 ('q'): negative percentage in [105.0, -5.0, 0.0]"),
+        ("survey", {"questions": []}, "missing sample_label/questions"),
+        ("survey", {"sample_label": "x", "questions": []},
+         "empty question list"),
+        ("pair", {"label": "x"}, "missing order-pair fields"),
+    ], ids=["first-row", "second-row", "percent-fault-first", "missing",
+            "empty", "pair-missing"])
+    def test_structural_fault_message(self, tmp_path, kind, doc, message):
+        # a row that breaks the schema is named once no earlier row fails
+        # the percent rule, including the first row, with no row parsed
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(IngestError) as err:
+            (load_survey if kind == "survey" else load_order_pair)(path)
+        assert str(err.value) == f"{path}: {message}"
+
     @pytest.mark.parametrize("kind", ["survey", "pair"])
     def test_overflowing_row_is_one_error_line(self, tmp_path, capsys, kind):
         # percentages whose sum overflows: exit 1 with one error line, and no

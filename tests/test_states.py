@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from qcog import hilbert, states
 from qcog.hilbert import STRUCTURAL_TOL, frame_projectors
-from qcog.feasibility import (chain_feasibility, classical_consistency_check,
-                              order_effect_check)
+from qcog.feasibility import (Question, SurveyChain, chain_feasibility,
+                              classical_consistency_check, order_effect_check)
 from qcog.framefit import (fit_chain, fit_result_to_dict, fit_transition,
                            replay)
-from qcog.ingest import fixture_path, load_survey
+from qcog.ingest import IngestError, _percent_rows, fixture_path, load_survey
 from qcog.nosignal import LocalSeries, apply_series, no_signalling_check
 from qcog.states import (DensityMatrix, MeasurementError, ProbabilityVector,
-                         PureState, RowError, StateError,
+                         PureState, StateError,
                          degenerate_yes_probability, lueders_update,
                          outcome_probabilities, square_root_embed)
 
@@ -48,6 +48,11 @@ def percent_rows(draw):
     return rows
 
 
+def percents(rows):
+    # ingest's percent rule on float rows, named as in a file "f"
+    return _percent_rows("f", np.array(rows, dtype=float), "row {}".format)
+
+
 class TestProbabilityVector:
     def test_validation(self):
         with pytest.raises(StateError):
@@ -59,49 +64,48 @@ class TestProbabilityVector:
         for values in ([np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0]):
             with pytest.raises(StateError, match="non-finite"):
                 ProbabilityVector(np.array(values))
-        with pytest.raises(StateError):
-            ProbabilityVector.rows_from_percents([[np.nan, 50, 50]])
+        with pytest.raises(IngestError, match="non-finite percentage"):
+            percents([[np.nan, 50, 50]])
 
     def test_from_percents_rejects_bad_sum(self):
-        with pytest.raises(StateError):
-            ProbabilityVector.rows_from_percents([[50, 30, 17]])  # sums to 97
+        with pytest.raises(IngestError, match="percentages sum to 97.0"):
+            percents([[50, 30, 17]])
 
     def test_from_percents_rejects_empty(self):
-        with pytest.raises(StateError):
-            ProbabilityVector.rows_from_percents([[]])
+        with pytest.raises(IngestError, match="percentages sum to 0.0"):
+            percents([[]])
 
     def test_from_percents_renormalizes(self):
-        p = ProbabilityVector.rows_from_percents([[50, 30, 20.5]])[0]
+        p = percents([[50, 30, 20.5]])[0]
         assert abs(p.probs.sum() - 1.0) < 1e-15
 
     @pytest.mark.parametrize("values", [[1e308] * 3, [1e308, 1e308]])
     def test_overflowing_percentages_give_a_typed_error(self, values):
         # the sum overflows to inf inside the rule, with no RuntimeWarning
-        with pytest.raises(StateError, match="percentages sum to inf"):
-            ProbabilityVector.rows_from_percents([values])
+        with pytest.raises(IngestError, match="percentages sum to inf"):
+            percents([values])
 
     @settings(max_examples=300, deadline=None)
     @given(rows=percent_rows())
     def test_rows_from_percents_matches_row_by_row(self, rows):
-        # the chain's rows checked as one array: the rows the row-by-row rule
-        # builds, bit for bit, or its first fault, with the same message
+        # ingest's rows checked as one array: the rows the row-by-row rule
+        # builds, bit for bit, or its first fault, named with the same message
         expected = []
         for i, row in enumerate(rows):
             try:
                 expected.append(percent_row_oracle(row))
             except StateError as exc:
-                with pytest.raises(RowError) as err:
-                    ProbabilityVector.rows_from_percents(rows)
-                assert (err.value.row, str(err.value)) == (i, str(exc))
-                with pytest.raises(StateError) as err:
-                    ProbabilityVector.rows_from_percents([row])
-                assert str(err.value) == str(exc)
+                with pytest.raises(IngestError) as err:
+                    percents(rows)
+                assert str(err.value) == f"f: row {i}: {exc}"
+                with pytest.raises(IngestError) as err:
+                    percents([row])
+                assert str(err.value) == f"f: row 0: {exc}"
                 return
-        got = ProbabilityVector.rows_from_percents(rows)
+        got = percents(rows)
         assert [p.probs.tobytes() for p in got] == [
             p.tobytes() for p in expected]
-        assert ProbabilityVector.rows_from_percents(
-            [rows[0]])[0].probs.tobytes() == expected[0].tobytes()
+        assert percents([rows[0]])[0].probs.tobytes() == expected[0].tobytes()
         assert not any(p.probs.flags.writeable for p in got)
 
     @settings(max_examples=300, deadline=None)
@@ -111,8 +115,8 @@ class TestProbabilityVector:
         # each accepted row, built again under that rule, keeps its bytes
         for row in [*([r] for r in rows), rows]:
             try:
-                got = ProbabilityVector.rows_from_percents(row)
-            except RowError:
+                got = percents(row)
+            except IngestError:
                 continue
             for p in got:
                 assert ProbabilityVector(p.probs).probs.tobytes() == (
@@ -883,6 +887,7 @@ class TestCheckedQuestion:
 
 
 _MIXED = DensityMatrix(np.eye(2) / 2)
+_HALVES = ProbabilityVector(np.array([0.5, 0.5]))
 _TABLE1 = load_survey(fixture_path("table1.json"))
 # a question is its answers' bases: a projector list, a bare frame or a list
 # of its columns is rejected, never read as one
@@ -968,20 +973,12 @@ def test_non_finite_measurement_gives_typed_error(entry, error, bad):
      "probabilities must be real, not complex"),
     (lambda: PureState([[1], [0, 1]]), StateError,
      "amplitudes must form a numeric array"),
-    (lambda: ProbabilityVector.rows_from_percents([[1, 2], [3]]), StateError,
-     "percentages must form a numeric array"),
-    (lambda: ProbabilityVector.rows_from_percents([[50 + 1j, 50]]),
-     StateError, "percentages must be real, not complex"),
-    (lambda: ProbabilityVector.rows_from_percents([50, 50]), StateError,
-     "percentages must form a 2-d array of rows"),
     (lambda: lueders_update(_MIXED, 5), MeasurementError,
      "answer 0 has shape (), not (2, r)"),
     (lambda: outcome_probabilities(_MIXED, None), MeasurementError,
      "answer 0 has shape (), not (2, r)"),
     (lambda: ProbabilityVector([_HUGE, 0]), StateError,
      "probabilities must form a numeric array"),
-    (lambda: ProbabilityVector.rows_from_percents([[_HUGE, 0, 0]]),
-     StateError, "percentages must form a numeric array"),
     (lambda: PureState([_HUGE, 0]), StateError,
      "amplitudes must form a numeric array"),
     (lambda: DensityMatrix([[_HUGE, 0], [0, 0]]), StateError,
@@ -995,8 +992,6 @@ def test_non_finite_measurement_gives_typed_error(entry, error, bad):
     # numeric text, which astype would parse, is not a numeric array
     (lambda: ProbabilityVector(["0.5", "0.5"]), StateError,
      "probabilities must form a numeric array"),
-    (lambda: ProbabilityVector.rows_from_percents([["50", "50"]]),
-     StateError, "percentages must form a numeric array"),
     (lambda: PureState(np.array([b"1", b"0"])), StateError,
      "amplitudes must form a numeric array"),
     (lambda: DensityMatrix([["0.5", "0"], ["0", "0.5"]]), StateError,
@@ -1011,9 +1006,6 @@ def test_non_finite_measurement_gives_typed_error(entry, error, bad):
     # would parse too
     (lambda: ProbabilityVector(np.array(["0.5", 0.5], dtype=object)),
      StateError, "probabilities must form a numeric array"),
-    (lambda: ProbabilityVector.rows_from_percents(
-        np.array([["50", 50]], dtype=object)),
-     StateError, "percentages must form a numeric array"),
     (lambda: PureState(np.array([b"1", 0], dtype=object)), StateError,
      "amplitudes must form a numeric array"),
     (lambda: DensityMatrix(np.array([["0.5", 0], [0, "0.5"]], dtype=object)),
@@ -1065,6 +1057,17 @@ def test_non_finite_measurement_gives_typed_error(entry, error, bad):
      "each marginal must be a ProbabilityVector, got ndarray"),
     (lambda: fit_result_to_dict(None), ValueError,
      "fit must be a FitResult, got NoneType"),
+    # a question or chain of raw parts, refused where it is built: a
+    # polarity given as its string, a probability row as an array
+    (lambda: classical_consistency_check(
+        Question("a", _HALVES, "favour"), Question("b", _HALVES, "favour"),
+        0.1), ValueError, "polarity must be a Polarity, got str"),
+    (lambda: Question("c", _HALVES, "bogus"), ValueError,
+     "polarity must be a Polarity, got str"),
+    (lambda: Question("a", np.array([0.5, 0.5])), ValueError,
+     "probs must be a ProbabilityVector, got ndarray"),
+    (lambda: SurveyChain("x", [np.array([0.5, 0.5])] * 2), ValueError,
+     "each question must be a Question, got ndarray"),
 ], ids=["probs-empty", "probs-2d", "amplitudes-empty", "amplitudes-2d",
         "amplitude-norm", "answer-shape", "projector-pair",
         "frame-projectors", "bare-frame", "column-list",
@@ -1074,15 +1077,14 @@ def test_non_finite_measurement_gives_typed_error(entry, error, bad):
         "string-subspace-basis", "ragged-subspace-basis",
         "density-ragged", "density-string", "density-1d", "probs-ragged",
         "probs-strings", "probs-complex", "amplitudes-ragged",
-        "percents-ragged", "percents-complex", "percents-1d",
         "non-iterable-answers", "none-answers", "probs-huge-int",
-        "percents-huge-int", "amplitudes-huge-int", "density-huge-int",
+        "amplitudes-huge-int", "density-huge-int",
         "answer-huge-int", "probabilities-answer-huge-int",
         "subspace-basis-huge-int", "probs-numeric-text",
-        "percents-numeric-text", "amplitudes-numeric-bytes",
+        "amplitudes-numeric-bytes",
         "density-numeric-text", "answer-numeric-text",
         "probabilities-answer-numeric-text", "subspace-basis-numeric-text",
-        "probs-object-text", "percents-object-text", "amplitudes-object-bytes",
+        "probs-object-text", "amplitudes-object-bytes",
         "density-object-text", "answer-object-text",
         "probabilities-answer-object-text", "subspace-basis-object-bytes",
         "lueders-raw-state", "probabilities-raw-state",
@@ -1091,7 +1093,9 @@ def test_non_finite_measurement_gives_typed_error(entry, error, bad):
         "no-signalling-list", "embed-array", "from-pure-array",
         "fit-chain-list", "chain-feasibility-list", "replay-dict-fit",
         "replay-list-chain", "classical-arrays", "order-arrays",
-        "fit-to-dict-none"])
+        "fit-to-dict-none", "classical-string-polarity",
+        "question-bogus-polarity", "question-array-probs",
+        "chain-array-questions"])
 def test_structural_fault_message(entry, error, message):
     with pytest.raises(error) as err:
         entry()
