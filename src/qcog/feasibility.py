@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
+from operator import sub
 
 import numpy as np
 
@@ -156,13 +158,20 @@ def order_effect_check(ordering_1, ordering_2, tol: float) -> OrderEffectReport:
     return OrderEffectReport(tuple(entries))
 
 
-def _slack(current: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Majorization slack of each pair of rows, answers on the last axis of
-    two arrays of one shape: the worst excess of the target's partial sums
-    (rows sorted largest first) over the current ones, 0 below the noise."""
-    c, t = np.sort((current, target), axis=-1)[..., ::-1].cumsum(axis=-1)
-    excess = (t - c).max(axis=-1)
-    return np.where(excess >= _MAJORIZATION_NOISE, excess, 0.0)
+def _partial_sums(row) -> list[float]:
+    """The floats of ``row`` sorted largest first, then summed in order:
+    np.cumsum's sums, which are sequential too."""
+    return list(accumulate(sorted(row, reverse=True)))
+
+
+def _slack(current, target) -> float:
+    """Majorization slack of two float rows of one length: the worst excess
+    of the target's partial sums over the current ones, 0 below the noise.
+    Taken from the totals down: a partial sum that overflows stays infinite,
+    so an inf - inf NaN comes first and, as in numpy's max, wins."""
+    excess = max(map(sub, reversed(_partial_sums(target)),
+                     reversed(_partial_sums(current))))
+    return excess if excess >= _MAJORIZATION_NOISE else 0.0
 
 
 def _majorization_pair(current, target) -> tuple[np.ndarray, np.ndarray]:
@@ -172,7 +181,7 @@ def _majorization_pair(current, target) -> tuple[np.ndarray, np.ndarray]:
     c, t = (_numeric(x, float, "distributions") for x in (current, target))
     if c.shape != t.shape:
         raise ValueError("distributions have different dimensions")
-    if c.ndim != 1:  # _slack would read a scalar pair as one row
+    if c.ndim != 1:  # _slack sorts rows, which a scalar pair lacks
         raise ValueError("distributions must be 1-d arrays")
     if not (np.isfinite(c).all() and np.isfinite(t).all()):
         raise ValueError("non-finite probability in a majorization check")
@@ -192,7 +201,8 @@ def majorization_check(current, target, tol: float = 0.0) -> tuple[bool, float]:
     Feasible iff the pair's :func:`_slack`, the slack the chain check and the
     frame fit read too, is at most ``tol``."""
     _tolerance(tol)
-    slack = float(_slack(*_majorization_pair(current, target)))
+    c, t = _majorization_pair(current, target)
+    slack = _slack(c.tolist(), t.tolist())
     return slack <= tol, slack
 
 
@@ -234,8 +244,7 @@ def contraction_check(chain: SurveyChain) -> FeasibilityReport:
 def chain_feasibility(chain: SurveyChain, isolate_first: bool,
                       tol: float) -> FeasibilityReport:
     """Majorization feasibility of every transition in the chain, with its
-    max increase and min decrease, all found in one pass over the chain's
-    rows.
+    max increase and min decrease, each read from the two rows as floats.
 
     With ``isolate_first`` the first transition is exempted: the first
     question lives on its own tensor factor of a product state, so its
@@ -243,18 +252,14 @@ def chain_feasibility(chain: SurveyChain, isolate_first: bool,
     """
     _tolerance(tol)
     _require_transition(chain, isolate_first)
-    d = np.array([q.probs.probs for q in chain.questions])
-    n = len(d)
-    highs, lows = d.max(axis=1), d.min(axis=1)
-    increase = highs[1:] - highs[:-1]
-    decrease = lows[:-1] - lows[1:]
-    slack = _slack(d[:-1], d[1:])
-    exempt = np.zeros(n - 1, dtype=bool)
-    exempt[0] = isolate_first
-    return FeasibilityReport(tuple(map(
-        TransitionCheck, range(n - 1), range(1, n),
-        np.where(increase > 0.0, increase, 0.0).tolist(),
-        np.where(decrease > 0.0, decrease, 0.0).tolist(),
-        slack.tolist(),
-        (exempt | (slack <= tol)).tolist(),
-        exempt.tolist())))
+    rows = [q.probs.probs.tolist() for q in chain.questions]
+    transitions = []
+    for i, (a, b) in enumerate(zip(rows, rows[1:])):
+        increase, decrease = max(b) - max(a), min(a) - min(b)
+        slack = _slack(a, b)
+        exempt = i == 0 and bool(isolate_first)
+        transitions.append(TransitionCheck(
+            i, i + 1, increase if increase > 0.0 else 0.0,
+            decrease if decrease > 0.0 else 0.0, slack,
+            exempt or bool(slack <= tol), exempt))
+    return FeasibilityReport(tuple(transitions))

@@ -96,7 +96,8 @@ def _fit_row(lam: np.ndarray, target: ProbabilityVector, tol: float,
     the residual stays a numpy dot product, whose BLAS summation order a
     Python sum would not follow.  So every output has numpy's bits.
     """
-    slack = float(_slack(lam, target.probs))
+    lams = lam.tolist()
+    slack = _slack(lams, target.probs.tolist())
     if not slack <= tol:
         raise InfeasibleTargetError(
             f"{what} is infeasible: majorization slack {slack:.4g} "
@@ -105,9 +106,9 @@ def _fit_row(lam: np.ndarray, target: ProbabilityVector, tol: float,
     if slack > 0:  # rows checked at entry or built here: no entry rule
         t, proj_dist = _projection(t, lam)
     w = _schur_horn_frame(lam, t)
-    (lam_0, *lams), (row_0, *rows) = lam.tolist(), w.tolist()
-    achieved = [lam_0 * (x * x) for x in row_0]
-    for lam_i, row in zip(lams, rows):
+    row_0, *rows = w.tolist()
+    achieved = [lams[0] * (x * x) for x in row_0]
+    for lam_i, row in zip(lams[1:], rows):
         achieved = [a + lam_i * (x * x) for a, x in zip(achieved, row)]
     achieved = np.array(achieved)
     r = achieved - t
@@ -189,12 +190,12 @@ def _projection(target: np.ndarray, current: np.ndarray,
         y = x - f
         clipped[k] = y if y > 0.0 else 0.0  # np.clip's +0.0, also for -0.0
     total = float(np.add.reduce(clipped))  # numpy's pairwise summation
-    adjusted = np.array([y / total for y in clipped])
-    slack = float(_slack(current, adjusted))
+    adjusted = [y / total for y in clipped]
+    slack = _slack(c, adjusted)
     if not slack <= 0.0:
         raise FitError(f"projection failed to reach the feasible set "
                        f"(slack {slack:.3g})")
-    return adjusted, max(map(abs, (adjusted - target).tolist()))
+    return np.array(adjusted), max(abs(a - x) for a, x in zip(adjusted, t))
 
 
 @dataclass(frozen=True)

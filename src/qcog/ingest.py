@@ -9,8 +9,10 @@ Survey schema (JSON)::
 Percentages are JSON numbers.  A row is rejected for a negative entry,
 else a sum outside [99, 101], else a bare NaN, with the row as written, as
 in ``non-finite percentage in [nan, 30.0, 20.0]``; a row that passes is
-divided by its sum and clipped at 0.  A survey's rows are checked as one
-array, naming the first faulty row; a pair's rows, one at a time.
+divided by its sum and clipped at 0.  Rows are checked one at a time, in
+file order, so an error names the first faulty row.  A row is summed left
+to right, the order numpy uses below 8 entries, so the probabilities keep
+numpy's bits.
 
 Order-effect pair schema (JSON)::
 
@@ -21,7 +23,9 @@ Order-effect pair schema (JSON)::
 from __future__ import annotations
 
 import json
+from functools import reduce
 from importlib import resources
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +66,7 @@ def _string(path, value, field: str) -> str:
 
 def _numbers(path, values, where: str) -> list[float]:
     # a list of numbers, each within float range: what an answer row must be
-    # before the rows are checked as one array
+    # before the percent rule checks it
     if not (isinstance(values, list) and all(
             isinstance(v, (int, float)) and not isinstance(v, bool)
             for v in values)):
@@ -74,32 +78,30 @@ def _numbers(path, values, where: str) -> list[float]:
         raise IngestError(f"{path}: {where}: {exc}") from exc
 
 
-def _percent_rows(path, rows: np.ndarray, where) -> list[ProbabilityVector]:
-    # the percent rule on the 2-d float array rows; where(i) names the first
-    # faulty row i, called for it alone.  A faulty row may overflow its sum
-    # or divide by zero, and NaN makes its sum NaN: each fails the <= test,
-    # with no RuntimeWarning
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        total = np.add.reduce(rows, axis=1)
-        bad = ((np.minimum.reduce(rows, axis=1, initial=np.inf) < 0)
-               | ~(np.abs(total - 100.0) <= _PERCENT_SUM_TOL))
-        p = rows / total[:, None]
-    if bad.any():
-        i = int(bad.argmax())
-        v = rows[i]
-        if np.any(v < 0):
-            message = f"negative percentage in {v.tolist()}"
-        elif abs(total[i] - 100.0) > _PERCENT_SUM_TOL:
-            lo, hi = 100 - _PERCENT_SUM_TOL, 100 + _PERCENT_SUM_TOL
-            message = (f"percentages sum to {total[i]}, "
-                       f"outside [{lo:g}, {hi:g}]")
-        else:
-            message = f"non-finite percentage in {v.tolist()}"
-        raise IngestError(f"{path}: {where(i)}: {message}")
-    return [ProbabilityVector._unchecked(q) for q in p]
+def _percent_row(path, row: list, where: str) -> ProbabilityVector:
+    # the percent rule on one row of floats, named by where.  A row below 8
+    # entries is summed left to right from 0.0, as numpy sums it; a longer
+    # one, which only an order pair can hold, by numpy's pairwise sum.  A
+    # faulty row may overflow its sum to inf or make it NaN, with no
+    # RuntimeWarning
+    if len(row) < 8:
+        total = reduce(add, row, 0.0)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(np.add.reduce(row))
+    if any(x < 0 for x in row):
+        message = f"negative percentage in {row}"
+    elif abs(total - 100.0) > _PERCENT_SUM_TOL:
+        lo, hi = 100 - _PERCENT_SUM_TOL, 100 + _PERCENT_SUM_TOL
+        message = f"percentages sum to {total}, outside [{lo:g}, {hi:g}]"
+    elif total != total:
+        message = f"non-finite percentage in {row}"
+    else:
+        return ProbabilityVector._unchecked([x / total for x in row])
+    raise IngestError(f"{path}: {where}: {message}")
 
 
-def _question_row(path, i: int, row) -> tuple[str, Polarity, list[float]]:
+def _question_row(path, i: int, row) -> Question:
     try:
         values = [row["yes"], row["unsure"], row["no"]]
         polarity = Polarity(row.get("polarity", "neutral"))
@@ -107,7 +109,9 @@ def _question_row(path, i: int, row) -> tuple[str, Polarity, list[float]]:
     except (KeyError, TypeError, ValueError) as exc:
         raise IngestError(f"{path}: bad question row {i}: {row!r}") from exc
     _string(path, text, f"question {i} text")
-    return text, polarity, _numbers(path, values, f"question {i} ({text!r})")
+    where = f"question {i} ({text!r})"
+    probs = _percent_row(path, _numbers(path, values, where), where)
+    return Question(text, probs, polarity)
 
 
 def load_survey(path) -> SurveyChain:
@@ -122,23 +126,8 @@ def load_survey(path) -> SurveyChain:
         raise IngestError(f"{path}: questions must be a list, got {rows!r}")
     if not rows:
         raise IngestError(f"{path}: empty question list")
-
-    texts, polarities, percents = [], [], []
-
-    def where(i):  # the texts of the rows parsed so far
-        return f"question {i + 1} ({texts[i]!r})"
-    for i, row in enumerate(rows, start=1):
-        try:
-            text, polarity, numbers = _question_row(path, i, row)
-        except IngestError:
-            if percents:  # a percent fault in an earlier row comes first
-                _percent_rows(path, np.array(percents), where)
-            raise
-        texts.append(text)
-        polarities.append(polarity)
-        percents.append(numbers)
-    probs = _percent_rows(path, np.array(percents), where)
-    questions = tuple(map(Question, texts, probs, polarities))
+    questions = [_question_row(path, i, row)
+                 for i, row in enumerate(rows, start=1)]
     return SurveyChain(label=_string(path, label, "sample_label"),
                        questions=questions)
 
@@ -164,9 +153,8 @@ def load_order_pair(path) -> dict:
         _string(path, name, f"question_names[{k}]")
     # one row at a time: a pair's two questions may differ in answer count
     where = "marginal row {!r}".format
-    o1, o2 = ([_percent_rows(path, np.array([_numbers(path, r, where(r))]),
-                             lambda _: where(r))[0] for r in o]
-              for o in (o1, o2))
+    o1, o2 = ([_percent_row(path, _numbers(path, r, where(r)), where(r))
+               for r in o] for o in (o1, o2))
     try:
         _check_orderings(o1, o2)
     except ValueError as exc:

@@ -55,7 +55,11 @@ def sequential_probability(p, q):
 
 
 def _check_probability(name: str, x) -> float:
-    # the oracle's scalar entry: an array, even of one element, is refused
+    # the oracle's scalar entry: an array, even of one element, is refused.
+    # A float in [0, 1] passes at once; NaN and every other type take the
+    # full rule and its messages
+    if type(x) is float and 0.0 <= x <= 1.0:
+        return x
     x = _check_unit_interval(name, x)
     if x.ndim:
         raise ValueError(f"{name} must be a scalar")

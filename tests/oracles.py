@@ -5,7 +5,7 @@ path under test.
 """
 import numpy as np
 
-from qcog.feasibility import SurveyChain, _slack, majorization_check
+from qcog.feasibility import FeasibilityReport, SurveyChain, TransitionCheck
 from qcog.framefit import FitError, InfeasibleTargetError
 from qcog.hilbert import (_MAJORIZATION_NOISE, _NEGATIVE_PROB_TOL,
                           _PERCENT_SUM_TOL, _PROB_SUM_TOL, RESIDUAL_LIMIT,
@@ -105,6 +105,37 @@ def transition_oracle(prev, nxt, tol: float):
     return max_inc, min_dec, slack, slack <= tol
 
 
+def slack_oracle(current, target) -> np.ndarray:
+    """Majorization slack of each pair of rows, answers on the last axis of
+    two arrays of one shape, vectorised in numpy: the worst excess of the
+    target's partial sums (np.sort, reversed, np.cumsum) over the current
+    ones, 0 below the noise."""
+    c, t = np.sort((current, target), axis=-1)[..., ::-1].cumsum(axis=-1)
+    excess = (t - c).max(axis=-1)
+    return np.where(excess >= _MAJORIZATION_NOISE, excess, 0.0)
+
+
+def chain_feasibility_oracle(chain: SurveyChain, isolate_first: bool,
+                             tol: float) -> FeasibilityReport:
+    """chain_feasibility on the chain's rows stacked in one numpy array:
+    every transition's max increase, min decrease and slack at once."""
+    d = np.array([q.probs.probs for q in chain.questions])
+    n = len(d)
+    highs, lows = d.max(axis=1), d.min(axis=1)
+    increase = highs[1:] - highs[:-1]
+    decrease = lows[:-1] - lows[1:]
+    slack = slack_oracle(d[:-1], d[1:])
+    exempt = np.zeros(n - 1, dtype=bool)
+    exempt[0] = isolate_first
+    return FeasibilityReport(tuple(map(
+        TransitionCheck, range(n - 1), range(1, n),
+        np.where(increase > 0.0, increase, 0.0).tolist(),
+        np.where(decrease > 0.0, decrease, 0.0).tolist(),
+        slack.tolist(),
+        (exempt | (slack <= tol)).tolist(),
+        exempt.tolist())))
+
+
 def schur_horn_frame_oracle(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Schur-Horn frame W with sum_i lam_i W_ij^2 = t_j, on numpy arrays and
     scalars: stable argsorts, rows of the identity, a column of W written
@@ -146,7 +177,7 @@ def pava_oracle(x: np.ndarray) -> np.ndarray:
 def projection_oracle(target: ProbabilityVector, current):
     """(adjusted, max adjustment, Euclidean adjustment) of the permutohedron
     projection, on numpy arrays: np.sort, a stable argsort, np.clip and
-    numpy's sum, then majorization_check on the result."""
+    numpy's sum, then the slack oracle on the result."""
     t = target.probs
     c = np.sort(_numeric(current, float, "distributions"))[::-1]
     if c.shape != t.shape:
@@ -158,8 +189,8 @@ def projection_oracle(target: ProbabilityVector, current):
     adjusted[order] = ys
     adjusted = np.clip(adjusted, 0.0, None)
     adjusted /= adjusted.sum()
-    feasible, slack = majorization_check(c, adjusted, 0.0)
-    if not feasible:
+    slack = float(slack_oracle(c, adjusted))
+    if not slack <= 0.0:
         raise FitError(f"projection failed to reach the feasible set "
                        f"(slack {slack:.3g})")
     delta = adjusted - t
@@ -172,7 +203,7 @@ def row_step_oracle(lam: np.ndarray, target: ProbabilityVector, tol: float,
     """(W, achieved, squared residual, projection distance) of one fitted
     row, on numpy arrays: the slack test, the projection oracle, the frame
     oracle and the achieved row as one broadcast sum over axis 0."""
-    slack = float(_slack(lam, target.probs))
+    slack = float(slack_oracle(lam, target.probs))
     if not slack <= tol:
         raise InfeasibleTargetError(
             f"{what} is infeasible: majorization slack {slack:.4g} "

@@ -20,7 +20,8 @@ from qcog import cli
 from qcog.cli import main
 from qcog.feasibility import (FeasibilityReport, Polarity, TransitionCheck,
                               chain_feasibility)
-from qcog.framefit import fit_chain, fit_result_to_dict
+from qcog.framefit import (InfeasibleTargetError, fit_chain,
+                           fit_result_to_dict)
 from qcog.ingest import IngestError, fixture_path, load_order_pair, load_survey
 from qcog.sequential import interference_region_scan
 
@@ -762,6 +763,57 @@ class TestGoldenJson:
                                                float(tol)))
         assert capsys.readouterr().out == json.dumps(
             payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+# The five exact ties in the data, pinned as the float verdicts read them
+# today: the exact value equals tol, so each verdict follows the rounding
+# direction of its float.  (argv, exit code, path to the reported value in
+# the --json report, its float.hex, path to the verdict, the verdict)
+EXACT_TIES = [
+    # slack 79 - 73 = 6 %, read as 0.06000000000000005: infeasible
+    (["check-feasibility", T2, "--isolate-first", "--tol", "0.06"], 2,
+     ("transitions", 1, "majorization_slack"), "0x1.eb851eb851ec0p-5",
+     ("transitions", 1, "feasible_at_tol"), False),
+    # slack 29 %, read as 0.29000000000000004: infeasible
+    (["check-feasibility", T1, "--tol", "0.29"], 2,
+     ("transitions", 0, "majorization_slack"), "0x1.28f5c28f5c290p-2",
+     ("transitions", 0, "feasible_at_tol"), False),
+    # Gore's difference 0.11, read as 0.1100000000000001: flagged
+    (["check-order", MOORE, "--tol", "0.11"], 2,
+     ("entries", 1, "difference"), "0x1.c28f5c28f5c30p-4",
+     ("entries", 1, "flagged"), True),
+    # support difference 0.11, read as 0.10999999999999999: consistent
+    (["check-classical", T1, T2, "--tol", "0.11"], 0,
+     ("support_difference",), "0x1.c28f5c28f5c28p-4", ("violation",), None),
+]
+
+
+class TestExactTies:
+    @pytest.mark.parametrize(
+        "argv, code, value_at, value_hex, verdict_at, verdict", EXACT_TIES,
+        ids=[" ".join(map(os.path.basename, tie[0])) for tie in EXACT_TIES])
+    def test_tie(self, argv, code, value_at, value_hex, verdict_at, verdict,
+                 capsys):
+        assert main(argv + ["--json"]) == code
+        doc = json.loads(capsys.readouterr().out)
+        value, got = doc, doc
+        for key in value_at:
+            value = value[key]
+        for key in verdict_at:
+            got = got[key]
+        assert value.hex() == value_hex
+        assert got is verdict
+
+    def test_fit_chain_tie(self, t2):
+        # the row step reads the 6 % slack as check-feasibility does
+        code, out, err = run_main(
+            ["fit-chain", t2, "--isolate-first", "--tol", "0.06"])
+        assert (code, out) == (1, "")
+        assert err == (f"error: transition Q2->Q3 of 'Sample B' is infeasible:"
+                       f" majorization slack 0.06 exceeds tol 0.06\n")
+        with pytest.raises(InfeasibleTargetError) as exc:
+            fit_chain(load_survey(t2), True, 0.06)
+        assert exc.value.slack.hex() == "0x1.eb851eb851ec0p-5"
 
 
 @dataclasses.dataclass

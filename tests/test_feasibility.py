@@ -4,14 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcog.feasibility import (Polarity, PolarityError, Question, SurveyChain,
-                              chain_feasibility, classical_consistency_check,
-                              contraction_check, majorization_check,
-                              order_effect_check)
+                              _slack, chain_feasibility,
+                              classical_consistency_check, contraction_check,
+                              majorization_check, order_effect_check)
 from qcog.framefit import fit_chain, project_to_majorized
 from qcog.states import DensityMatrix, ProbabilityVector, outcome_probabilities
 
 from .conftest import haar_unitary, make_chain, random_probs
-from .oracles import transition_oracle
+from .oracles import chain_feasibility_oracle, slack_oracle, transition_oracle
 
 
 def pv(*values):
@@ -310,3 +310,96 @@ class TestChainReportOnePass:
         if tol == 0.0:
             assert contraction_check(chain) == chain_feasibility(
                 chain, False, 0.0)
+
+
+# masses moved between two entries around the 1e-12 noise edge, where the
+# last bit of a partial sum decides whether the slack reads as 0
+NOISE_EDGE = [0.0, 5e-13, float(np.nextafter(1e-12, 0.0)), 1e-12,
+              float(np.nextafter(1e-12, 1.0)), 2e-12, 1e-3]
+
+
+@st.composite
+def slack_rows(draw):
+    """(current, target): float rows of 1-9 entries (from 8, numpy sums a
+    row eight ways at once; its cumsum stays sequential) of small weights,
+    so entries tie and may be 0.0 or -0.0, maybe normalised; the target is
+    another such row, or the current one with a NOISE_EDGE mass moved
+    between two of its entries."""
+    n = draw(st.integers(1, 9))
+    entry = st.one_of(st.integers(0, 4).map(float),
+                      st.sampled_from([-0.0, 0.1, 0.2, 1 / 3]))
+    rows = st.lists(entry, min_size=n, max_size=n)
+    current = draw(rows)
+    if draw(st.booleans()) and any(current):
+        current = [x / sum(current) for x in current]
+    if draw(st.booleans()):
+        target = draw(rows)
+    else:
+        target = list(current)
+        d = draw(st.sampled_from(NOISE_EDGE))
+        target[draw(st.integers(0, n - 1))] += d
+        target[draw(st.integers(0, n - 1))] -= d
+    return current, target
+
+
+@st.composite
+def random_chains(draw):
+    """2-8 rows of 2-6 answers: the tied rows of chains(), or uniform draws
+    normalised by numpy."""
+    if draw(st.booleans()):
+        return draw(chains())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = draw(st.integers(2, 6))
+    return [random_probs(rng, k) for _ in range(draw(st.integers(2, 8)))]
+
+
+class TestFloatPathMatchesNumpy:
+    """The majorization slack and the chain report run on Python floats;
+    each value is the vectorised numpy computation's, bit for bit
+    (tests/oracles.py)."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(slack_rows())
+    def test_slack(self, rows):
+        current, target = rows
+        want = float(slack_oracle(current, target))
+        assert bits(_slack(current, target)) == bits(want)
+        assert bits(_slack(target, current)) == bits(
+            float(slack_oracle(target, current)))
+
+    @pytest.mark.parametrize("current, target", [
+        # partial sums beyond float range: inf - inf is NaN, which numpy's
+        # max returns although an earlier excess is 1e307, so the slack
+        # reads as 0 ...
+        ([1e308, -1e308, 1e308, 0.0], [1.1e308, -1e308, 0.9e308, 0.0]),
+        # ... an excess of inf is the slack, and one of -inf reads as 0
+        ([1.0, 0.0], [1e308, 1e308]),
+        ([0.5, 0.5], [-1e308, -1e308]),
+    ])
+    def test_slack_beyond_float_range(self, current, target):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = float(slack_oracle(current, target))
+        assert bits(_slack(current, target)) == bits(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=random_chains(), isolate_first=st.booleans(), data=st.data())
+    def test_chain_report(self, rows, isolate_first, data):
+        chain = make_chain(rows)
+        if len(rows) < 2 + isolate_first:
+            return
+        # tol at zero, at a transition's slack or between the two
+        slacks = [t.majorization_slack for t in chain_feasibility_oracle(
+            chain, isolate_first, 0.0).transitions]
+        tol = data.draw(st.sampled_from([0.0, 0.07, *slacks]))
+        got = chain_feasibility(chain, isolate_first, tol).transitions
+        want = chain_feasibility_oracle(chain, isolate_first, tol).transitions
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g.from_index, g.to_index) == (w.from_index, w.to_index)
+            assert [bits(g.max_increase), bits(g.min_decrease),
+                    bits(g.majorization_slack)] == [
+                bits(w.max_increase), bits(w.min_decrease),
+                bits(w.majorization_slack)]
+            assert type(g.feasible_at_tol) is bool and type(g.exempt) is bool
+            assert (g.feasible_at_tol, g.exempt) == (
+                w.feasible_at_tol, w.exempt)

@@ -250,3 +250,31 @@ class TestSpinOrderDemo:
         after = outcome_probabilities(rho_after, y_answers).probs[0]
         assert abs(direct - 1.0) < 1e-12
         assert abs(after - 0.5) < 1e-12
+
+
+def _full_probability_rule(name, x):
+    # the oracle's scalar rule without the float shortcut
+    x = sequential._check_unit_interval(name, x)
+    if x.ndim:
+        raise ValueError(f"{name} must be a scalar")
+    return float(x)
+
+
+def _rule_outcome(rule, x):
+    try:
+        value = rule("p", x)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return type(value), value.hex()
+
+
+@pytest.mark.parametrize("x", [
+    0.0, -0.0, 1.0, 0.3, 5e-324, float(np.nextafter(1.0, 0.0)),
+    float(np.nextafter(1.0, 2.0)), -5e-324, float("nan"), float("inf"),
+    True, False, 0, 1, np.float64(0.3), np.float64("nan"), np.float32(0.3),
+    np.array(0.3), np.array([0.3])])
+def test_float_shortcut_matches_the_full_rule(x):
+    # a float in [0, 1] skips the array rule, with its value and sign kept;
+    # everything else gets the full rule's value or message
+    assert (_rule_outcome(sequential._check_probability, x)
+            == _rule_outcome(_full_probability_rule, x))

@@ -11,7 +11,7 @@ from qcog.feasibility import (Question, SurveyChain, chain_feasibility,
                               classical_consistency_check, order_effect_check)
 from qcog.framefit import (fit_chain, fit_result_to_dict, fit_transition,
                            replay)
-from qcog.ingest import IngestError, _percent_rows, fixture_path, load_survey
+from qcog.ingest import IngestError, _percent_row, fixture_path, load_survey
 from qcog.nosignal import LocalSeries, apply_series, no_signalling_check
 from qcog.states import (DensityMatrix, MeasurementError, ProbabilityVector,
                          PureState, StateError,
@@ -32,9 +32,11 @@ ROW_ENTRY = st.one_of(
 
 @st.composite
 def percent_rows(draw):
-    """1-8 rows of 1-6 answers in percent, summing to about 100, ties and
-    zeros included; about one row in four carries a faulty entry."""
-    k = draw(st.integers(1, 6))
+    """1-8 rows of 1-10 answers in percent, summing to about 100, ties and
+    zeros included (from 8 answers numpy sums a row eight ways at once);
+    about one row in four carries a faulty entry, and one in six is empty,
+    all -0.0, holds NaN or an infinity, or sums beyond float range."""
+    k = draw(st.integers(1, 10))
     rows = []
     for _ in range(draw(st.integers(1, 8))):
         weights = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k))
@@ -44,13 +46,19 @@ def percent_rows(draw):
         if draw(st.integers(0, 3)) == 0:
             row[draw(st.integers(0, k - 1))] = draw(st.one_of(
                 st.sampled_from([-1.0, -0.0, 1e308, 200.0]), ROW_ENTRY))
+        if draw(st.integers(0, 5)) == 0:
+            row = draw(st.sampled_from([
+                [], [-0.0] * k, [float("nan")] * k, [float("inf")] + row,
+                [float("-inf")] + row, [1e308, 1e308] + row, [1e308] * 9]))
         rows.append(row)
     return rows
 
 
 def percents(rows):
-    # ingest's percent rule on float rows, named as in a file "f"
-    return _percent_rows("f", np.array(rows, dtype=float), "row {}".format)
+    # ingest's percent rule on each row as a list of floats, as ingest
+    # passes it, named as in a file "f": the first faulty row raises
+    return [_percent_row("f", [float(x) for x in row], f"row {i}")
+            for i, row in enumerate(rows)]
 
 
 class TestProbabilityVector:
@@ -88,7 +96,7 @@ class TestProbabilityVector:
     @settings(max_examples=300, deadline=None)
     @given(rows=percent_rows())
     def test_rows_from_percents_matches_row_by_row(self, rows):
-        # ingest's rows checked as one array: the rows the row-by-row rule
+        # ingest's rule on Python floats: the rows numpy's row-by-row rule
         # builds, bit for bit, or its first fault, named with the same message
         expected = []
         for i, row in enumerate(rows):
