@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
+from math import isfinite
 from operator import sub
 
 import numpy as np
@@ -42,6 +43,15 @@ class Question:
         _check_type(self.probs, ProbabilityVector, "probs")
         _check_type(self.polarity, Polarity, "polarity")
 
+    @classmethod
+    def _unchecked(cls, text: str, probs: ProbabilityVector,
+                   polarity: Polarity) -> "Question":
+        # for fields already proven of their types (ingest's rows); checks
+        # nothing
+        question = object.__new__(cls)
+        vars(question).update(text=text, probs=probs, polarity=polarity)
+        return question
+
 
 @dataclass(frozen=True)
 class SurveyChain:
@@ -60,6 +70,14 @@ class SurveyChain:
         if any(q.probs.dim != dim for q in qs):
             raise ValueError("all questions must share one dimension")
         object.__setattr__(self, "questions", qs)
+
+    @classmethod
+    def _unchecked(cls, label: str, questions: tuple) -> "SurveyChain":
+        # for a nonempty tuple of Questions of one dimension (ingest's
+        # chains); checks nothing
+        chain = object.__new__(cls)
+        vars(chain).update(label=label, questions=questions)
+        return chain
 
     @property
     def dim(self) -> int:
@@ -192,6 +210,12 @@ def _majorization_pair(current, target) -> tuple[np.ndarray, np.ndarray]:
         if not abs(sc - st) <= _PROB_SUM_TOL:
             raise ValueError(
                 f"distributions have different totals {sc} and {st}")
+    # _slack would read an inf - inf excess of two partial sums beyond float
+    # range as 0, that is as feasible
+    if not all(map(isfinite, _partial_sums(c.tolist())
+                   + _partial_sums(t.tolist()))):
+        raise ValueError("partial sums beyond float range in a majorization "
+                         "check")
     return c, t
 
 

@@ -87,10 +87,15 @@ def _numeric(values, dtype, what: str, error=ValueError) -> np.ndarray:
     raise error(f"{what} must be real, not complex")
 
 
+# the largest finite float, a tolerance's bound, looked up once; a Python
+# float, which compares exactly with an integer beyond float range
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
 def _tolerance(tol):
     # finite and >= 0, never a bool; returned as given, as messages print it
     if (isinstance(tol, (int, float, np.integer, np.floating))
-            and not isinstance(tol, bool) and 0 <= tol <= np.finfo(float).max):
+            and not isinstance(tol, bool) and 0 <= tol <= _FLOAT_MAX):
         return tol
     raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
 

@@ -6,13 +6,19 @@ Survey schema (JSON)::
      "questions": [{"text": str, "yes": number, "unsure": number,
                     "no": number, "polarity": "favour"|"oppose"|"neutral"}]}
 
+A file's bytes are read once and decoded as UTF-8, with text mode's
+newline rule (``"\\r\\n"`` and a lone ``"\\r"`` read as ``"\\n"``), so a
+JSON error names the character a text-mode read would.
+
 Percentages are JSON numbers.  A row is rejected for a negative entry,
 else a sum outside [99, 101], else a bare NaN, with the row as written, as
 in ``non-finite percentage in [nan, 30.0, 20.0]``; a row that passes is
-divided by its sum and clipped at 0.  Rows are checked one at a time, in
+divided by its sum, with -0 read as 0.  Rows are checked one at a time, in
 file order, so an error names the first faulty row.  A row is summed left
 to right, the order numpy uses below 8 entries, so the probabilities keep
-numpy's bits.
+numpy's bits.  Ingest builds each ``Question`` and ``SurveyChain`` from
+values it has proven, through their private constructors, which check
+nothing again.
 
 Order-effect pair schema (JSON)::
 
@@ -45,14 +51,21 @@ def fixture_path(name: str) -> Path:
 
 
 def _load_json(path) -> dict:
-    # JSON text is UTF-8 (RFC 8259), whatever the locale's encoding
+    # JSON text is UTF-8 (RFC 8259), whatever the locale's encoding.  The
+    # bytes are read once and decoded whole, so a decode error gives the
+    # byte's position in the file; a "\r" is read by text mode's newline
+    # rule, so a JSON error counts characters as a text-mode read would
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.read().decode("utf-8")
     except OSError as exc:
         raise IngestError(f"{path}: cannot read ({exc.strerror})") from exc
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: not UTF-8 text ({exc})") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise IngestError(f"{path}: not valid JSON ({exc})") from exc
 
@@ -64,26 +77,28 @@ def _string(path, value, field: str) -> str:
     return value
 
 
-def _numbers(path, values, where: str) -> list[float]:
-    # a list of numbers, each within float range: what an answer row must be
-    # before the percent rule checks it
-    if not (isinstance(values, list) and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in values)):
-        raise IngestError(f"{path}: {where}: expected a list of numbers, "
-                          f"got {values!r}")
-    try:
-        return [float(v) for v in values]
-    except OverflowError as exc:  # an integer beyond float range
-        raise IngestError(f"{path}: {where}: {exc}") from exc
+def _row_error(path, where: str, args, message) -> IngestError:
+    # a faulty answer row, named by where.format(*args)
+    return IngestError(f"{path}: {where.format(*args)}: {message}")
 
 
-def _percent_row(path, row: list, where: str) -> ProbabilityVector:
-    # the percent rule on one row of floats, named by where.  A row below 8
+def _percent_row(path, values, where: str, *args) -> ProbabilityVector:
+    # the percent rule on one answer row, named by where.format(*args) when
+    # it fails: a list of numbers, each within float range, then no negative
+    # entry, a sum within _PERCENT_SUM_TOL of 100 and no NaN.  A row below 8
     # entries is summed left to right from 0.0, as numpy sums it; a longer
     # one, which only an order pair can hold, by numpy's pairwise sum.  A
     # faulty row may overflow its sum to inf or make it NaN, with no
     # RuntimeWarning
+    if not (isinstance(values, list) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in values)):
+        raise _row_error(path, where, args,
+                         f"expected a list of numbers, got {values!r}")
+    try:
+        row = [float(v) for v in values]
+    except OverflowError as exc:  # an integer beyond float range
+        raise _row_error(path, where, args, exc) from exc
     if len(row) < 8:
         total = reduce(add, row, 0.0)
     else:
@@ -97,21 +112,26 @@ def _percent_row(path, row: list, where: str) -> ProbabilityVector:
     elif total != total:
         message = f"non-finite percentage in {row}"
     else:
-        return ProbabilityVector._unchecked([x / total for x in row])
-    raise IngestError(f"{path}: {where}: {message}")
+        # each quotient is finite and >= 0 or -0.0, which + 0.0 makes 0.0
+        return ProbabilityVector._frozen(
+            np.array([x / total + 0.0 for x in row]))
+    raise _row_error(path, where, args, message)
+
+
+# each polarity by its value, the table a file's polarity is looked up in
+_POLARITY = {p.value: p for p in Polarity}
 
 
 def _question_row(path, i: int, row) -> Question:
     try:
         values = [row["yes"], row["unsure"], row["no"]]
-        polarity = Polarity(row.get("polarity", "neutral"))
+        polarity = _POLARITY[row.get("polarity", "neutral")]
         text = row["text"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:  # an unhashable polarity: TypeError
         raise IngestError(f"{path}: bad question row {i}: {row!r}") from exc
     _string(path, text, f"question {i} text")
-    where = f"question {i} ({text!r})"
-    probs = _percent_row(path, _numbers(path, values, where), where)
-    return Question(text, probs, polarity)
+    probs = _percent_row(path, values, "question {} ({!r})", i, text)
+    return Question._unchecked(text, probs, polarity)
 
 
 def load_survey(path) -> SurveyChain:
@@ -126,10 +146,11 @@ def load_survey(path) -> SurveyChain:
         raise IngestError(f"{path}: questions must be a list, got {rows!r}")
     if not rows:
         raise IngestError(f"{path}: empty question list")
-    questions = [_question_row(path, i, row)
-                 for i, row in enumerate(rows, start=1)]
-    return SurveyChain(label=_string(path, label, "sample_label"),
-                       questions=questions)
+    # every row has three answers, so the chain's rule holds
+    questions = tuple([_question_row(path, i, row)
+                       for i, row in enumerate(rows, start=1)])
+    return SurveyChain._unchecked(_string(path, label, "sample_label"),
+                                  questions)
 
 
 def load_order_pair(path) -> dict:
@@ -152,9 +173,8 @@ def load_order_pair(path) -> dict:
     for k, name in enumerate(names):
         _string(path, name, f"question_names[{k}]")
     # one row at a time: a pair's two questions may differ in answer count
-    where = "marginal row {!r}".format
-    o1, o2 = ([_percent_row(path, _numbers(path, r, where(r)), where(r))
-               for r in o] for o in (o1, o2))
+    o1, o2 = ([_percent_row(path, r, "marginal row {!r}", r) for r in o]
+              for o in (o1, o2))
     try:
         _check_orderings(o1, o2)
     except ValueError as exc:

@@ -3,13 +3,17 @@
 Each builds its result the slow, explicit way, independently of the fast
 path under test.
 """
+import json
+
 import numpy as np
 
-from qcog.feasibility import FeasibilityReport, SurveyChain, TransitionCheck
+from qcog.feasibility import (FeasibilityReport, Polarity, Question,
+                              SurveyChain, TransitionCheck, _check_orderings)
 from qcog.framefit import FitError, InfeasibleTargetError
 from qcog.hilbert import (_MAJORIZATION_NOISE, _NEGATIVE_PROB_TOL,
                           _PERCENT_SUM_TOL, _PROB_SUM_TOL, RESIDUAL_LIMIT,
                           _numeric, as_matrix, frame_projectors)
+from qcog.ingest import IngestError
 from qcog.nosignal import FIVE_QUESTIONS
 from qcog.states import DensityMatrix, ProbabilityVector, StateError
 
@@ -90,6 +94,94 @@ def probability_row_oracle(values) -> np.ndarray:
     if abs(s - 1.0) > _PROB_SUM_TOL:
         raise StateError(f"probabilities sum to {s}, not 1")
     return p
+
+
+def _json_oracle(path):
+    # a text-mode read, whose newline rule turns "\r\n" and "\r" into "\n"
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise IngestError(f"{path}: cannot read ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 text ({exc})") from None
+    except json.JSONDecodeError as exc:
+        raise IngestError(f"{path}: not valid JSON ({exc})") from None
+
+
+def _string_oracle(path, value, field: str) -> str:
+    if not isinstance(value, str):
+        raise IngestError(f"{path}: {field} must be a string, got {value!r}")
+    return value
+
+
+def _answer_row_oracle(path, values, where: str) -> ProbabilityVector:
+    # numbers, each within float range, then the percent rule in numpy, and
+    # the public constructor on the quotients
+    if not (isinstance(values, list) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in values)):
+        raise IngestError(f"{path}: {where}: expected a list of numbers, "
+                          f"got {values!r}")
+    try:
+        row = [float(v) for v in values]
+    except OverflowError as exc:
+        raise IngestError(f"{path}: {where}: {exc}") from None
+    try:
+        return ProbabilityVector(percent_row_oracle(row))
+    except StateError as exc:
+        raise IngestError(f"{path}: {where}: {exc}") from None
+
+
+def survey_oracle(path) -> SurveyChain:
+    """load_survey the explicit way: a text-mode read, json.load, Polarity's
+    own lookup and the public constructors, each value checked where it is
+    built.  Raises IngestError with ingest's text."""
+    doc = _json_oracle(path)
+    try:
+        label, rows = doc["sample_label"], doc["questions"]
+    except (KeyError, TypeError):
+        raise IngestError(f"{path}: missing sample_label/questions") from None
+    if not isinstance(rows, list):
+        raise IngestError(f"{path}: questions must be a list, got {rows!r}")
+    if not rows:
+        raise IngestError(f"{path}: empty question list")
+    questions = []
+    for i, row in enumerate(rows, start=1):
+        try:
+            values = [row["yes"], row["unsure"], row["no"]]
+            polarity = Polarity(row.get("polarity", "neutral"))
+            text = row["text"]
+        except (KeyError, TypeError, ValueError):
+            raise IngestError(
+                f"{path}: bad question row {i}: {row!r}") from None
+        _string_oracle(path, text, f"question {i} text")
+        probs = _answer_row_oracle(path, values, f"question {i} ({text!r})")
+        questions.append(Question(text, probs, polarity))
+    return SurveyChain(_string_oracle(path, label, "sample_label"), questions)
+
+
+def order_pair_oracle(path) -> dict:
+    """load_order_pair the explicit way, as :func:`survey_oracle`."""
+    doc = _json_oracle(path)
+    try:
+        names, o1, o2 = (doc["question_names"], doc["ordering_1"],
+                         doc["ordering_2"])
+    except (KeyError, TypeError):
+        raise IngestError(f"{path}: missing order-pair fields") from None
+    if not all(isinstance(v, list) and len(v) == 2 for v in (names, o1, o2)):
+        raise IngestError(f"{path}: question_names, ordering_1 and ordering_2 "
+                          f"must each be a list of 2 entries")
+    for k, name in enumerate(names):
+        _string_oracle(path, name, f"question_names[{k}]")
+    o1, o2 = ([_answer_row_oracle(path, r, f"marginal row {r!r}") for r in o]
+              for o in (o1, o2))
+    try:
+        _check_orderings(o1, o2)
+    except ValueError as exc:
+        raise IngestError(f"{path}: {exc}") from None
+    return {"label": _string_oracle(path, doc.get("label", ""), "label"),
+            "question_names": names, "ordering_1": o1, "ordering_2": o2}
 
 
 def transition_oracle(prev, nxt, tol: float):

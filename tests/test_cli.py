@@ -18,14 +18,15 @@ from hypothesis import strategies as st
 
 from qcog import cli
 from qcog.cli import main
-from qcog.feasibility import (FeasibilityReport, Polarity, TransitionCheck,
-                              chain_feasibility)
+from qcog.feasibility import (FeasibilityReport, Polarity, SurveyChain,
+                              TransitionCheck, chain_feasibility)
 from qcog.framefit import (InfeasibleTargetError, fit_chain,
                            fit_result_to_dict)
 from qcog.ingest import IngestError, fixture_path, load_order_pair, load_survey
 from qcog.sequential import interference_region_scan
+from qcog.states import ProbabilityVector
 
-from .oracles import survey_to_dict
+from .oracles import order_pair_oracle, survey_oracle, survey_to_dict
 
 
 def write_survey(path, rows):
@@ -75,6 +76,21 @@ FILE_FAULTS = {
     "Latin-1": ('{"sample_label": "caf\u00e9"}'.encode("latin-1"),
                 "not UTF-8 text ('utf-8' codec can't decode byte 0xe9 in "
                 "position 21: invalid continuation byte)"),
+    # a text-mode read turns "\r\n" and a lone "\r" into "\n", so the
+    # fault is at char 56 of either file, three bytes before its byte 59
+    "CRLF": (b'{"sample_label": "x",\r\n "questions": [\r\n  {"text": "q"},'
+             b'\r\n ]}', "not valid JSON (Expecting value: line 4 column 2 "
+                          "(char 56))"),
+    "CR": (b'{"sample_label": "x",\r "questions": [\r  {"text": "q"},\r ]}',
+           "not valid JSON (Expecting value: line 4 column 2 (char 56))"),
+    # UTF-8, not UTF-8 with a signature: the BOM is a character
+    "BOM": (b'\xef\xbb\xbf{"sample_label": "x", "questions": []}',
+            "not valid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig): "
+            "line 1 column 1 (char 0))"),
+    # the position counts from the start of the file, not of a read buffer
+    "past 8 KiB": (b'{"sample_label": "' + b"a" * 9000 + b'\xff"}',
+                   "not UTF-8 text ('utf-8' codec can't decode byte 0xff in "
+                   "position 9018: invalid start byte)"),
 }
 
 
@@ -578,6 +594,101 @@ class TestMalformedInput:
                 code = main(argv)
             assert (code, out.getvalue()) == (1, ""), (argv, doc)
             assert err.getvalue().startswith("error:"), (argv, doc)
+
+
+@st.composite
+def percent_entries(draw, k: int):
+    """k JSON numbers in percent summing to about 100: integers where the
+    value is whole, and zeros written as 0, 0.0 or -0.0."""
+    weights = draw(st.lists(st.integers(0, 5), min_size=k, max_size=k))
+    weights[0] += sum(weights) == 0
+    scale = draw(st.sampled_from([100.0, 99.5, 100.75])) / sum(weights)
+    row = []
+    for w in weights:
+        x = w * scale
+        if x == 0:
+            row.append(draw(st.sampled_from([0, 0.0, -0.0])))
+        else:
+            row.append(int(x) if x == int(x) and draw(st.booleans()) else x)
+    return row
+
+
+@st.composite
+def valid_survey(draw):
+    questions = []
+    for _ in range(draw(st.integers(1, 6))):
+        yes, unsure, no = draw(percent_entries(3))
+        row = {"text": draw(st.text(max_size=6)), "yes": yes,
+               "unsure": unsure, "no": no}
+        polarity = draw(st.sampled_from([None, "favour", "oppose", "neutral"]))
+        if polarity:
+            row["polarity"] = polarity
+        questions.append(row)
+    return {"sample_label": draw(st.text(max_size=6)), "questions": questions}
+
+
+@st.composite
+def valid_pair(draw):
+    # from 8 answers a row is summed by numpy's pairwise rule
+    k0, k1 = draw(st.integers(2, 10)), draw(st.integers(2, 10))
+    rows = [draw(percent_entries(k)) for k in (k0, k1, k1, k0)]
+    doc = {"question_names": [draw(st.text(max_size=6)) for _ in range(2)],
+           "ordering_1": rows[:2], "ordering_2": rows[2:]}
+    if draw(st.booleans()):
+        doc["label"] = draw(st.text(max_size=6))
+    return doc
+
+
+@st.composite
+def ingest_files(draw):
+    """The bytes of a survey or order-pair file, valid or with a schema
+    break, with LF, CRLF or CR line ends, maybe a UTF-8 BOM or cut short."""
+    doc = draw(st.one_of(valid_survey(), valid_pair(), malformed_survey(),
+                         malformed_pair()))
+    text = json.dumps(doc, indent=draw(st.sampled_from([None, 1])),
+                      ensure_ascii=draw(st.booleans()))
+    text = text.replace("\n", draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    if draw(st.sampled_from(range(6))) == 5:
+        text = text[:draw(st.integers(0, len(text)))]
+    data = text.encode("utf-8")
+    if draw(st.sampled_from(range(10))) == 9:
+        data = b"\xef\xbb\xbf" + data
+    return data
+
+
+def ingest_outcome(load, path):
+    # what a caller sees of a load: the error text, or every label, text and
+    # polarity and the bits of every probability
+    try:
+        got = load(path)
+    except IngestError as exc:
+        return str(exc)
+
+    def bits(p):
+        assert type(p) is ProbabilityVector and not p.probs.flags.writeable
+        return [x.hex() for x in p.probs.tolist()]
+
+    if isinstance(got, SurveyChain):
+        assert type(got.questions) is tuple
+        return got.label, [(q.text, q.polarity, bits(q.probs))
+                           for q in got.questions]
+    return (got["label"], got["question_names"],
+            [[bits(p) for p in got[k]] for k in ("ordering_1", "ordering_2")])
+
+
+class TestIngestMatchesOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(data=ingest_files())
+    def test_same_chain_pair_or_error(self, data, tmp_path_factory):
+        # one bytes read and the private constructors give what a text-mode
+        # read and the public constructors give, bit for bit, or the same
+        # error text
+        path = str(tmp_path_factory.getbasetemp() / "ingest.json")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        for load, oracle in ((load_survey, survey_oracle),
+                             (load_order_pair, order_pair_oracle)):
+            assert ingest_outcome(load, path) == ingest_outcome(oracle, path)
 
 
 T1, T2, MOORE = (str(fixture_path(name))

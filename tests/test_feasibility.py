@@ -118,6 +118,16 @@ class TestOrderEffect:
     # the projection checks ``current`` where it enters, by the same rule
     (lambda: project_to_majorized(pv(0.5, 0.3, 0.2), [0, 0, 0]),
      "distributions have different totals 0.0 and 1.0"),
+    # sorted partial sums beyond float range, whose inf - inf excess _slack
+    # reads as 0: here the first partial sums differ by 1e307 ...
+    (lambda: majorization_check([1e308, -1e308, 1e308, 0.0],
+                                [1.1e308, -1e308, 0.9e308, 0.0]),
+     "partial sums beyond float range in a majorization check"),
+    # ... and here the current row has total 1, which the projection would
+    # turn into a row of NaN
+    (lambda: project_to_majorized(pv(*[0.2] * 5),
+                                  [1e308, -1e308, 1e308, -1e308, 1.0]),
+     "partial sums beyond float range in a majorization check"),
     (lambda: project_to_majorized(pv(0.5, 0.3, 0.2), [np.inf, 0, 0]),
      "non-finite probability in a majorization check"),
     (lambda: project_to_majorized(pv(0.5, 0.3, 0.2), 0.5),
@@ -134,6 +144,8 @@ class TestOrderEffect:
         "projection-object-bytes", "majorization-smaller-total",
         "majorization-larger-total", "majorization-overflowing-total",
         "projection-smaller-total", "projection-zero-current",
+        "majorization-overflowing-partial-sums",
+        "projection-overflowing-partial-sums",
         "projection-infinite-current", "projection-scalar-current",
         "projection-scalar-current-one-answer", "projection-list-target"])
 def test_fault_message(entry, message):
@@ -142,8 +154,8 @@ def test_fault_message(entry, message):
     assert type(err.value) is ValueError and str(err.value) == message
 
 
-@pytest.mark.parametrize("tol", [float("nan"), -0.1, True, "0.1"],
-                         ids=["nan", "negative", "bool", "string"])
+@pytest.mark.parametrize("tol", [float("nan"), -0.1, True, "0.1", 2 ** 1024],
+                         ids=["nan", "negative", "bool", "string", "huge-int"])
 @pytest.mark.parametrize("verdict", [
     lambda tol: classical_consistency_check(
         Question("a", pv(0.5, 0.5), Polarity.FAVOUR),
