@@ -126,7 +126,8 @@ def cmd_check_classical(args):
 
 def cmd_check_order(args):
     pair = ingest.load_order_pair(args.pair_file)
-    report = feasibility.order_effect_check(
+    # ingest has run the pair rule, so the check runs on the checked rows
+    report = feasibility._order_effects(
         pair["ordering_1"], pair["ordering_2"], args.tol)
     yield ({"label": pair["label"], "question_names": pair["question_names"],
             "entries": report.entries}, report.any_flagged)
@@ -134,8 +135,8 @@ def cmd_check_order(args):
     for e in report.entries:
         name = pair["question_names"][e.question_index]
         mark = "FLAGGED" if e.flagged else "ok"
-        yield (f"  {name}: {e.marginal_first_ordering.tolist()} vs "
-               f"{e.marginal_second_ordering.tolist()} "
+        yield (f"  {name}: {e.marginal_first_ordering} vs "
+               f"{e.marginal_second_ordering} "
                f"(diff {e.difference:.6g}) [{mark}]")
 
 

@@ -231,7 +231,9 @@ def fit_chain(chain: SurveyChain, isolate_first: bool, tol: float) -> FitResult:
     row beyond it raises :class:`InfeasibleTargetError`, one within it is
     first projected to the feasible set and the distance recorded.  A
     projected row is the next spectrum, so a chain can fail here although
-    each pair of input rows is within ``tol`` in ``chain_feasibility``.
+    each pair of input rows is within ``tol`` in ``chain_feasibility``.  So
+    can a tie: the row step reads a slack from the rows' floats, where Table
+    2's exact 6 % is 0.06000000000000005 and exceeds a ``tol`` of 0.06.
     """
     _tolerance(tol)
     _require_transition(chain, isolate_first)

@@ -24,8 +24,8 @@ _NEGATIVE_PROB_TOL = 1e-12
 _PROB_SUM_TOL = 1e-9
 # a pure state: |norm - 1| accepted before renormalising
 _AMPLITUDE_NORM_TOL = 1e-6
-# ingest's percent rows, its one user: |sum - 100| accepted before dividing
-_PERCENT_SUM_TOL = 1.0
+# ingest's percent rows, its one user: |sum - 100| accepted, exactly
+_PERCENT_SUM_TOL = 1
 # majorization slack below this is partial-sum rounding noise, read as 0
 _MAJORIZATION_NOISE = 1e-12
 # largest fifth-marginal deviation nosignal-demo reports as no signalling

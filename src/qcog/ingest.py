@@ -10,15 +10,14 @@ A file's bytes are read once and decoded as UTF-8, with text mode's
 newline rule (``"\\r\\n"`` and a lone ``"\\r"`` read as ``"\\n"``), so a
 JSON error names the character a text-mode read would.
 
-Percentages are JSON numbers.  A row is rejected for a negative entry,
-else a sum outside [99, 101], else a bare NaN, with the row as written, as
-in ``non-finite percentage in [nan, 30.0, 20.0]``; a row that passes is
-divided by its sum, with -0 read as 0.  Rows are checked one at a time, in
-file order, so an error names the first faulty row.  A row is summed left
-to right, the order numpy uses below 8 entries, so the probabilities keep
-numpy's bits.  Ingest builds each ``Question`` and ``SurveyChain`` from
-values it has proven, through their private constructors, which check
-nothing again.
+Percentages are JSON numbers, read exactly: an integer as an int, any
+other number as the ``Decimal`` of its text, and a bare NaN or Infinity,
+which Python's JSON reader accepts, as a float.  A row is rejected for a
+negative entry, else a NaN, else an exact sum outside [99, 101], with the
+row printed as floats, as in ``non-finite percentage in [nan, 30.0,
+20.0]``; a row that passes becomes the ``Question`` row, its numbers as
+integers on one denominator, with -0 read as 0.  Rows are checked one at a
+time, in file order, so an error names the first faulty row.
 
 Order-effect pair schema (JSON)::
 
@@ -29,16 +28,27 @@ Order-effect pair schema (JSON)::
 from __future__ import annotations
 
 import json
-from functools import reduce
+from decimal import Decimal
 from importlib import resources
-from operator import add
+from math import isfinite
 from pathlib import Path
 
-import numpy as np
-
-from .feasibility import Polarity, Question, SurveyChain, _check_orderings
+from .feasibility import (Polarity, Question, SurveyChain, _check_orderings,
+                          _numerators)
 from .hilbert import _PERCENT_SUM_TOL
-from .states import ProbabilityVector
+
+
+class _Decimal(Decimal):
+    # a JSON number that is not an integer, held exactly and shown as the
+    # float a JSON reader gives, so a message prints its value as written
+    def __repr__(self) -> str:
+        return repr(float(self))
+
+
+# the types of the numbers in a JSON text; NaN and Infinity are floats
+_NUMBERS = {int, float, _Decimal}
+# reads every number that is not an integer as its exact decimal
+_DECODER = json.JSONDecoder(parse_float=_Decimal)
 
 
 class IngestError(ValueError):
@@ -65,7 +75,10 @@ def _load_json(path) -> dict:
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        return json.loads(text)
+        if text.startswith("\ufeff"):  # what json.loads refuses
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise IngestError(f"{path}: not valid JSON ({exc})") from exc
 
@@ -82,39 +95,39 @@ def _row_error(path, where: str, args, message) -> IngestError:
     return IngestError(f"{path}: {where.format(*args)}: {message}")
 
 
-def _percent_row(path, values, where: str, *args) -> ProbabilityVector:
+def _percent_row(path, values, where: str, *args) -> tuple:
     # the percent rule on one answer row, named by where.format(*args) when
-    # it fails: a list of numbers, each within float range, then no negative
-    # entry, a sum within _PERCENT_SUM_TOL of 100 and no NaN.  A row below 8
-    # entries is summed left to right from 0.0, as numpy sums it; a longer
-    # one, which only an order pair can hold, by numpy's pairwise sum.  A
-    # faulty row may overflow its sum to inf or make it NaN, with no
-    # RuntimeWarning
-    if not (isinstance(values, list) and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in values)):
+    # it fails: a list of numbers, no negative entry, no NaN and an exact sum
+    # within _PERCENT_SUM_TOL of 100; returned as integers in proportion.  A
+    # faulty row is printed as floats: an int beyond float range is a fault
+    if type(values) is not list or not _NUMBERS.issuperset(map(type, values)):
         raise _row_error(path, where, args,
                          f"expected a list of numbers, got {values!r}")
+    if {int}.issuperset(map(type, values)):  # JSON integers: exact as read
+        if values and min(values) >= 0 and abs(
+                sum(values) - 100) <= _PERCENT_SUM_TOL:
+            return tuple(values)
     try:
         row = [float(v) for v in values]
     except OverflowError as exc:  # an integer beyond float range
         raise _row_error(path, where, args, exc) from exc
-    if len(row) < 8:
-        total = reduce(add, row, 0.0)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = float(np.add.reduce(row))
+    total = sum(row, 0.0)  # NaN for a NaN entry, inf beyond float range
+    if isfinite(total):
+        # a decimal below float range reads as 0, as its float does, so no
+        # exponent can make the common denominator huge
+        if 0.0 in row:
+            values = [v if x else 0 for v, x in zip(values, row)]
+        exact, den = _numerators(values)
+        if min(exact, default=-1) >= 0 and abs(
+                sum(exact) - 100 * den) <= _PERCENT_SUM_TOL * den:
+            return exact
     if any(x < 0 for x in row):
         message = f"negative percentage in {row}"
-    elif abs(total - 100.0) > _PERCENT_SUM_TOL:
-        lo, hi = 100 - _PERCENT_SUM_TOL, 100 + _PERCENT_SUM_TOL
-        message = f"percentages sum to {total}, outside [{lo:g}, {hi:g}]"
     elif total != total:
         message = f"non-finite percentage in {row}"
     else:
-        # each quotient is finite and >= 0 or -0.0, which + 0.0 makes 0.0
-        return ProbabilityVector._frozen(
-            np.array([x / total + 0.0 for x in row]))
+        lo, hi = 100 - _PERCENT_SUM_TOL, 100 + _PERCENT_SUM_TOL
+        message = f"percentages sum to {total}, outside [{lo:g}, {hi:g}]"
     raise _row_error(path, where, args, message)
 
 
@@ -130,8 +143,8 @@ def _question_row(path, i: int, row) -> Question:
     except (KeyError, TypeError) as exc:  # an unhashable polarity: TypeError
         raise IngestError(f"{path}: bad question row {i}: {row!r}") from exc
     _string(path, text, f"question {i} text")
-    probs = _percent_row(path, values, "question {} ({!r})", i, text)
-    return Question._unchecked(text, probs, polarity)
+    row = _percent_row(path, values, "question {} ({!r})", i, text)
+    return Question._unchecked(text, row, polarity)
 
 
 def load_survey(path) -> SurveyChain:
@@ -146,18 +159,16 @@ def load_survey(path) -> SurveyChain:
         raise IngestError(f"{path}: questions must be a list, got {rows!r}")
     if not rows:
         raise IngestError(f"{path}: empty question list")
-    # every row has three answers, so the chain's rule holds
-    questions = tuple([_question_row(path, i, row)
-                       for i, row in enumerate(rows, start=1)])
-    return SurveyChain._unchecked(_string(path, label, "sample_label"),
-                                  questions)
+    questions = [_question_row(path, i, row)
+                 for i, row in enumerate(rows, start=1)]
+    return SurveyChain(_string(path, label, "sample_label"), questions)
 
 
 def load_order_pair(path) -> dict:
     """Read an order-effect pair file.
 
-    Returns label, question names, and the two orderings as
-    ProbabilityVector pairs in asked order.
+    Returns label, question names, and the two orderings in asked order,
+    each a list of two answer rows as a ``Question`` holds them.
     """
     doc = _load_json(path)
     try:
@@ -176,7 +187,7 @@ def load_order_pair(path) -> dict:
     o1, o2 = ([_percent_row(path, r, "marginal row {!r}", r) for r in o]
               for o in (o1, o2))
     try:
-        _check_orderings(o1, o2)
+        o1, o2 = _check_orderings(o1, o2)
     except ValueError as exc:
         raise IngestError(f"{path}: {exc}") from exc
     return {

@@ -51,13 +51,7 @@ class ProbabilityVector:
         # every distribution computed from validated inputs: clipped at 0 (a
         # state PSD within STRUCTURAL_TOL, read by a question unitary within
         # it, puts an entry below 0 only by rounding at that tol), not checked
-        return cls._frozen(np.maximum(p, 0.0))  # -0.0 to 0
-
-    @classmethod
-    def _frozen(cls, q: np.ndarray) -> "ProbabilityVector":
-        # for a float array proven a distribution, each entry +0.0 or more
-        # (ingest's percent rows); takes ownership of q, freezes it and
-        # checks nothing
+        q = np.maximum(p, 0.0)  # -0.0 to 0
         q.setflags(write=False)
         vector = object.__new__(cls)
         object.__setattr__(vector, "probs", q)

@@ -4,7 +4,6 @@ import pytest
 from qcog import states
 from qcog.feasibility import Polarity, Question, SurveyChain
 from qcog.ingest import fixture_path, load_survey
-from qcog.states import ProbabilityVector
 
 
 def haar_unitary(rng, dim):
@@ -46,6 +45,4 @@ def table2():
 
 def make_chain(rows, label="test", polarity=Polarity.NEUTRAL):
     return SurveyChain(label, tuple(
-        Question(f"q{i}", ProbabilityVector(np.asarray(r, dtype=float)),
-                 polarity)
-        for i, r in enumerate(rows)))
+        Question(f"q{i}", tuple(r), polarity) for i, r in enumerate(rows)))

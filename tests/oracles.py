@@ -4,15 +4,16 @@ Each builds its result the slow, explicit way, independently of the fast
 path under test.
 """
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 
-from qcog.feasibility import (FeasibilityReport, Polarity, Question,
-                              SurveyChain, TransitionCheck, _check_orderings)
+from qcog.feasibility import Polarity, SurveyChain
 from qcog.framefit import FitError, InfeasibleTargetError
 from qcog.hilbert import (_MAJORIZATION_NOISE, _NEGATIVE_PROB_TOL,
-                          _PERCENT_SUM_TOL, _PROB_SUM_TOL, RESIDUAL_LIMIT,
-                          _numeric, as_matrix, frame_projectors)
+                          _PROB_SUM_TOL, RESIDUAL_LIMIT, _numeric, as_matrix,
+                          frame_projectors)
 from qcog.ingest import IngestError
 from qcog.nosignal import FIVE_QUESTIONS
 from qcog.states import DensityMatrix, ProbabilityVector, StateError
@@ -63,22 +64,42 @@ def survey_to_dict(chain: SurveyChain) -> dict:
     return {"sample_label": chain.label, "questions": rows}
 
 
-def percent_row_oracle(values) -> np.ndarray:
-    """One answer row in percent, checked and normalized row by row: the
-    percentage checks (negative, sum, non-finite), then the probability
-    checks on the row divided by its sum.  Raises StateError with the
-    message of the first failed check."""
-    v = np.asarray(values, dtype=float)
-    if np.any(v < 0):
-        raise StateError(f"negative percentage in {v.tolist()}")
-    with np.errstate(all="ignore"):  # the faulty rows the checks reject
-        s = v.sum()
-        p = v / s
-    if abs(s - 100.0) > _PERCENT_SUM_TOL:
-        raise StateError(f"percentages sum to {s}, outside [99, 101]")
-    if not all(np.isfinite(x) for x in v):
-        raise StateError(f"non-finite percentage in {v.tolist()}")
-    return probability_row_oracle(p)
+def shares_oracle(row) -> list[Fraction]:
+    """The shares x / total of a row of numbers, in exact arithmetic."""
+    exact = [Fraction(x) for x in row]
+    total = sum(exact)
+    return [x / total for x in exact]
+
+
+class _Number(Fraction):
+    """A JSON number that is not an integer: its exact value, shown as the
+    float a JSON reader gives for its text."""
+
+    def __new__(cls, text):
+        number = super().__new__(cls, text)
+        number.float = float(text)
+        return number
+
+    def __repr__(self):
+        return repr(self.float)
+
+
+def percent_row_oracle(values) -> list[Fraction]:
+    """One answer row in percent by the percent rule, in exact arithmetic:
+    no negative entry, no NaN, then a sum within [99, 101], each fault named
+    with the row as floats and the sum as Python sums those floats; a
+    number below float range reads as 0, as its float does.  Returns the
+    row's exact shares; raises StateError with the first fault's message."""
+    row = [v.float if isinstance(v, _Number) else float(v) for v in values]
+    total = sum(row, 0.0)
+    if any(x < 0 for x in row):
+        raise StateError(f"negative percentage in {row}")
+    if total != total:
+        raise StateError(f"non-finite percentage in {row}")
+    if not (math.isfinite(total) and 99 <= sum(
+            Fraction(v) for v, x in zip(values, row) if x) <= 101):
+        raise StateError(f"percentages sum to {total}, outside [99, 101]")
+    return shares_oracle([v if x else 0 for v, x in zip(values, row)])
 
 
 def probability_row_oracle(values) -> np.ndarray:
@@ -97,10 +118,11 @@ def probability_row_oracle(values) -> np.ndarray:
 
 
 def _json_oracle(path):
-    # a text-mode read, whose newline rule turns "\r\n" and "\r" into "\n"
+    # a text-mode read, whose newline rule turns "\r\n" and "\r" into "\n";
+    # each number that is not an integer as its exact Fraction
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=_Number)
     except OSError as exc:
         raise IngestError(f"{path}: cannot read ({exc.strerror})") from None
     except UnicodeDecodeError as exc:
@@ -115,28 +137,25 @@ def _string_oracle(path, value, field: str) -> str:
     return value
 
 
-def _answer_row_oracle(path, values, where: str) -> ProbabilityVector:
-    # numbers, each within float range, then the percent rule in numpy, and
-    # the public constructor on the quotients
+def _answer_row_oracle(path, values, where: str) -> list[Fraction]:
+    # numbers, each within float range, then the percent rule in exact
+    # arithmetic
     if not (isinstance(values, list) and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
+            isinstance(v, (int, float, Fraction)) and not isinstance(v, bool)
             for v in values)):
         raise IngestError(f"{path}: {where}: expected a list of numbers, "
                           f"got {values!r}")
     try:
-        row = [float(v) for v in values]
-    except OverflowError as exc:
-        raise IngestError(f"{path}: {where}: {exc}") from None
-    try:
-        return ProbabilityVector(percent_row_oracle(row))
-    except StateError as exc:
+        return percent_row_oracle(values)
+    except (OverflowError, StateError) as exc:
         raise IngestError(f"{path}: {where}: {exc}") from None
 
 
-def survey_oracle(path) -> SurveyChain:
-    """load_survey the explicit way: a text-mode read, json.load, Polarity's
-    own lookup and the public constructors, each value checked where it is
-    built.  Raises IngestError with ingest's text."""
+def survey_oracle(path):
+    """load_survey the explicit way: a text-mode read, json.load with exact
+    Fractions, Polarity's own lookup and the exact percent rule, each value
+    checked where it is read.  Returns the label and each question's text,
+    polarity and exact shares; raises IngestError with ingest's text."""
     doc = _json_oracle(path)
     try:
         label, rows = doc["sample_label"], doc["questions"]
@@ -156,13 +175,14 @@ def survey_oracle(path) -> SurveyChain:
             raise IngestError(
                 f"{path}: bad question row {i}: {row!r}") from None
         _string_oracle(path, text, f"question {i} text")
-        probs = _answer_row_oracle(path, values, f"question {i} ({text!r})")
-        questions.append(Question(text, probs, polarity))
-    return SurveyChain(_string_oracle(path, label, "sample_label"), questions)
+        questions.append((text, polarity, _answer_row_oracle(
+            path, values, f"question {i} ({text!r})")))
+    return _string_oracle(path, label, "sample_label"), questions
 
 
-def order_pair_oracle(path) -> dict:
-    """load_order_pair the explicit way, as :func:`survey_oracle`."""
+def order_pair_oracle(path):
+    """load_order_pair the explicit way, as :func:`survey_oracle`: the
+    label, the question names and each ordering's exact shares."""
     doc = _json_oracle(path)
     try:
         names, o1, o2 = (doc["question_names"], doc["ordering_1"],
@@ -176,12 +196,11 @@ def order_pair_oracle(path) -> dict:
         _string_oracle(path, name, f"question_names[{k}]")
     o1, o2 = ([_answer_row_oracle(path, r, f"marginal row {r!r}") for r in o]
               for o in (o1, o2))
-    try:
-        _check_orderings(o1, o2)
-    except ValueError as exc:
-        raise IngestError(f"{path}: {exc}") from None
-    return {"label": _string_oracle(path, doc.get("label", ""), "label"),
-            "question_names": names, "ordering_1": o1, "ordering_2": o2}
+    if len(o1[0]) != len(o2[1]) or len(o1[1]) != len(o2[0]):
+        raise IngestError(
+            f"{path}: marginal dimensions differ between orderings")
+    return (_string_oracle(path, doc.get("label", ""), "label"), names,
+            [o1, o2])
 
 
 def transition_oracle(prev, nxt, tol: float):
@@ -207,25 +226,15 @@ def slack_oracle(current, target) -> np.ndarray:
     return np.where(excess >= _MAJORIZATION_NOISE, excess, 0.0)
 
 
-def chain_feasibility_oracle(chain: SurveyChain, isolate_first: bool,
-                             tol: float) -> FeasibilityReport:
-    """chain_feasibility on the chain's rows stacked in one numpy array:
-    every transition's max increase, min decrease and slack at once."""
-    d = np.array([q.probs.probs for q in chain.questions])
-    n = len(d)
-    highs, lows = d.max(axis=1), d.min(axis=1)
-    increase = highs[1:] - highs[:-1]
-    decrease = lows[:-1] - lows[1:]
-    slack = slack_oracle(d[:-1], d[1:])
-    exempt = np.zeros(n - 1, dtype=bool)
-    exempt[0] = isolate_first
-    return FeasibilityReport(tuple(map(
-        TransitionCheck, range(n - 1), range(1, n),
-        np.where(increase > 0.0, increase, 0.0).tolist(),
-        np.where(decrease > 0.0, decrease, 0.0).tolist(),
-        slack.tolist(),
-        (exempt | (slack <= tol)).tolist(),
-        exempt.tolist())))
+def transition_exact_oracle(prev, nxt) -> tuple[Fraction, ...]:
+    """(max increase, min decrease, majorization slack) of one transition
+    between two rows of numbers, each in exact arithmetic: the rows' shares,
+    sorted largest first and summed prefix by prefix."""
+    a, b = shares_oracle(prev), shares_oracle(nxt)
+    sa, sb = sorted(a, reverse=True), sorted(b, reverse=True)
+    slack = max(sum(sb[:k]) - sum(sa[:k]) for k in range(1, len(a) + 1))
+    return (max(Fraction(0), max(b) - max(a)),
+            max(Fraction(0), min(a) - min(b)), max(Fraction(0), slack))
 
 
 def schur_horn_frame_oracle(lam: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcog import cli
+from qcog import cli, feasibility, ingest
 from qcog.cli import main
 from qcog.feasibility import (FeasibilityReport, Polarity, SurveyChain,
                               TransitionCheck, chain_feasibility)
@@ -26,7 +26,8 @@ from qcog.ingest import IngestError, fixture_path, load_order_pair, load_survey
 from qcog.sequential import interference_region_scan
 from qcog.states import ProbabilityVector
 
-from .oracles import order_pair_oracle, survey_oracle, survey_to_dict
+from .oracles import (order_pair_oracle, shares_oracle, survey_oracle,
+                      survey_to_dict)
 
 
 def write_survey(path, rows):
@@ -214,6 +215,21 @@ class TestIngest:
         assert main(["check-order", str(path), "--tol", "0.05"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_check_order_runs_the_pair_rule_once(self, moore, monkeypatch):
+        # ingest runs the pair rule and names a fault with its file; the
+        # check then runs on the checked rows, not through the rule again
+        calls = []
+        rule = feasibility._check_orderings
+
+        def spy(*args):
+            calls.append(args)
+            return rule(*args)
+
+        monkeypatch.setattr(feasibility, "_check_orderings", spy)
+        monkeypatch.setattr(ingest, "_check_orderings", spy)
+        assert main(["check-order", moore, "--tol", "0.05"]) == 2
+        assert len(calls) == 1
+
     def test_pair_questions_may_differ_in_answer_count(self, tmp_path,
                                                        capsys):
         # why a pair's rows are checked one at a time: question 0 has three
@@ -225,8 +241,7 @@ class TestIngest:
         path = tmp_path / "pair.json"
         path.write_text(json.dumps(doc))
         pair = load_order_pair(path)
-        assert [p.probs.tolist() for p in pair["ordering_1"]] == [
-            [0.2, 0.3, 0.5], [0.6, 0.4]]
+        assert pair["ordering_1"] == [(20, 30, 50), (60, 40)]
         assert main(["check-order", str(path), "--tol", "0.5", "--json"]) == 0
         entries = json.loads(capsys.readouterr().out)["entries"]
         assert [(e["question_index"], e["marginal_first_ordering"],
@@ -303,9 +318,44 @@ class TestIngest:
 
     def test_moore_pair(self, moore):
         pair = load_order_pair(moore)
-        assert len(pair["ordering_1"]) == 2
-        assert np.allclose(pair["ordering_1"][0].probs, [0.5, 0.5])
-        assert np.allclose(pair["ordering_2"][0].probs, [0.68, 0.32])
+        assert pair["ordering_1"] == [(50, 50), (57, 43)]
+        assert pair["ordering_2"] == [(68, 32), (60, 40)]
+
+    @pytest.mark.parametrize("text, row", [
+        # integers as they are, any other number by its decimal text on
+        # one denominator; -0.0 is 0
+        ("[29, 52, 19]", (29, 52, 19)),
+        ("[37.0, 50.0, 13.0]", (37, 50, 13)),
+        ("[33.3, 33.3, 33.4]", (333, 333, 334)),
+        ("[12.5, 50, 37.5]", (25, 100, 75)),
+        ("[0.1, 99.9, -0.0]", (1, 999, 0)),
+        ("[1e2, 0, 0.0]", (100, 0, 0)),
+        # a number below float range reads as 0, as its float does
+        ("[1e-400, 50, 50]", (0, 50, 50)),
+        ("[-1e-400, 50, 50]", (0, 50, 50)),
+    ])
+    def test_rows_are_exact(self, tmp_path, text, row):
+        path = tmp_path / "exact.json"
+        path.write_text('{"sample_label": "x", "questions": [{"text": "q", '
+                        '"yes": %s, "unsure": %s, "no": %s}]}'
+                        % tuple(text.strip("[]").split(", ")))
+        (question,) = load_survey(path).questions
+        assert question.row == row
+        shares = [x / sum(row) for x in row]
+        assert question.probs.probs.tolist() == shares
+
+    def test_exact_sum_bounds(self, tmp_path):
+        # the sum is exact: 101 and 99 are in range however their floats
+        # round (101.00000000000001 and 98.99999999999999 here), and a sum
+        # 1e-10 beyond either is not
+        rows = [[30.1, 34.2, 36.7], [30.1, 67.1, 1.8]]
+        path = write_survey(tmp_path / "edge.json", rows)
+        assert [q.row for q in load_survey(path).questions] == [
+            (301, 342, 367), (301, 671, 18)]
+        for row in ([30.1, 34.2, 36.7000000001], [30.1, 67.1, 1.7999999999]):
+            path = write_survey(tmp_path / "over.json", [row])
+            with pytest.raises(IngestError, match="outside"):
+                load_survey(path)
 
 
 class TestExitCodes:
@@ -629,7 +679,6 @@ def valid_survey(draw):
 
 @st.composite
 def valid_pair(draw):
-    # from 8 answers a row is summed by numpy's pairwise rule
     k0, k1 = draw(st.integers(2, 10)), draw(st.integers(2, 10))
     rows = [draw(percent_entries(k)) for k in (k0, k1, k1, k0)]
     doc = {"question_names": [draw(st.text(max_size=6)) for _ in range(2)],
@@ -656,39 +705,55 @@ def ingest_files(draw):
     return data
 
 
-def ingest_outcome(load, path):
-    # what a caller sees of a load: the error text, or every label, text and
-    # polarity and the bits of every probability
-    try:
-        got = load(path)
-    except IngestError as exc:
-        return str(exc)
+def ingest_outcome(path) -> list:
+    # what a caller sees of each load: the error text, or every label, text
+    # and polarity and each row's exact shares; a question's probabilities
+    # are its shares, each rounded once
+    outcomes = []
+    for load in (load_survey, load_order_pair):
+        try:
+            got = load(path)
+        except IngestError as exc:
+            outcomes.append(str(exc))
+            continue
+        if isinstance(got, SurveyChain):
+            assert type(got.questions) is tuple
+            for q in got.questions:
+                p, shares = q.probs, shares_oracle(q.row)
+                assert type(p) is ProbabilityVector
+                assert not p.probs.flags.writeable
+                assert p.probs.tolist() == [float(x) for x in shares]
+            outcomes.append((got.label, [
+                (q.text, q.polarity, shares_oracle(q.row))
+                for q in got.questions]))
+        else:
+            outcomes.append((got["label"], got["question_names"],
+                             [[shares_oracle(r) for r in got[k]]
+                              for k in ("ordering_1", "ordering_2")]))
+    return outcomes
 
-    def bits(p):
-        assert type(p) is ProbabilityVector and not p.probs.flags.writeable
-        return [x.hex() for x in p.probs.tolist()]
 
-    if isinstance(got, SurveyChain):
-        assert type(got.questions) is tuple
-        return got.label, [(q.text, q.polarity, bits(q.probs))
-                           for q in got.questions]
-    return (got["label"], got["question_names"],
-            [[bits(p) for p in got[k]] for k in ("ordering_1", "ordering_2")])
+def oracle_outcome(path) -> list:
+    outcomes = []
+    for oracle in (survey_oracle, order_pair_oracle):
+        try:
+            outcomes.append(oracle(path))
+        except IngestError as exc:
+            outcomes.append(str(exc))
+    return outcomes
 
 
 class TestIngestMatchesOracle:
     @settings(max_examples=200, deadline=None)
     @given(data=ingest_files())
     def test_same_chain_pair_or_error(self, data, tmp_path_factory):
-        # one bytes read and the private constructors give what a text-mode
-        # read and the public constructors give, bit for bit, or the same
-        # error text
+        # one bytes read, Decimal numbers and integer rows give what a
+        # text-mode read and the exact percent rule in Fractions give, or
+        # the same error text
         path = str(tmp_path_factory.getbasetemp() / "ingest.json")
         with open(path, "wb") as fh:
             fh.write(data)
-        for load, oracle in ((load_survey, survey_oracle),
-                             (load_order_pair, order_pair_oracle)):
-            assert ingest_outcome(load, path) == ingest_outcome(oracle, path)
+        assert ingest_outcome(path) == oracle_outcome(path)
 
 
 T1, T2, MOORE = (str(fixture_path(name))
@@ -816,39 +881,40 @@ class TestJsonOutputs:
         assert abs(doc["p_up_after_y"] - 0.5) < 1e-12
 
 
-# (argv, exit code, SHA-256 of stdout) of each --json report, as the
-# row-by-row implementation wrote them.  Only spin-demo's payload passes
-# through BLAS products, the 2x2 matmuls of the Lueders update; its digest
-# is that of the block pinching (p_up_after_y 0.49999999999999967)
+# (argv, exit code, SHA-256 of stdout) of each --json report.  Each check
+# value is computed exactly on the integer rows and rounded once (0.29, not
+# 0.29000000000000004).  Only spin-demo's payload passes through BLAS
+# products, the 2x2 matmuls of the Lueders update; its digest is that of
+# the block pinching (p_up_after_y 0.49999999999999967)
 GOLDEN_JSON = [
     (["check-contraction", T1], 2,
-     "f249b0b5702d0c576929d93a9f5665ca885e372e0e0f12b849580c678f76d1c6"),
+     "46b966bc428ea1869f11bf304c74421e84025d333c3f0ab970d680652eaf1c03"),
     (["check-contraction", T2], 2,
-     "9adec0419857d4ed58ba52097b50b554208fbf3436e83d1d97a36115714569ce"),
+     "31e6495f7eac1a1eebdf29bc28e1732b15eed7812bdbf0491b2e9ec146cd1644"),
     (["check-feasibility", T1, "--tol", "0"], 2,
-     "f249b0b5702d0c576929d93a9f5665ca885e372e0e0f12b849580c678f76d1c6"),
+     "46b966bc428ea1869f11bf304c74421e84025d333c3f0ab970d680652eaf1c03"),
     (["check-feasibility", T1, "--tol", "0", "--isolate-first"], 0,
-     "125731b15bd3ab858af1cc4105cb261d24660e51225730de6dea0dc94b722418"),
+     "58ef8c1e92969150ebf78bb1d4df3490cb30dd6654316709c1277808eec823bb"),
     (["check-feasibility", T1, "--tol", "0.07"], 2,
-     "f249b0b5702d0c576929d93a9f5665ca885e372e0e0f12b849580c678f76d1c6"),
+     "46b966bc428ea1869f11bf304c74421e84025d333c3f0ab970d680652eaf1c03"),
     (["check-feasibility", T1, "--tol", "0.07", "--isolate-first"], 0,
-     "125731b15bd3ab858af1cc4105cb261d24660e51225730de6dea0dc94b722418"),
+     "58ef8c1e92969150ebf78bb1d4df3490cb30dd6654316709c1277808eec823bb"),
     (["check-feasibility", T2, "--tol", "0"], 2,
-     "9adec0419857d4ed58ba52097b50b554208fbf3436e83d1d97a36115714569ce"),
+     "31e6495f7eac1a1eebdf29bc28e1732b15eed7812bdbf0491b2e9ec146cd1644"),
     (["check-feasibility", T2, "--tol", "0", "--isolate-first"], 2,
-     "66132ec13ccd237c577b9d3192d1b983d964686bf89c99a54f586a6b99a2a70f"),
+     "234e966ab8c6864435560ff6667702a336034169b1b732136df9f374f262d81a"),
     (["check-feasibility", T2, "--tol", "0.07"], 2,
-     "52495a107f3bc403d99bc26cb480cccd792f50ce74dc453e39bbc09e2dfe3b0c"),
+     "165ac09a70e34ff849f540a482363e59cb40360dbb2dcd12c94cd3302479d458"),
     (["check-feasibility", T2, "--tol", "0.07", "--isolate-first"], 0,
-     "4ccb76286a260cc678ccc0817ea7f75514cc0b505e70fa2ab40a25e027569032"),
+     "2b2bc0af4674b56aac647f416c4933798cdf2d9f263c1a21c445de5dddf85727"),
     (["check-classical", T1, T2, "--tol", "0.01"], 2,
-     "7b607c7636e8523e978c68e465d787a691852f762231ec8e7f15c9ec0eef4e60"),
+     "f3afbc5c5d56478f2d75569e0ad63feb452581eaaad4f4056d27e51d3e393c2b"),
     (["check-classical", T1, T2, "--tol", "0.5"], 0,
-     "f132de0592523a7ae46a1eea7153ee466f7a2098b670a10e21aafc10ed696272"),
+     "8b895f2eaf3c57b17c6fbea2294975fad2e785a6606ac4251a4a73965622d230"),
     (["check-order", MOORE, "--tol", "0.05"], 2,
-     "2fdbcfbf08cdfaee7bfb0e260a803ece5aa805240a62cdd26021e28bcfd34c59"),
+     "157e27937b25f0b276cac14ad53388c7c21f7acec833add2411774549ed30761"),
     (["check-order", MOORE, "--tol", "0.5"], 0,
-     "77154b39e12bc4719449b8a88b994a99b96f055538beb4b8fde1b8c889cc89e5"),
+     "c6601f412ecbe1b98c695aef8b611ce0a6aad6a5f4eaa1675e4f8bcfad97f410"),
     (["spin-demo"], 0,
      "d1e394315a85ed83729dbab12bb17d34b53d5f3a1572fa120db60575084923f7"),
 ]
@@ -876,26 +942,26 @@ class TestGoldenJson:
             payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-# The five exact ties in the data, pinned as the float verdicts read them
-# today: the exact value equals tol, so each verdict follows the rounding
-# direction of its float.  (argv, exit code, path to the reported value in
-# the --json report, its float.hex, path to the verdict, the verdict)
+# The exact ties in the data: the exact value equals tol, and each value is
+# exact and rounded once, so it reads as tol's float and is within tol.
+# (argv, exit code, path to the reported value in the --json report, its
+# float.hex, path to the verdict, the verdict)
 EXACT_TIES = [
-    # slack 79 - 73 = 6 %, read as 0.06000000000000005: infeasible
-    (["check-feasibility", T2, "--isolate-first", "--tol", "0.06"], 2,
-     ("transitions", 1, "majorization_slack"), "0x1.eb851eb851ec0p-5",
-     ("transitions", 1, "feasible_at_tol"), False),
-    # slack 29 %, read as 0.29000000000000004: infeasible
-    (["check-feasibility", T1, "--tol", "0.29"], 2,
-     ("transitions", 0, "majorization_slack"), "0x1.28f5c28f5c290p-2",
-     ("transitions", 0, "feasible_at_tol"), False),
-    # Gore's difference 0.11, read as 0.1100000000000001: flagged
-    (["check-order", MOORE, "--tol", "0.11"], 2,
-     ("entries", 1, "difference"), "0x1.c28f5c28f5c30p-4",
-     ("entries", 1, "flagged"), True),
-    # support difference 0.11, read as 0.10999999999999999: consistent
+    # slack 79 - 73 = 6 %: feasible
+    (["check-feasibility", T2, "--isolate-first", "--tol", "0.06"], 0,
+     ("transitions", 1, "majorization_slack"), "0x1.eb851eb851eb8p-5",
+     ("transitions", 1, "feasible_at_tol"), True),
+    # slack 29 %: feasible
+    (["check-feasibility", T1, "--tol", "0.29"], 0,
+     ("transitions", 0, "majorization_slack"), "0x1.28f5c28f5c28fp-2",
+     ("transitions", 0, "feasible_at_tol"), True),
+    # Gore's difference 0.11: not flagged
+    (["check-order", MOORE, "--tol", "0.11"], 0,
+     ("entries", 1, "difference"), "0x1.c28f5c28f5c29p-4",
+     ("entries", 1, "flagged"), False),
+    # support difference 0.11: consistent
     (["check-classical", T1, T2, "--tol", "0.11"], 0,
-     ("support_difference",), "0x1.c28f5c28f5c28p-4", ("violation",), None),
+     ("support_difference",), "0x1.c28f5c28f5c29p-4", ("violation",), None),
 ]
 
 
@@ -916,7 +982,8 @@ class TestExactTies:
         assert got is verdict
 
     def test_fit_chain_tie(self, t2):
-        # the row step reads the 6 % slack as check-feasibility does
+        # the row step reads the 6 % slack from the rows' floats, as
+        # 0.06000000000000005, so it refuses what check-feasibility accepts
         code, out, err = run_main(
             ["fit-chain", t2, "--isolate-first", "--tol", "0.06"])
         assert (code, out) == (1, "")

@@ -1,8 +1,14 @@
+import contextlib
+import io
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcog.cli import main
 from qcog.feasibility import (Polarity, PolarityError, Question, SurveyChain,
                               _slack, chain_feasibility,
                               classical_consistency_check, contraction_check,
@@ -11,7 +17,8 @@ from qcog.framefit import fit_chain, project_to_majorized
 from qcog.states import DensityMatrix, ProbabilityVector, outcome_probabilities
 
 from .conftest import haar_unitary, make_chain, random_probs
-from .oracles import chain_feasibility_oracle, slack_oracle, transition_oracle
+from .oracles import (shares_oracle, slack_oracle, transition_exact_oracle,
+                      transition_oracle)
 
 
 def pv(*values):
@@ -34,7 +41,7 @@ class TestClassicalCheck:
         assert check.polarity_warning
 
     def test_identical_finals(self):
-        q = Question("same", pv(0.4, 0.2, 0.4), Polarity.FAVOUR)
+        q = Question("same", (40, 20, 40), Polarity.FAVOUR)
         check = classical_consistency_check(q, q, tol=1e-6)
         assert check.violation is None
         assert not check.polarity_warning
@@ -48,41 +55,64 @@ class TestClassicalCheck:
         assert a.oppose_difference == b.oppose_difference
 
     def test_neutral_polarity_rejected(self):
-        q1 = Question("a", pv(0.5, 0.2, 0.3), Polarity.NEUTRAL)
-        q2 = Question("b", pv(0.5, 0.2, 0.3), Polarity.FAVOUR)
+        q1 = Question("a", (50, 20, 30), Polarity.NEUTRAL)
+        q2 = Question("b", (50, 20, 30), Polarity.FAVOUR)
         with pytest.raises(PolarityError):
             classical_consistency_check(q1, q2, 0.01)
 
 
 class TestOrderEffect:
     def test_moore_data(self):
-        clinton_first = [pv(0.50, 0.50), pv(0.57, 0.43)]
-        gore_first = [pv(0.68, 0.32), pv(0.60, 0.40)]
+        clinton_first = [(50, 50), (57, 43)]
+        gore_first = [(68, 32), (60, 40)]
         report = order_effect_check(clinton_first, gore_first, tol=0.05)
         clinton, gore = report.entries
-        assert clinton.flagged and abs(clinton.difference - 0.10) < 1e-12
-        assert gore.flagged and abs(gore.difference - 0.11) < 1e-12
+        # exact differences, rounded once
+        assert clinton.flagged and clinton.difference == 0.10
+        assert gore.flagged and gore.difference == 0.11
+        assert (gore.marginal_first_ordering,
+                gore.marginal_second_ordering) == ([0.57, 0.43], [0.68, 0.32])
 
     def test_order_independent_case(self):
-        o1 = [pv(0.5, 0.5), pv(0.6, 0.4)]
-        o2 = [pv(0.6, 0.4), pv(0.5, 0.5)]
+        o1 = [(0.5, 0.5), (0.6, 0.4)]
+        o2 = [(60, 40), (1, 1)]
         report = order_effect_check(o1, o2, tol=1e-9)
         assert not report.any_flagged
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            order_effect_check([pv(0.5, 0.5), pv(0.6, 0.4)],
-                               [pv(0.3, 0.3, 0.4), pv(0.5, 0.5)], 0.01)
+            order_effect_check([(5, 5), (6, 4)],
+                               [(3, 3, 4), (5, 5)], 0.01)
 
 
 @pytest.mark.parametrize("entry, message", [
     (lambda: SurveyChain("empty", ()),
      "a survey chain needs at least one question"),
-    (lambda: SurveyChain("mixed", (Question("a", pv(0.5, 0.5)),
-                                   Question("b", pv(0.5, 0.3, 0.2)))),
+    (lambda: SurveyChain("mixed", (Question("a", (50, 50)),
+                                   Question("b", (50, 30, 20)))),
      "all questions must share one dimension"),
-    (lambda: order_effect_check([pv(0.5, 0.5)] * 3, [pv(0.5, 0.5)] * 2, 0.01),
+    (lambda: order_effect_check([(1, 1)] * 3, [(1, 1)] * 2, 0.01),
      "each ordering must contain exactly two questions"),
+    # an answer row: a tuple of finite numbers >= 0 with a positive sum
+    (lambda: Question("a", [50, 50]), "row must be a tuple, got list"),
+    (lambda: Question("a", ()),
+     "row must hold finite numbers >= 0 with a positive sum, got ()"),
+    (lambda: Question("a", (105, -5)),
+     "row must hold finite numbers >= 0 with a positive sum, got (105, -5)"),
+    (lambda: Question("a", (0, 0.0)),
+     "row must hold finite numbers >= 0 with a positive sum, got (0, 0.0)"),
+    (lambda: Question("a", (float("nan"), 1)),
+     "row must hold finite numbers >= 0 with a positive sum, got (nan, 1)"),
+    (lambda: Question("a", (float("inf"), 1)),
+     "row must hold finite numbers >= 0 with a positive sum, got (inf, 1)"),
+    (lambda: Question("a", (True, 1)),
+     "row must hold finite numbers >= 0 with a positive sum, got (True, 1)"),
+    (lambda: Question("a", ("50", 50)),
+     "row must hold finite numbers >= 0 with a positive sum, got ('50', 50)"),
+    (lambda: order_effect_check([(1, 1), (1, -1)], [(1, 1)] * 2, 0.01),
+     "each marginal must hold finite numbers >= 0 with a positive sum, "
+     "got (1, -1)"),
+    (lambda: majorization_check([], []), "distributions must be nonempty"),
     (lambda: majorization_check([0.5, 0.5], [0.5, 0.3, 0.2]),
      "distributions have different dimensions"),
     (lambda: majorization_check(0.5, 0.5), "distributions must be 1-d arrays"),
@@ -137,7 +167,10 @@ class TestOrderEffect:
     (lambda: project_to_majorized([0.6, 0.3, 0.1], [0.5, 0.3, 0.2]),
      "target must be a ProbabilityVector, got list"),
 ], ids=["empty-chain", "mixed-dims-chain", "three-question-ordering",
-        "majorization-shapes", "majorization-scalars", "majorization-2d",
+        "row-list", "row-empty", "row-negative", "row-zero-sum", "row-nan",
+        "row-inf", "row-bool", "row-text", "order-negative-row",
+        "majorization-empty", "majorization-shapes", "majorization-scalars",
+        "majorization-2d",
         "majorization-huge-int", "majorization-complex",
         "projection-shapes", "majorization-numeric-text",
         "projection-numeric-text", "majorization-object-text",
@@ -158,9 +191,9 @@ def test_fault_message(entry, message):
                          ids=["nan", "negative", "bool", "string", "huge-int"])
 @pytest.mark.parametrize("verdict", [
     lambda tol: classical_consistency_check(
-        Question("a", pv(0.5, 0.5), Polarity.FAVOUR),
-        Question("b", pv(0.4, 0.6), Polarity.FAVOUR), tol),
-    lambda tol: order_effect_check([pv(0.5, 0.5)] * 2, [pv(0.4, 0.6)] * 2, tol),
+        Question("a", (50, 50), Polarity.FAVOUR),
+        Question("b", (40, 60), Polarity.FAVOUR), tol),
+    lambda tol: order_effect_check([(50, 50)] * 2, [(40, 60)] * 2, tol),
     lambda tol: majorization_check([0.5, 0.5], [0.5, 0.5], tol),
     lambda tol: chain_feasibility(make_chain([[0.5, 0.5], [0.9, 0.1]]),
                                   False, tol),
@@ -276,12 +309,11 @@ class TestChainFeasibility:
 
 @st.composite
 def chains(draw):
-    """2-8 rows of 2-6 answers drawn from a small pool, so rows repeat and
-    entries tie; zero entries included."""
+    """2-8 rows of 2-6 integer weights drawn from a small pool, so rows
+    repeat and entries tie; zero entries included."""
     k = draw(st.integers(2, 6))
     weights = st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any)
-    pool = [np.array(w, dtype=float) / sum(w)
-            for w in draw(st.lists(weights, min_size=1, max_size=4))]
+    pool = draw(st.lists(weights, min_size=1, max_size=4))
     return [pool[i] for i in draw(st.lists(
         st.integers(0, len(pool) - 1), min_size=2, max_size=8))]
 
@@ -295,31 +327,31 @@ class TestChainReportOnePass:
     @given(rows=chains(), isolate_first=st.booleans(), data=st.data())
     def test_matches_each_transition_alone(self, rows, isolate_first, data):
         # tol exactly at a transition's slack, or at zero
-        slacks = [transition_oracle(a, b, 0.0)[2]
-                  for a, b in zip(rows, rows[1:])]
-        tol = data.draw(st.sampled_from([0.0, *slacks]))
+        exact = [transition_exact_oracle(a, b) for a, b in zip(rows, rows[1:])]
+        tol = data.draw(st.sampled_from([Fraction(0), *(e[2] for e in exact)]))
         chain = make_chain(rows)
         if len(rows) < 2 + isolate_first:
             with pytest.raises(ValueError, match="at least two questions"):
-                chain_feasibility(chain, isolate_first, tol)
+                chain_feasibility(chain, isolate_first, float(tol))
             return
-        report = chain_feasibility(chain, isolate_first, tol)
+        report = chain_feasibility(chain, isolate_first, float(tol))
         assert len(report.transitions) == len(rows) - 1
         dists = [q.probs.probs for q in chain.questions]
         for i, t in enumerate(report.transitions):
-            max_inc, min_dec, slack, feasible = transition_oracle(
-                dists[i], dists[i + 1], tol)
-            assert majorization_check(dists[i], dists[i + 1], tol) == (
+            # the pair check on the rows' floats keeps its float rule
+            *_, slack, feasible = transition_oracle(
+                dists[i], dists[i + 1], float(tol))
+            assert majorization_check(dists[i], dists[i + 1], float(tol)) == (
                 feasible, slack)
             exempt = isolate_first and i == 0
             assert (t.from_index, t.to_index) == (i, i + 1)
             assert [bits(t.max_increase), bits(t.min_decrease),
                     bits(t.majorization_slack)] == [
-                bits(max_inc), bits(min_dec), bits(slack)]
+                bits(float(x)) for x in exact[i]]
             assert type(t.feasible_at_tol) is bool and type(t.exempt) is bool
             assert (t.feasible_at_tol, t.exempt) == (
-                feasible or exempt, exempt)
-        if tol == 0.0:
+                exempt or exact[i][2] <= tol, exempt)
+        if tol == 0:
             assert contraction_check(chain) == chain_feasibility(
                 chain, False, 0.0)
 
@@ -354,21 +386,10 @@ def slack_rows(draw):
     return current, target
 
 
-@st.composite
-def random_chains(draw):
-    """2-8 rows of 2-6 answers: the tied rows of chains(), or uniform draws
-    normalised by numpy."""
-    if draw(st.booleans()):
-        return draw(chains())
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    k = draw(st.integers(2, 6))
-    return [random_probs(rng, k) for _ in range(draw(st.integers(2, 8)))]
-
-
 class TestFloatPathMatchesNumpy:
-    """The majorization slack and the chain report run on Python floats;
-    each value is the vectorised numpy computation's, bit for bit
-    (tests/oracles.py)."""
+    """The float majorization slack, which the pair check and the frame fit
+    read, runs on Python floats; each value is the vectorised numpy
+    computation's, bit for bit (tests/oracles.py)."""
 
     @settings(max_examples=500, deadline=None)
     @given(slack_rows())
@@ -393,25 +414,114 @@ class TestFloatPathMatchesNumpy:
             want = float(slack_oracle(current, target))
         assert bits(_slack(current, target)) == bits(want)
 
-    @settings(max_examples=300, deadline=None)
-    @given(rows=random_chains(), isolate_first=st.booleans(), data=st.data())
-    def test_chain_report(self, rows, isolate_first, data):
-        chain = make_chain(rows)
-        if len(rows) < 2 + isolate_first:
-            return
-        # tol at zero, at a transition's slack or between the two
-        slacks = [t.majorization_slack for t in chain_feasibility_oracle(
-            chain, isolate_first, 0.0).transitions]
-        tol = data.draw(st.sampled_from([0.0, 0.07, *slacks]))
-        got = chain_feasibility(chain, isolate_first, tol).transitions
-        want = chain_feasibility_oracle(chain, isolate_first, tol).transitions
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert (g.from_index, g.to_index) == (w.from_index, w.to_index)
-            assert [bits(g.max_increase), bits(g.min_decrease),
-                    bits(g.majorization_slack)] == [
-                bits(w.max_increase), bits(w.min_decrease),
-                bits(w.majorization_slack)]
-            assert type(g.feasible_at_tol) is bool and type(g.exempt) is bool
-            assert (g.feasible_at_tol, g.exempt) == (
-                w.feasible_at_tol, w.exempt)
+
+@st.composite
+def percent_row(draw, k: int, places: int):
+    """(JSON numbers, their exact values) of k percentages summing to
+    exactly 99-101, ties and zeros included: integers, or multiples of
+    10**-places written as floats, whose shortest text ("37.0", "33.3") is
+    that decimal."""
+    unit = 10 ** places
+    total = draw(st.integers(99 * unit, 101 * unit))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=k - 1,
+                                max_size=k - 1)))
+    parts = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+    if places == 0 and draw(st.booleans()):
+        return parts, [Fraction(p) for p in parts]
+    return [p / unit for p in parts], [Fraction(p, unit) for p in parts]
+
+
+def run_json(argv) -> tuple[int, dict]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + ["--json"])
+    return code, json.loads(out.getvalue())
+
+
+class TestExactChecks:
+    """check-contraction, check-feasibility, check-classical and check-order
+    on integer-percent rows summing to 99-101 and on one-decimal rows, at a
+    tol of up to 10 decimals or at a value the data attain: every reported
+    value is its exact value rounded once, and every verdict is the exact
+    comparison with tol's exact value."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_values_and_verdicts_are_exact(self, data, tmp_path_factory):
+        places = data.draw(st.sampled_from([0, 1]), label="places")
+        surveys = [[data.draw(percent_row(3, places))
+                    for _ in range(data.draw(st.integers(3, 5)))]
+                   for _ in range(2)]
+        polarities = [data.draw(st.sampled_from(["favour", "oppose"]))
+                      for _ in surveys]
+        counts = data.draw(st.lists(st.integers(2, 4), min_size=2,
+                                    max_size=2))
+        pair = [[data.draw(percent_row(k, places)) for k in ks]
+                for ks in (counts, counts[::-1])]
+
+        transitions = [transition_exact_oracle(a, b) for (_, a), (_, b)
+                       in zip(surveys[0], surveys[0][1:])]
+        ends = []
+        for rows, polarity in zip(surveys, polarities):
+            yes, _, no = shares_oracle(rows[-1][1])
+            ends.append((yes, no) if polarity == "favour" else (no, yes))
+        classical = [abs(a - b) for a, b in zip(*ends)]
+        order = [max(abs(x - y) for x, y in zip(
+                     shares_oracle(a[1]), shares_oracle(b[1])))
+                 for a, b in zip(pair[0], pair[1][::-1])]
+        tol = data.draw(st.one_of(
+            st.sampled_from([Fraction(0), *(v for t in transitions for v in t),
+                             *classical, *order]),
+            st.integers(0, 30).map(lambda k: Fraction(k, 100)),
+            st.integers(0, 5 * 10 ** 9 - 1).map(
+                lambda k: Fraction(k, 10 ** 10))), label="tol")
+
+        folder = tmp_path_factory.mktemp("exact")
+        paths = []
+        for name, rows, polarity in zip("ab", surveys, polarities):
+            questions = [{"text": f"q{i}", "yes": r[0], "unsure": r[1],
+                          "no": r[2], "polarity": polarity}
+                         for i, (r, _) in enumerate(rows)]
+            paths.append(str(folder / f"{name}.json"))
+            with open(paths[-1], "w") as fh:
+                json.dump({"sample_label": name, "questions": questions}, fh)
+        paths.append(str(folder / "pair.json"))
+        with open(paths[-1], "w") as fh:
+            json.dump({"question_names": ["x", "y"],
+                       "ordering_1": [r for r, _ in pair[0]],
+                       "ordering_2": [r for r, _ in pair[1]]}, fh)
+        tol_text = repr(float(tol))
+
+        code, doc = run_json(["check-contraction", paths[0]])
+        got = doc["transitions"]
+        assert [[bits(t[k]) for k in ("max_increase", "min_decrease",
+                                      "majorization_slack")] for t in got] == [
+            [bits(float(x)) for x in t] for t in transitions]
+        assert [t["feasible_at_tol"] for t in got] == [
+            t[2] == 0 for t in transitions]
+        assert code == 2 * any(t[0] > 0 or t[1] > 0 for t in transitions)
+        for isolate_first in (False, True):
+            argv = ["check-feasibility", paths[0], "--tol", tol_text]
+            code, doc = run_json(argv + ["--isolate-first"] * isolate_first)
+            got = doc["transitions"]
+            want = [(isolate_first and i == 0) or t[2] <= tol
+                    for i, t in enumerate(transitions)]
+            assert [bits(t["majorization_slack"]) for t in got] == [
+                bits(float(t[2])) for t in transitions]
+            assert [t["feasible_at_tol"] for t in got] == want
+            assert code == 2 * (not all(want))
+
+        code, doc = run_json(["check-classical", *paths[:2], "--tol",
+                              tol_text])
+        assert [bits(doc["support_difference"]),
+                bits(doc["oppose_difference"])] == [
+            bits(float(x)) for x in classical]
+        assert (doc["violation"] is not None) == (classical[0] > tol)
+        assert code == 2 * (classical[0] > tol)
+
+        code, doc = run_json(["check-order", paths[2], "--tol", tol_text])
+        assert [bits(e["difference"]) for e in doc["entries"]] == [
+            bits(float(x)) for x in order]
+        assert [e["flagged"] for e in doc["entries"]] == [
+            x > tol for x in order]
+        assert code == 2 * any(x > tol for x in order)

@@ -20,7 +20,8 @@ from qcog.states import (DensityMatrix, MeasurementError, ProbabilityVector,
 
 from .conftest import haar_unitary, random_density, random_probs
 from .oracles import (block_probabilities, lueders_projectors,
-                      percent_row_oracle, probability_row_oracle)
+                      percent_row_oracle, probability_row_oracle,
+                      shares_oracle)
 
 
 # the entries a faulty answer row may carry
@@ -33,9 +34,9 @@ ROW_ENTRY = st.one_of(
 @st.composite
 def percent_rows(draw):
     """1-8 rows of 1-10 answers in percent, summing to about 100, ties and
-    zeros included (from 8 answers numpy sums a row eight ways at once);
-    about one row in four carries a faulty entry, and one in six is empty,
-    all -0.0, holds NaN or an infinity, or sums beyond float range."""
+    zeros included; about one row in four carries a faulty entry, and one
+    in six is empty, all -0.0, holds NaN or an infinity, or sums beyond
+    float range."""
     k = draw(st.integers(1, 10))
     rows = []
     for _ in range(draw(st.integers(1, 8))):
@@ -55,8 +56,8 @@ def percent_rows(draw):
 
 
 def percents(rows):
-    # ingest's percent rule on each row as a list of floats, as ingest
-    # passes it, named as in a file "f": the first faulty row raises
+    # ingest's percent rule on each row as a list of floats, each read by
+    # its exact value, named as in a file "f": the first faulty row raises
     return [_percent_row("f", [float(x) for x in row], f"row {i}")
             for i, row in enumerate(rows)]
 
@@ -84,8 +85,10 @@ class TestProbabilityVector:
             percents([[]])
 
     def test_from_percents_renormalizes(self):
-        p = percents([[50, 30, 20.5]])[0]
-        assert abs(p.probs.sum() - 1.0) < 1e-15
+        # a row that passes keeps its exact proportions, as integers
+        row = percents([[50, 30, 20.5]])[0]
+        assert row == (100, 60, 41)
+        assert abs(Question("q", row).probs.probs.sum() - 1.0) < 1e-15
 
     @pytest.mark.parametrize("values", [[1e308] * 3, [1e308, 1e308]])
     def test_overflowing_percentages_give_a_typed_error(self, values):
@@ -96,8 +99,8 @@ class TestProbabilityVector:
     @settings(max_examples=300, deadline=None)
     @given(rows=percent_rows())
     def test_rows_from_percents_matches_row_by_row(self, rows):
-        # ingest's rule on Python floats: the rows numpy's row-by-row rule
-        # builds, bit for bit, or its first fault, named with the same message
+        # ingest's rule: each row's exact shares, as the exact percent rule
+        # gives them, or its first fault, named with the same message
         expected = []
         for i, row in enumerate(rows):
             try:
@@ -111,24 +114,24 @@ class TestProbabilityVector:
                 assert str(err.value) == f"f: row 0: {exc}"
                 return
         got = percents(rows)
-        assert [p.probs.tobytes() for p in got] == [
-            p.tobytes() for p in expected]
-        assert percents([rows[0]])[0].probs.tobytes() == expected[0].tobytes()
-        assert not any(p.probs.flags.writeable for p in got)
+        assert all(type(x) is int for row in got for x in row)
+        assert [shares_oracle(row) for row in got] == expected
+        assert percents([rows[0]])[0] == got[0]
 
     @settings(max_examples=300, deadline=None)
     @given(rows=percent_rows())
     def test_accepted_percent_rows_pass_the_probability_rule(self, rows):
-        # the percentage checks leave no row the probability rule rejects:
-        # each accepted row, built again under that rule, keeps its bytes
+        # the percentage checks leave no row whose probabilities the
+        # probability rule rejects: each accepted row's probabilities, built
+        # again under that rule, keep their bytes
         for row in [*([r] for r in rows), rows]:
             try:
                 got = percents(row)
             except IngestError:
                 continue
-            for p in got:
-                assert ProbabilityVector(p.probs).probs.tobytes() == (
-                    p.probs.tobytes())
+            for r in got:
+                p = Question("q", r).probs.probs
+                assert ProbabilityVector(p).probs.tobytes() == p.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(row=st.lists(ROW_ENTRY, min_size=1, max_size=6))
@@ -895,7 +898,7 @@ class TestCheckedQuestion:
 
 
 _MIXED = DensityMatrix(np.eye(2) / 2)
-_HALVES = ProbabilityVector(np.array([0.5, 0.5]))
+_HALVES = (50, 50)
 _TABLE1 = load_survey(fixture_path("table1.json"))
 # a question is its answers' bases: a projector list, a bare frame or a list
 # of its columns is rejected, never read as one
@@ -1062,18 +1065,21 @@ def test_non_finite_measurement_gives_typed_error(entry, error, bad):
      "final_a must be a Question, got ndarray"),
     (lambda: order_effect_check(np.full((2, 3), 1 / 3), np.full((2, 3), 1 / 3),
                                 0.1), ValueError,
-     "each marginal must be a ProbabilityVector, got ndarray"),
+     "each marginal must be a tuple, got ndarray"),
     (lambda: fit_result_to_dict(None), ValueError,
      "fit must be a FitResult, got NoneType"),
     # a question or chain of raw parts, refused where it is built: a
-    # polarity given as its string, a probability row as an array
+    # polarity given as its string, an answer row as an array or a
+    # ProbabilityVector
     (lambda: classical_consistency_check(
         Question("a", _HALVES, "favour"), Question("b", _HALVES, "favour"),
         0.1), ValueError, "polarity must be a Polarity, got str"),
     (lambda: Question("c", _HALVES, "bogus"), ValueError,
      "polarity must be a Polarity, got str"),
     (lambda: Question("a", np.array([0.5, 0.5])), ValueError,
-     "probs must be a ProbabilityVector, got ndarray"),
+     "row must be a tuple, got ndarray"),
+    (lambda: Question("a", ProbabilityVector(np.array([0.5, 0.5]))),
+     ValueError, "row must be a tuple, got ProbabilityVector"),
     (lambda: SurveyChain("x", [np.array([0.5, 0.5])] * 2), ValueError,
      "each question must be a Question, got ndarray"),
 ], ids=["probs-empty", "probs-2d", "amplitudes-empty", "amplitudes-2d",
@@ -1103,6 +1109,7 @@ def test_non_finite_measurement_gives_typed_error(entry, error, bad):
         "replay-list-chain", "classical-arrays", "order-arrays",
         "fit-to-dict-none", "classical-string-polarity",
         "question-bogus-polarity", "question-array-probs",
+        "question-vector-row",
         "chain-array-questions"])
 def test_structural_fault_message(entry, error, message):
     with pytest.raises(error) as err:
