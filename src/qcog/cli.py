@@ -4,8 +4,9 @@ The parsers are built once, at import, from the ``_SUBCOMMANDS`` table;
 ``main`` hands the words after a subcommand's name to that subcommand's
 parser.
 Exit codes: 0 success, 1 error (bad input or usage, an unreadable input
-or unwritable output path, or a failed post-check), 2 analysis ran and
-found a violation (so scripts can branch on findings).
+or unwritable output path, a failed post-check, a failed CSV writer
+process, or out of memory), 2 analysis ran and found a violation (so
+scripts can branch on findings).
 ``nosignal-demo`` alone draws random numbers, seeded by ``--seed`` only;
 every other subcommand depends on its input files alone.
 
@@ -16,11 +17,15 @@ leaves stdout empty, writes one ``error:`` line to stderr and exits 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import math
+import os
+import signal
 import sys
-from itertools import chain, islice, repeat
+import warnings
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -180,40 +185,100 @@ def cmd_fit_chain(args):
                f"{[f'{d:.3g}' for d in fit.projection_distances]}")
 
 
-def _scan_csv_lines(scan, grid_n: int):
-    # a lazy iterator of the lines, joined from column iterators at C speed,
-    # so that the writer streams the text without holding it.  repr gives
-    # the shortest round-trip form; .tolist() keeps numpy 2 from printing
-    # np.float64(...).  The scan is row-major (p outer, q inner) and the
-    # centers serve as both p and q: each p text repeats grid_n times, the
-    # q texts cycle grid_n times, and the flag text carries the line end.
-    # alpha is symmetric in (p, q) bit for bit, finite and >= +0 (so
-    # np.unique merges no -0.0 or NaN): each distinct value, about a third
-    # of the cells, is formatted once
+_SCAN_HEADER = b"p,q,alpha,p_f_b,delta,in_region\n"
+
+
+def _scan_csv_rows(scan, grid_n: int, rows: range):
+    # the text of grid rows ``rows`` (a step-1 range), lazily, one str per
+    # grid row.  The scan is row-major (p outer, q inner) and the centers
+    # serve as both p and q.  repr gives the shortest round-trip form;
+    # .tolist() keeps numpy 2 from printing np.float64(...).  alpha is
+    # finite and >= +0 (so np.unique merges no -0.0 or NaN) and symmetric
+    # in (p, q) bit for bit: each distinct value in the rows, about a third
+    # of the cells over the whole grid, is formatted once
     centers = list(map(repr, sequential.grid_centers(grid_n).tolist()))
-    values, index = np.unique(scan.alpha, return_inverse=True)
+    cells = slice(rows.start * grid_n, rows.stop * grid_n)
+    alpha, p_f_b, delta, flags = (scan.alpha[cells], scan.p_f_b[cells],
+                                  scan.delta[cells], scan.in_region[cells])
+    values, index = np.unique(alpha, return_inverse=True)
     alphas = np.array(list(map(repr, values.tolist())), dtype=object)[index]
-    rows = zip(chain.from_iterable(map(repeat, centers, repeat(grid_n))),
-               chain.from_iterable(repeat(centers, grid_n)),
-               alphas.tolist(), map(repr, scan.p_f_b.tolist()),
-               map(repr, scan.delta.tolist()),
-               map(("0\n", "1\n").__getitem__, scan.in_region.tolist()))
-    return chain(("p,q,alpha,p_f_b,delta,in_region\n",), map(",".join, rows))
+    for i, p in enumerate(centers[rows.start:rows.stop]):
+        row = slice(i * grid_n, (i + 1) * grid_n)
+        yield "".join(map(",".join, zip(
+            repeat(p), centers, alphas[row].tolist(),
+            map(repr, p_f_b[row].tolist()), map(repr, delta[row].tolist()),
+            map(("0\n", "1\n").__getitem__, flags[row].tolist()))))
+
+
+@contextlib.contextmanager
+def _rows_from_child(scan, grid_n: int, rows: range):
+    # the read end of a pipe that carries the text of grid rows ``rows``,
+    # formatted by a forked child on a second CPU, or None when there is no
+    # second CPU, no fork, or the fork fails.  On leaving, the pipe is
+    # closed and the child reaped, killed first if the block raised; a
+    # child that failed raises OSError
+    pid = None
+    if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2):
+        read_fd, write_fd = os.pipe()
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12+ warns of a fork beside threads (numpy's BLAS
+                # pool); the child formats text and calls no BLAS
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+        if pid == 0:  # the child touches no file object, nor stdout
+            status = 1
+            try:
+                os.close(read_fd)  # so a parent gone leaves no reader
+                view = memoryview(
+                    "".join(_scan_csv_rows(scan, grid_n, rows)).encode())
+                while view:
+                    view = view[os.write(write_fd, view):]
+                status = 0
+            finally:  # whatever was raised, even KeyboardInterrupt
+                os._exit(status)
+        os.close(write_fd)
+    if pid is None:
+        yield None
+        return
+    try:
+        yield read_fd
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(read_fd)
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        raise OSError(f"the process writing grid rows {rows.start}.."
+                      f"{rows.stop - 1} failed "
+                      f"(exit code {os.waitstatus_to_exitcode(status)})")
 
 
 def cmd_conjunction_scan(args):
-    scan = sequential.interference_region_scan(args.grid)
+    grid = args.grid
+    scan = sequential.interference_region_scan(grid)
     if args.out:
-        lines = _scan_csv_lines(scan, args.grid)
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(next(lines))  # the header, then one write per grid row
-            for _ in range(args.grid):
-                fh.write("".join(islice(lines, args.grid)))
+        # opened before the fork, so an unwritable path starts no child,
+        # and written to only after it, so the child inherits no buffered
+        # bytes.  This process writes the header and grid rows [0, split),
+        # one write per grid row, then copies the child's rows
+        with open(args.out, "wb") as fh, \
+                _rows_from_child(scan, grid, range(grid // 2, grid)) as pipe:
+            split = grid if pipe is None else grid // 2
+            fh.write(_SCAN_HEADER)
+            for text in _scan_csv_rows(scan, grid, range(split)):
+                fh.write(text.encode())
+            while pipe is not None and (chunk := os.read(pipe, 1 << 16)):
+                fh.write(chunk)
     n_cells = scan.in_region.size
     n_in = int(scan.in_region.sum())
-    yield ({"grid": args.grid, "cells": n_cells, "cells_in_region": n_in,
+    yield ({"grid": grid, "cells": n_cells, "cells_in_region": n_in,
             "out": args.out}, False)
-    yield (f"{args.grid}x{args.grid} scan: {n_in}/{n_cells} cells "
+    yield (f"{grid}x{grid} scan: {n_in}/{n_cells} cells "
            f"with P(F) > P^F(B) > P(B)")
     if args.out:
         yield f"wrote {args.out}"
@@ -332,7 +397,7 @@ def main(argv=None) -> int:
         report = args.func(args)
         payload, finding = next(report)
         print(render_json(payload) if args.json else "\n".join(report))
-    except (ValueError, OSError, framefit.FitError) as exc:
+    except (ValueError, OSError, MemoryError, framefit.FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_FINDING if finding else EXIT_OK

@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import os
+import signal
 import sys
 import warnings
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcog import cli, feasibility, ingest
+from qcog import cli, feasibility, ingest, sequential
 from qcog.cli import main
 from qcog.feasibility import (FeasibilityReport, Polarity, SurveyChain,
                               TransitionCheck, chain_feasibility)
@@ -385,6 +386,21 @@ class TestExitCodes:
         code = main(["check-contraction", str(tmp_path / "missing.json")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_out_of_memory(self, monkeypatch, capsys):
+        # a grid too large for numpy's arrays is one error line, not a
+        # traceback; the scan raises before anything is written
+        def scan(grid_n):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array "
+                              "with shape (10000000000,) and data type "
+                              "float64")
+
+        monkeypatch.setattr(sequential, "interference_region_scan", scan)
+        assert main(["conjunction-scan", "--grid", "100000"]) == 1
+        assert capsys.readouterr() == ("", "error: Unable to allocate 74.5 GiB"
+                                       " for an array with shape "
+                                       "(10000000000,) and data type "
+                                       "float64\n")
 
     def test_fit_chain_infeasible(self, t1, capsys):
         code = main(["fit-chain", t1, "--tol", "0"])
@@ -1177,14 +1193,25 @@ class TestScanCsv:
         square = alpha.reshape(grid, grid)
         assert square.tobytes() == square.T.tobytes()
 
-    def test_each_distinct_alpha_formatted_once(self, tmp_path, monkeypatch):
+    @staticmethod
+    def cpus(monkeypatch, n):
+        # the writer forks a child for half the rows when it may run on two
+        # CPUs or more; n forces one path whatever the machine has
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        # after every call, success or failure, the writer's child is reaped
+        yield
+        if hasattr(os, "fork"):
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def spy_repr(monkeypatch):
         # repr is looked up in the cli module, so a spy there counts every
-        # text the writer formats: g centers, 2 g^2 for p_f_b and delta,
-        # and one per distinct alpha
-        grid = 11
-        expected = tmp_path / "expected.csv"
-        assert main(["conjunction-scan", "--grid", str(grid),
-                     "--out", str(expected)]) == 0
+        # text this process formats; a child counts in its own copy
         calls = []
 
         def spy(x):
@@ -1192,52 +1219,190 @@ class TestScanCsv:
             return repr(x)
 
         monkeypatch.setattr(cli, "repr", spy, raising=False)
-        out = tmp_path / "scan.csv"
-        assert main(["conjunction-scan", "--grid", str(grid),
-                     "--out", str(out)]) == 0
-        distinct = np.unique(interference_region_scan(grid).alpha).size
-        assert distinct < grid * (grid + 1) // 2
-        assert len(calls) <= distinct + 2 * grid * grid + grid
-        assert out.read_bytes() == expected.read_bytes()
+        return calls
 
-    def test_one_write_per_grid_row(self, tmp_path, monkeypatch):
-        # the header, then each grid row's lines as one text
-        grid = 7
+    @staticmethod
+    def spy_writes(monkeypatch):
+        # the texts this process writes to the file it opens
         writes = []
         real_open = open
 
         def recording_open(*args, **kwargs):
             fh = real_open(*args, **kwargs)
             write = fh.write
-            fh.write = lambda text: writes.append(text) or write(text)
+            fh.write = lambda data: writes.append(bytes(data)) or write(data)
             return fh
 
         monkeypatch.setattr(cli, "open", recording_open, raising=False)
-        out = tmp_path / "scan.csv"
+        return writes
+
+    @staticmethod
+    def scan_bytes(tmp_path, grid, name="scan.csv"):
+        out = tmp_path / name
         assert main(["conjunction-scan", "--grid", str(grid),
                      "--out", str(out)]) == 0
-        lines = list(cli._scan_csv_lines(interference_region_scan(grid), grid))
-        assert writes == [lines[0]] + [
-            "".join(lines[1 + i * grid:1 + (i + 1) * grid])
-            for i in range(grid)]
-        assert out.read_text() == "".join(lines)
+        return out.read_bytes()
+
+    @staticmethod
+    def rows_text(grid, rows):
+        return [text.encode() for text in cli._scan_csv_rows(
+            interference_region_scan(grid), grid, rows)]
+
+    def test_each_distinct_alpha_formatted_once(self, tmp_path, monkeypatch):
+        # one process formats every text: g centers, 2 g^2 for p_f_b and
+        # delta, and one per distinct alpha
+        grid = 11
+        self.cpus(monkeypatch, 1)
+        expected = self.scan_bytes(tmp_path, grid, "expected.csv")
+        calls = self.spy_repr(monkeypatch)
+        assert self.scan_bytes(tmp_path, grid) == expected
+        distinct = np.unique(interference_region_scan(grid).alpha).size
+        assert distinct < grid * (grid + 1) // 2
+        assert len(calls) == distinct + 2 * grid * grid + grid
+
+    def test_one_write_per_grid_row(self, tmp_path, monkeypatch):
+        # the header, then each grid row's lines as one text
+        grid = 7
+        self.cpus(monkeypatch, 1)
+        writes = self.spy_writes(monkeypatch)
+        data = self.scan_bytes(tmp_path, grid)
+        assert writes == [cli._SCAN_HEADER] + self.rows_text(grid, range(grid))
+        assert data == b"".join(writes)
+
+    def test_parent_formats_and_writes_its_half(self, tmp_path, monkeypatch):
+        # with two CPUs a child formats grid rows [g//2, g): this process
+        # formats g centers and its own rows' texts, writes the header and
+        # one text per own grid row, then copies the child's rows
+        grid = 11
+        half = grid // 2
+        self.cpus(monkeypatch, 2)
+        expected = self.scan_bytes(tmp_path, grid, "expected.csv")
+        calls = self.spy_repr(monkeypatch)
+        writes = self.spy_writes(monkeypatch)
+        assert self.scan_bytes(tmp_path, grid) == expected == b"".join(writes)
+        alpha = interference_region_scan(grid).alpha[:half * grid]
+        assert len(calls) == np.unique(alpha).size + 2 * grid * half + grid
+        assert writes[:1 + half] == (
+            [cli._SCAN_HEADER] + self.rows_text(grid, range(half)))
+        assert b"".join(writes[1 + half:]) == b"".join(
+            self.rows_text(grid, range(half, grid)))
 
     @pytest.mark.parametrize("grid", [2, 3, 11])
     def test_lines_match_per_row_oracle(self, grid):
         # each line as the original per-row writer printed it from the
-        # scan's fields; an iterator, so the writer streams the text
+        # scan's fields, one text per grid row; rows [0, h) then rows
+        # [h, g) give the same texts at every split point h.  An iterator,
+        # so the writer streams its rows without holding them
         scan = interference_region_scan(grid)
-        lines = cli._scan_csv_lines(scan, grid)
-        assert isinstance(lines, collections.abc.Iterator)
         columns = (getattr(scan, f.name).tolist()
                    for f in dataclasses.fields(scan))
-        expected = ["p,q,alpha,p_f_b,delta,in_region\n"] + [
-            f"{p!r},{q!r},{a!r},{pfb!r},{d!r},{int(flag)}\n"
-            for p, q, a, pfb, d, flag in zip(*columns)]
-        got = list(lines)
-        assert len(got) == len(expected) == 1 + grid * grid
-        for line, want in zip(got, expected):
-            assert line == want
+        lines = [f"{p!r},{q!r},{a!r},{pfb!r},{d!r},{int(flag)}\n"
+                 for p, q, a, pfb, d, flag in zip(*columns)]
+        expected = ["".join(lines[i * grid:(i + 1) * grid])
+                    for i in range(grid)]
+        assert len(lines) == grid * grid
+        for h in range(grid + 1):
+            head = cli._scan_csv_rows(scan, grid, range(h))
+            tail = cli._scan_csv_rows(scan, grid, range(h, grid))
+            assert isinstance(head, collections.abc.Iterator)
+            assert [*head, *tail] == expected
+
+    @pytest.mark.parametrize("grid", [2, 3, 7, 101])
+    def test_one_and_two_processes_agree(self, tmp_path, monkeypatch, grid):
+        self.cpus(monkeypatch, 1)
+        one = self.scan_bytes(tmp_path, grid, "one.csv")
+        self.cpus(monkeypatch, 2)
+        assert self.scan_bytes(tmp_path, grid, "two.csv") == one
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("grid, digest", [
+        (101, "aed858875f42f2d60957f35b091432d416ba3a9f44c69fa68bf865849a4ffc14"),
+        (201, "0d0cf159ce277ebeaca20e29f196614f1677ccc9630dad3ede8bf07f366e7152"),
+        (301, "781ac890b8018c4724fb6e2df1a4556b56293fdf7aaa677942b4a15e7a1d13de"),
+    ])
+    def test_golden_digest_on_each_path(self, tmp_path, monkeypatch, cpus,
+                                        grid, digest):
+        self.cpus(monkeypatch, cpus)
+        assert hashlib.sha256(
+            self.scan_bytes(tmp_path, grid)).hexdigest() == digest
+
+    def test_failed_fork_writes_in_one_process(self, tmp_path, monkeypatch):
+        grid = 7
+        self.cpus(monkeypatch, 1)
+        expected = self.scan_bytes(tmp_path, grid, "expected.csv")
+        forks = []
+
+        def failing_fork():
+            forks.append(None)
+            raise OSError(11, "Resource temporarily unavailable")
+
+        self.cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", failing_fork)
+        assert self.scan_bytes(tmp_path, grid) == expected
+        assert len(forks) == 1
+
+    def test_failed_child_is_one_error_line(self, tmp_path, monkeypatch,
+                                            capsys):
+        # the child formats rows [g//2, g); this one raises there, exits 1,
+        # and the parent reports it as an OSError
+        real_rows = cli._scan_csv_rows
+
+        def rows(scan, grid_n, rows):
+            if rows.start > 0:
+                raise RuntimeError("child fails")
+            return real_rows(scan, grid_n, rows)
+
+        self.cpus(monkeypatch, 2)
+        monkeypatch.setattr(cli, "_scan_csv_rows", rows)
+        out = tmp_path / "scan.csv"
+        assert main(["conjunction-scan", "--grid", "7", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and "exit code 1" in captured.err
+
+    @pytest.mark.parametrize("raised, code", [
+        (KeyboardInterrupt, None), (OSError, 1)])
+    def test_failed_parent_kills_and_reaps_its_child(
+            self, tmp_path, monkeypatch, capsys, raised, code):
+        real_rows = cli._scan_csv_rows
+        real_fork, real_kill = os.fork, os.kill
+        pids, kills = [], []
+
+        def rows(scan, grid_n, rows):
+            if rows.start == 0:
+                raise raised("parent fails")
+            return real_rows(scan, grid_n, rows)
+
+        def fork():
+            pid = real_fork()
+            pids.append(pid)
+            return pid
+
+        self.cpus(monkeypatch, 2)
+        monkeypatch.setattr(cli, "_scan_csv_rows", rows)
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "kill", lambda pid, sig: kills.append(
+            (pid, sig)) or real_kill(pid, sig))
+        argv = ["conjunction-scan", "--grid", "301",
+                "--out", str(tmp_path / "scan.csv")]
+        if code is None:
+            with pytest.raises(raised):
+                main(argv)
+        else:
+            assert main(argv) == code
+            assert capsys.readouterr().err == "error: parent fails\n"
+        assert len(pids) == 1 and kills == [(pids[0], signal.SIGKILL)]
+
+    def test_unwritable_out_starts_no_child(self, tmp_path, monkeypatch,
+                                            capsys):
+        forks = []
+        self.cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None))
+        out = tmp_path / "missing" / "scan.csv"
+        assert main(["conjunction-scan", "--grid", "7", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert forks == []
 
 
 class TestSeedHandling:
