@@ -36,8 +36,8 @@ def _rank_one_certificate(a: np.ndarray, out: np.ndarray) -> bool:
     # O(n^2) proof that a is Hermitian and PSD within tolerance, for a pure
     # state; False proves nothing.  With v = a[:, j]/sqrt(a[j, j]) at the
     # largest diagonal entry it accepts when ||R||_F <= tol/(2 sqrt 2) for
-    # R = a - v v^H, written into out (n x n complex128, a caller's
-    # scratch).  Hermiticity: v v^H is Hermitian to rounding
+    # R = a - v v^H, written into out (n x n complex128, C-ordered, a
+    # caller's scratch).  Hermiticity: v v^H is Hermitian to rounding
     # (~1e-17), so max|a - a^H| <= 2||R||_F <= tol/sqrt 2, inside
     # STRUCTURAL_TOL.  Positivity: Cholesky and eigvalsh read only the lower
     # triangle of a, and for the Hermitian H it defines, H - v v^H is built
@@ -55,9 +55,14 @@ def _rank_one_certificate(a: np.ndarray, out: np.ndarray) -> bool:
     rd = diag - (v.real ** 2 + v.imag ** 2)
     if not rd @ rd <= bound:
         return False
-    r = np.outer(v, v.conj(), out=out)
-    np.subtract(a, r, out=r)
-    return bool(np.vdot(r, r).real <= bound)
+    # v v^H as one real rank-2 product in out's float64 view (n x 2n):
+    # [Re v, Im v] times the float64 view of [conj v; i conj v].  a, of any
+    # layout, is never viewed
+    vc, r = v.conj(), out.view(np.float64)
+    np.matmul(v.view(np.float64).reshape(-1, 2),
+              np.stack((vc, 1j * vc)).view(np.float64), out=r)
+    np.subtract(a, out, out=out)
+    return bool(np.vdot(r, r) <= bound)
 
 
 def _index(value, what: str) -> int:
@@ -161,7 +166,7 @@ def is_psd(m) -> bool:
     a = as_matrix(m)
     # a non-square or 0x0 matrix is not Hermitian, so not PSD
     return (a.shape[0] == a.shape[1] and a.size > 0
-            and _psd_fault(a, np.empty_like(a)) is None)
+            and _psd_fault(a, np.empty(a.shape, dtype=np.complex128)) is None)
 
 
 def partial_trace(rho, dims, keep: int) -> np.ndarray:

@@ -8,9 +8,11 @@ and checks the invariance numerically.  The tests check the contraction
 against the same measurements built as dense projectors on the full space.
 The input state is validated once, where it is built (``DensityMatrix``),
 and a series' frames where the series is built, those of each size as one
-stacked Gram product.  Every public function here that takes a state raises
-ValueError unless it is a DensityMatrix, and one that takes a series unless
-it is a LocalSeries.
+stack, which gives the Gram product and, after every check, the frames'
+superoperators, kept by factor for ``apply_series`` and
+``no_signalling_check`` to read.  Every public function here that takes a
+state raises ValueError unless it is a DensityMatrix, and one that takes a
+series unless it is a LocalSeries.
 
 Two routes give a series' fifth marginal.  ``apply_series`` followed by
 ``fifth_marginal`` is the Schroedinger-picture reference: it evolves the
@@ -23,7 +25,8 @@ built.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,6 +48,8 @@ class LocalSeries:
 
     steps: tuple
     dims: tuple = FIVE_QUESTIONS
+    # each factor's step superoperators in step order, built once, here
+    superoperators: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = _factor_dims(self.dims)
@@ -53,12 +58,13 @@ class LocalSeries:
             raise ValueError(f"a local series needs at least two factors, got {dims}")
         steps = tuple((_index(k, "factor index"), as_matrix(u))
                       for k, u in self.steps)
-        # the frames of each shape are checked as one stacked Gram product
-        by_shape = {}
+        # one stack per frame shape, for the Gram product and superoperators
+        stacks = {}
         for _, u in steps:
-            by_shape.setdefault(u.shape, []).append(u)
-        if not all(rows == cols and _orthonormal_columns(np.stack(frames))
-                   for (rows, cols), frames in by_shape.items()):
+            stacks.setdefault(u.shape, []).append(u)
+        stacks = {shape: np.array(frames) for shape, frames in stacks.items()}
+        if not all(rows == cols and _orthonormal_columns(frames)
+                   for (rows, cols), frames in stacks.items()):
             raise ValueError("series frames must be unitary")
         for k, u in steps:
             if not 0 <= k < len(dims) - 1:
@@ -66,16 +72,24 @@ class LocalSeries:
             if u.shape != (dims[k], dims[k]):
                 raise ValueError(f"frame of shape {u.shape} does not fit factor "
                                  f"{k} of dimension {dims[k]}")
+        # each stack's superoperators are handed out in step order
+        ops = {shape: iter(_superoperators(frames))
+               for shape, frames in stacks.items()}
+        groups = [[] for _ in dims[:-1]]
+        for k, u in steps:
+            groups[k].append(next(ops[u.shape]))
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "superoperators", tuple(map(tuple, groups)))
 
 
-def _superoperator(u: np.ndarray) -> np.ndarray:
-    # rho -> sum_p P_p rho P_p on one factor, as a matrix on its (row, column)
-    # index pair: M = W W^H with W[(i, j), p] = U[i, p] conj(U[j, p])
-    d = u.shape[0]
-    w = (u[:, None, :] * u.conj()[None, :, :]).reshape(d * d, d)
-    return w @ w.conj().T
+def _superoperators(u: np.ndarray) -> np.ndarray:
+    # rho -> sum_p P_p rho P_p on one factor, for each frame of a stack
+    # (m, d, d), as a matrix on the factor's (row, column) index pair:
+    # M = W W^H with W[(i, j), p] = U[i, p] conj(U[j, p])
+    m, d = u.shape[:2]
+    w = (u[:, :, None, :] * u.conj()[:, None, :, :]).reshape(m, d * d, d)
+    return w @ w.conj().swapaxes(-1, -2)
 
 
 def _check_series(state: DensityMatrix, series: LocalSeries, *others) -> tuple:
@@ -87,7 +101,7 @@ def _check_series(state: DensityMatrix, series: LocalSeries, *others) -> tuple:
         _check_type(s, LocalSeries, "series")
     if any(o.dims != series.dims for o in others):
         raise ValueError("the series act on different factor dims")
-    if state.dim != int(np.prod(series.dims)):
+    if state.dim != math.prod(series.dims):
         raise ValueError(f"state dim {state.dim} does not match {series.dims}")
     return series.dims
 
@@ -98,9 +112,10 @@ def apply_series(state: DensityMatrix, series: LocalSeries) -> DensityMatrix:
     Each step acts as the projective update with the embedded local
     projectors.  The measurement in frame ``U`` on factor k is the d²×d²
     superoperator ``M = W Wᴴ``, ``W[(i, j), p] = U[i, p]·conj(U[j, p])``,
-    acting on that factor's (row, column) index pair: the state is
-    transposed once into pair-major layout, each step is one matrix
-    product on its pair axis, and the result is transposed back once and
+    acting on that factor's (row, column) index pair, built once with the
+    series: the state is transposed once into pair-major layout, each step
+    is one matrix product on its pair axis, factor by factor (steps on
+    different factors commute), and the result is transposed back once and
     Hermitian-symmetrised.  A state that is not a DensityMatrix, or does
     not live on the series' ``dims``, or a series that is not a
     LocalSeries, raises ValueError.
@@ -118,9 +133,10 @@ def apply_series(state: DensityMatrix, series: LocalSeries) -> DensityMatrix:
     t = state.matrix.reshape(dims + dims)
     t = t.transpose([a for k in range(n) for a in (k, n + k)])
     pairs = [d * d for d in dims]
-    for k, u in series.steps:
-        pre, post = int(np.prod(pairs[:k])), int(np.prod(pairs[k + 1:]))
-        t = np.matmul(_superoperator(u), t.reshape(pre, pairs[k], post))
+    for k, group in enumerate(series.superoperators):
+        shape = math.prod(pairs[:k]), pairs[k], math.prod(pairs[k + 1:])
+        for op in group:
+            t = np.matmul(op, t.reshape(shape))
     t = t.reshape([d for d in dims for _ in range(2)])
     m = t.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
     m = m.reshape(state.dim, state.dim)
@@ -137,17 +153,16 @@ def fifth_marginal(state: DensityMatrix, dims=FIVE_QUESTIONS) -> ProbabilityVect
 
 def _heisenberg_marginal(state: DensityMatrix,
                          series: LocalSeries) -> ProbabilityVector:
-    # <vec I| M_m ... M_1 on each earlier factor, built from the last step
+    # <vec I| M_m ... M_1 on each earlier factor, built from its last step
     # back (M is Hermitian, so it is its own adjoint); their Kronecker
     # product is the functional on all earlier factors, and one einsum reads
     # the state once, uncopied, against it in each of the last factor's
     # diagonal blocks
     r = np.ones((1, 1), dtype=np.complex128)
-    for k, d in enumerate(series.dims[:-1]):
+    for d, group in zip(series.dims, series.superoperators):
         f = np.eye(d, dtype=np.complex128).reshape(d * d)
-        for j, u in reversed(series.steps):
-            if j == k:
-                f = f @ _superoperator(u)
+        for m in reversed(group):
+            f = f @ m
         # np.kron(r, f) by broadcasting, without np.kron's Python overhead
         r = (r[:, None, :, None] * f.reshape(d, 1, d)).reshape(len(r) * d, -1)
     rest, last = r.shape[0], series.dims[-1]
@@ -183,7 +198,7 @@ def random_entangled_state(rng: np.random.Generator,
     entangled across every factor cut.  The outer product of a unit vector
     is a density matrix by construction, so it is not validated again.
     A dimension that is not a positive integer raises ValueError."""
-    total = int(np.prod(_factor_dims(dims)))
+    total = math.prod(_factor_dims(dims))
     psi = rng.standard_normal(total) + 1j * rng.standard_normal(total)
     return DensityMatrix.from_pure(PureState(psi / np.linalg.norm(psi)))
 

@@ -1440,6 +1440,25 @@ class TestSeedHandling:
         assert out["trials"] == 100
         assert out["max_fifth_marginal_deviation"] < 1e-10
 
+    @pytest.mark.parametrize("fmt, code", [([], 2), (["--json"], 1)],
+                             ids=["text", "json"])
+    def test_nan_deviation_is_never_no_signalling(self, fmt, code, capsys,
+                                                  monkeypatch):
+        # one NaN trial among finite ones: a finding in text, and an error
+        # in strict JSON, never "no signalling" with exit 0
+        check = cli.nosignal.no_signalling_check
+        calls = iter(range(3))
+        monkeypatch.setattr(
+            cli.nosignal, "no_signalling_check",
+            lambda *args: float("nan") if next(calls) == 1 else check(*args))
+        assert main(["nosignal-demo", "--trials", "3", "--steps", "2",
+                     *fmt]) == code
+        out = capsys.readouterr()
+        if fmt:
+            assert out.out == "" and out.err.startswith("error: ")
+        else:
+            assert out.out.endswith("max fifth-marginal deviation: nan\n")
+
     def test_fit_chain_byte_identical(self, t1, capsys):
         args = ["fit-chain", t1, "--isolate-first", "--tol", "0", "--json"]
         main(args)

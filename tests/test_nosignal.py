@@ -122,6 +122,32 @@ class TestLocalSeriesBatching:
             with pytest.raises(ValueError, match="series frames must be unitary"):
                 LocalSeries(tuple(bad), (2, 3, 2))
 
+    def test_superoperators_built_once_per_frame_size(self, monkeypatch):
+        # from the stack the Gram check read, after every check has passed,
+        # and never again when the series is applied or checked
+        checked, built = [], []
+        gram, original = nosignal._orthonormal_columns, nosignal._superoperators
+        monkeypatch.setattr(nosignal, "_orthonormal_columns",
+                            lambda a: checked.append(a) or gram(a))
+        monkeypatch.setattr(nosignal, "_superoperators",
+                            lambda a: built.append(a) or original(a))
+        rng = np.random.default_rng(191)
+        dims = (2, 3, 2)
+        frames = [(0, haar_unitary(rng, 2)), (1, haar_unitary(rng, 3)),
+                  (0, haar_unitary(rng, 2)), (1, haar_unitary(rng, 3))]
+        series = LocalSeries(tuple(frames), dims)
+        assert [a.shape for a in built] == [(2, 2, 2), (2, 3, 3)]
+        assert all(b is c for b, c in zip(built, checked, strict=True))
+        state = random_entangled_state(rng, dims=dims)
+        apply_series(state, series)
+        no_signalling_check(state, series, series)
+        assert len(built) == 2
+        # a series that fails a check builds none
+        for bad in ((1, 2 * np.eye(3)), (2, np.eye(2)), (0, np.eye(3))):
+            with pytest.raises(ValueError):
+                LocalSeries((*frames, bad), dims)
+        assert len(built) == 2
+
 
 class TestStateType:
     @pytest.mark.parametrize("state", [
@@ -374,13 +400,13 @@ class TestNoSignalling:
     def test_catches_a_step_that_is_not_trace_preserving(self, monkeypatch):
         # mutant: every step drops its first outcome's projector, so it
         # loses probability and the series' fifth marginal moves
-        original = nosignal._superoperator
+        original = nosignal._superoperators
 
         def broken(u):
-            w = np.outer(u[:, 0], u[:, 0].conj()).reshape(-1)
-            return original(u) - np.outer(w, w.conj())
+            w = (u[:, :, 0, None] * u[:, None, :, 0].conj()).reshape(len(u), -1)
+            return original(u) - w[:, :, None] * w[:, None, :].conj()
 
-        monkeypatch.setattr(nosignal, "_superoperator", broken)
+        monkeypatch.setattr(nosignal, "_superoperators", broken)
         rng = np.random.default_rng(173)
         state = random_entangled_state(rng)
         series = random_local_series(rng, 4)

@@ -309,8 +309,8 @@ class TestDensityMatrix:
         assert np.array_equal(DensityMatrix(m).matrix, m)
 
     @pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
-    @pytest.mark.parametrize("layout", ["c-order", "f-order", "real",
-                                        "read-only", "list"])
+    @pytest.mark.parametrize("layout", ["c-order", "f-order", "strided",
+                                        "real", "read-only", "list"])
     def test_never_writes_to_or_aliases_input(self, pure, layout):
         # the certificate writes its residual into the output buffer, never
         # into the input, and the state owns a frozen copy
@@ -323,8 +323,8 @@ class TestDensityMatrix:
         else:
             psi = _pure(rng, dim)
             x = np.outer(psi, psi.conj()) if pure else random_density(rng, dim)
-        if layout == "f-order":
-            x = np.asfortranarray(x)
+        if layout in ("f-order", "strided"):
+            x = _laid_out(x, layout)
         elif layout == "read-only":
             x.setflags(write=False)
         elif layout == "list":
@@ -339,6 +339,21 @@ class TestDensityMatrix:
         if isinstance(x, np.ndarray):
             assert not np.shares_memory(rho.matrix, x)
             assert x.flags.writeable == writeable
+
+
+def _laid_out(m, layout):
+    # a copy of m in C order, in Fortran order, or as a [::2, ::2] view of a
+    # larger array whose other entries are NaN
+    if layout == "c-order":
+        return np.array(m)
+    if layout == "f-order":
+        return np.asfortranarray(m)
+    big = np.full((2 * len(m), 2 * len(m)), np.nan, dtype=m.dtype)
+    big[::2, ::2] = m
+    return big[::2, ::2]
+
+
+LAYOUTS = ["c-order", "f-order", "strided"]
 
 
 def _pure(rng, dim, zeros=0):
@@ -367,12 +382,16 @@ class TestRankOneCertificate:
 
     @pytest.mark.parametrize("dim", [2, 27, 243])
     def test_pure_state_never_reaches_cholesky(self, dim, monkeypatch):
+        # in C order, F order and strided: the certificate's scratch is
+        # C-ordered whatever the input's layout
         def forbidden(*args, **kwargs):
             raise AssertionError("Cholesky ran")
 
         monkeypatch.setattr(np.linalg, "cholesky", forbidden)
         psi = _pure(np.random.default_rng(dim), dim)
-        assert _positivity_verdicts(np.outer(psi, psi.conj()))
+        for layout in LAYOUTS:
+            m = _laid_out(np.outer(psi, psi.conj()), layout)
+            assert _positivity_verdicts(m)
 
     @pytest.mark.parametrize("dim", [2, 27, 243])
     def test_negative_direction_at_tolerance_edge(self, dim):
@@ -434,8 +453,9 @@ class TestRankOneCertificate:
         # a pure state plus a Hermitian or anti-Hermitian perturbation E of
         # Frobenius norm edge * tol / (2 sqrt 2), the certificate's edge; E
         # vanishes on the pivot's row and column, so the certificate's
-        # residual is E itself.  Whatever it accepts is Hermitian and PSD
-        # within tolerance, so DensityMatrix may skip those checks on it
+        # residual is E itself, in every layout of m.  Whatever it accepts is
+        # Hermitian and PSD within tolerance, so DensityMatrix may skip those
+        # checks on it
         rng = np.random.default_rng(seed)
         psi = _pure(rng, dim)
         j = int(np.argmax(np.abs(psi)))
@@ -444,8 +464,10 @@ class TestRankOneCertificate:
         e[j, :] = e[:, j] = 0
         e *= edge * STRUCTURAL_TOL / (2 * np.sqrt(2)) / np.linalg.norm(e)
         m = np.outer(psi, psi.conj()) + e
-        accepted = hilbert._rank_one_certificate(m, np.empty_like(m))
-        assert accepted == (edge < 1)
+        for layout in LAYOUTS:
+            accepted = hilbert._rank_one_certificate(
+                _laid_out(m, layout), np.empty(m.shape, dtype=np.complex128))
+            assert accepted == (edge < 1)
         if accepted:
             assert np.max(np.abs(m - m.conj().T)) <= STRUCTURAL_TOL
             for uplo in "LU":
